@@ -51,9 +51,8 @@ inline void emit(const Table& table, const Cli& cli) {
 /// two reports can be checked for comparability before their numbers are
 /// compared (bench_compare fails on an env mismatch — a scalar-kernel run
 /// is not a regression baseline for an avx2 one). `threads` defaults to
-/// the --threads flag when the bench declares one, `scheduler` to the
-/// --scheduler flag; benches whose configuration lives elsewhere override
-/// via env().
+/// the --threads flag when the bench declares one and `scheduler` to
+/// "none"; benches whose configuration lives elsewhere override via env().
 class JsonReport {
  public:
   JsonReport(std::string bench, const Cli& cli)
@@ -61,9 +60,7 @@ class JsonReport {
     env_.emplace_back("gemm_kernel", gemm_kernel_name());
     env_.emplace_back("threads",
                       cli.has("threads") ? cli.get_string("threads") : "1");
-    env_.emplace_back(
-        "scheduler",
-        cli.has("scheduler") ? cli.get_string("scheduler") : "none");
+    env_.emplace_back("scheduler", "none");
   }
 
   /// Overrides (or adds) one env entry; keys keep first-seen order.

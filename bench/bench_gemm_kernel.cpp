@@ -1,18 +1,16 @@
 // GFLOP/s harness for the local gemm microkernels (EXPERIMENTS.md §13):
 // times C += A*B at sizes where the memory hierarchy actually bites
 // (default n = 2048, well past every cache level) for each available
-// microkernel (scalar, avx2) and a threaded configuration, and reports
-// achieved GFLOP/s (2*n^3 flops over the best-of-reps wall clock).
+// microkernel (scalar, avx2), and reports achieved GFLOP/s (2*n^3 flops
+// over the best-of-reps wall clock).
 //
-// The dispatch contract is enforced, not just reported: every
-// configuration's output matrix must match the serial scalar-kernel run
-// bit for bit (the SIMD kernel uses separate mul+add vectors — never FMA —
-// precisely so kernel choice can never change a computed bit, and the
-// threaded overload assigns every output column to exactly one stripe).
+// The dispatch contract is enforced, not just reported: the avx2 output
+// matrix must match the scalar-kernel run bit for bit (the SIMD kernel uses
+// separate mul+add vectors — never FMA — precisely so kernel choice can
+// never change a computed bit).
 //
 // --smoke keeps n at the full 2048 (a smaller n would measure cache
-// residency, not the kernel) but drops to one rep and the {scalar@1,
-// avx2@1, avx2@2} configurations for CI.
+// residency, not the kernel) but drops to one rep for CI.
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -22,7 +20,6 @@
 #include "matrix/gemm.hpp"
 #include "matrix/norms.hpp"
 #include "util/check.hpp"
-#include "util/parallel_engine.hpp"
 
 namespace {
 
@@ -39,18 +36,13 @@ bool same_bits(const ConstMatrixView& a, const ConstMatrixView& b) {
   return true;
 }
 
-struct Config {
-  std::string kernel;  // "scalar" or "avx2"
-  unsigned threads;    // 1 = serial overload, >1 = ParallelEngine stripes
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace hetgrid;
   Cli cli(argc, argv,
-          {{"n", "2048"}, {"reps", "3"}, {"threads", "1,2,4"},
-           {"seed", "29"}, {"smoke", "0"}, {"csv", "0"},
+          {{"n", "2048"}, {"reps", "3"}, {"seed", "29"}, {"smoke", "0"},
+           {"csv", "0"},
            {"json", "BENCH_gemm.json"}});
   bench::print_header("Gemm microkernel throughput", cli);
 
@@ -65,19 +57,9 @@ int main(int argc, char** argv) {
             << (have_avx2 ? "" : " (avx2 unavailable — scalar rows only)")
             << "\n\n";
 
-  // The serial scalar run is the bit-identity reference, so it always runs
-  // first. Additional configurations: the SIMD kernel serial, then the
-  // auto-dispatched kernel through the threaded-stripe overload.
-  std::vector<Config> configs{{"scalar", 1}};
-  if (have_avx2) configs.push_back({"avx2", 1});
-  if (smoke) {
-    if (have_avx2) configs.push_back({"avx2", 2});
-  } else {
-    for (double v : parse_positive_list(cli.get_string("threads"))) {
-      const auto t = static_cast<unsigned>(v);
-      if (t > 1) configs.push_back({have_avx2 ? "avx2" : "scalar", t});
-    }
-  }
+  // The scalar run is the bit-identity reference, so it always runs first.
+  std::vector<std::string> kernels{"scalar"};
+  if (have_avx2) kernels.push_back("avx2");
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   Matrix a(n, n), b(n, n), c0(n, n);
@@ -89,26 +71,19 @@ int main(int argc, char** argv) {
                        static_cast<double>(n) * static_cast<double>(n);
 
   Table table;
-  table.header({"kernel", "threads", "ms", "gflops", "identical"});
+  table.header({"kernel", "ms", "gflops", "identical"});
   bench::JsonReport json("bench_gemm_kernel", cli);
 
   Matrix ref(n, n);
   Matrix c(n, n);
-  for (std::size_t idx = 0; idx < configs.size(); ++idx) {
-    const Config& cfg = configs[idx];
-    HG_CHECK(gemm_force_kernel(cfg.kernel),
-             "kernel unavailable: " << cfg.kernel);
+  for (std::size_t idx = 0; idx < kernels.size(); ++idx) {
+    const std::string& kernel = kernels[idx];
+    HG_CHECK(gemm_force_kernel(kernel), "kernel unavailable: " << kernel);
     double best_ms = 0.0;
     for (int r = 0; r < reps; ++r) {
       c.view().copy_from(c0.view());
       const auto t0 = std::chrono::steady_clock::now();
-      if (cfg.threads == 1) {
-        gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, c.view());
-      } else {
-        ParallelEngine engine(cfg.threads);
-        gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, c.view(),
-             engine);
-      }
+      gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, c.view());
       const auto t1 = std::chrono::steady_clock::now();
       const double ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -116,16 +91,13 @@ int main(int argc, char** argv) {
     }
     if (idx == 0) ref.view().copy_from(c.view());
     const bool identical = same_bits(c.view(), ref.view());
-    HG_INTERNAL_CHECK(identical, cfg.kernel << " @ " << cfg.threads
-                                            << " threads diverged from the "
-                                               "serial scalar kernel");
+    HG_INTERNAL_CHECK(identical,
+                      kernel << " diverged from the scalar kernel");
     const double gflops = best_ms > 0.0 ? flops / (best_ms * 1e6) : 0.0;
-    table.row({cfg.kernel, std::to_string(cfg.threads),
-               Table::num(best_ms, 2), Table::num(gflops, 2),
+    table.row({kernel, Table::num(best_ms, 2), Table::num(gflops, 2),
                identical ? "yes" : "NO"});
     json.add()
-        .field("kernel", cfg.kernel)
-        .field("threads", static_cast<double>(cfg.threads))
+        .field("kernel", kernel)
         .field("n", static_cast<double>(n))
         .field("ms", best_ms)
         .field("gflops", gflops)

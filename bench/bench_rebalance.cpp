@@ -26,7 +26,7 @@
 #include "mp/mp_runtime.hpp"
 #include "obs/imbalance.hpp"
 #include "sim/drift.hpp"
-#include "sim/dynamic.hpp"
+#include "sim/simulator.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -54,17 +54,17 @@ RuntimeOptions scenario_options(Rebalance rebalance, double factor,
   return opts;
 }
 
-using SimFn = DynamicSimReport (*)(const Machine&, const Distribution2D&,
-                                   std::size_t, const RuntimeOptions&,
-                                   const KernelCosts&);
+using SimFn = SimReport (*)(const Machine&, const Distribution2D&,
+                            std::size_t, const KernelCosts&, TraceSink*,
+                            const RuntimeOptions&);
 
 ScenarioResult run_sim(SimFn fn, const Machine& machine,
                        const Distribution2D& dist, std::size_t nb,
                        double factor, std::size_t onset, int reps) {
   ScenarioResult res;
   res.static_makespan =
-      fn(machine, dist, nb, scenario_options(Rebalance::kOff, factor, onset),
-         {})
+      fn(machine, dist, nb, {}, nullptr,
+         scenario_options(Rebalance::kOff, factor, onset))
           .total_time;
   const RuntimeOptions opts =
       scenario_options(Rebalance::kPanel, factor, onset);
@@ -72,7 +72,7 @@ ScenarioResult run_sim(SimFn fn, const Machine& machine,
     RunObservation obs(opts.estimator);
     RunObservation* prev = install_observation(&obs);
     const auto t0 = std::chrono::steady_clock::now();
-    const DynamicSimReport rep = fn(machine, dist, nb, opts, {});
+    const SimReport rep = fn(machine, dist, nb, {}, nullptr, opts);
     const auto t1 = std::chrono::steady_clock::now();
     install_observation(prev);
     const double ms =
@@ -183,15 +183,14 @@ int main(int argc, char** argv) {
     ScenarioResult res;
   };
   std::vector<Row> rows;
-  rows.push_back({"mmm", "sim", run_sim(&simulate_mmm_dynamic, machine, dist,
-                                        nb, factor, onset, reps)});
-  rows.push_back({"lu", "sim", run_sim(&simulate_lu_dynamic, machine, dist,
-                                       nb, factor, onset, reps)});
-  rows.push_back({"chol", "sim",
-                  run_sim(&simulate_cholesky_dynamic, machine, dist, nb,
-                          factor, onset, reps)});
-  rows.push_back({"qr", "sim", run_sim(&simulate_qr_dynamic, machine, dist,
-                                       nb, factor, onset, reps)});
+  rows.push_back({"mmm", "sim", run_sim(&simulate_mmm, machine, dist, nb,
+                                        factor, onset, reps)});
+  rows.push_back({"lu", "sim", run_sim(&simulate_lu, machine, dist, nb,
+                                       factor, onset, reps)});
+  rows.push_back({"chol", "sim", run_sim(&simulate_cholesky, machine, dist,
+                                         nb, factor, onset, reps)});
+  rows.push_back({"qr", "sim", run_sim(&simulate_qr, machine, dist, nb,
+                                       factor, onset, reps)});
   rows.push_back(
       {"mmm", "mp", run_mp(machine, dist, nb, block, factor, onset, reps, 17)});
 

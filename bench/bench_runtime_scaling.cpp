@@ -1,20 +1,17 @@
-// Scaling harness for the parallel numerics engine and the task-graph
-// scheduler (EXPERIMENTS.md table): runs the message-passing runtime's
-// MMM / LU / Cholesky / QR under both schedulers (per-phase barriers vs
-// dependency-driven dag) at several thread counts on a heterogeneous grid
-// and reports wall-clock speedup plus the host-synchronization count. The
-// runtime promises bit-identical results for any thread count and either
-// scheduler, and the run enforces it: every MpReport field (makespan,
-// per-processor clocks and busy times, message and block counters), the QR
-// tau vector, and every gathered matrix entry must match the serial
-// barrier run exactly — only the ms column may move. The dag scheduler
-// must also strictly reduce the number of host synchronization points
-// ("mp.barriers": one per TaskBatch flush in barrier mode, one per
-// host_sync/finish in dag mode).
+// Scaling harness for the message-passing runtime's task-graph executor
+// (EXPERIMENTS.md table): runs MMM / LU / Cholesky / QR at several thread
+// counts on a heterogeneous grid and reports wall-clock speedup plus the
+// host-synchronization count. The runtime promises bit-identical results
+// for any thread count, and the run enforces it: every MpReport field
+// (makespan, per-processor clocks and busy times, message and block
+// counters), the QR tau vector, and every gathered matrix entry must match
+// the serial run (the graph's inline mode) exactly — only the ms column may
+// move. The host-synchronization count ("mp.barriers": one per host_sync
+// and finish) is a property of the kernel, so it must match too.
 //
 // --smoke shrinks the problem to a CI-sized instance (seconds, not
-// minutes) while still crossing the serial/parallel seam and both
-// schedulers at threads {1, 2, 7}.
+// minutes) while still crossing the serial/parallel seam at threads
+// {1, 2, 7}.
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -32,8 +29,6 @@
 namespace {
 
 using namespace hetgrid;
-
-using Scheduler = RuntimeOptions::Scheduler;
 
 bool same_bits(const ConstMatrixView& a, const ConstMatrixView& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
@@ -65,20 +60,19 @@ bool same_run(const RunResult& x, const RunResult& y) {
          same_bits(x.out.view(), y.out.view());
 }
 
-// One timed kernel execution at a given thread count and scheduler: fresh
-// inputs each time (the factorizations run in place), best-of-`reps` wall
-// clock. The timed reps run with no metrics registry installed (metric
-// sites are per-task in dag mode, and by-name registry lookups there would
-// tax the schedulers unevenly); one extra untimed, instrumented rep then
-// captures the "mp.barriers" host-synchronization count and must
-// reproduce the timed result exactly (it is computed on the host thread).
+// One timed kernel execution at a given thread count: fresh inputs each
+// time (the factorizations run in place), best-of-`reps` wall clock. The
+// timed reps run with no metrics registry installed (metric sites are
+// per-task, and by-name registry lookups there would tax the thread counts
+// unevenly); one extra untimed, instrumented rep then captures the
+// "mp.barriers" host-synchronization count and must reproduce the timed
+// result exactly (it is computed on the host thread).
 RunResult run_kernel(const std::string& kernel, const Machine& machine,
                      const Distribution2D& dist, std::size_t n,
-                     std::size_t block, Scheduler sched, unsigned threads,
-                     int reps, std::uint64_t seed) {
+                     std::size_t block, unsigned threads, int reps,
+                     std::uint64_t seed) {
   RuntimeOptions opts;
   opts.threads = threads;
-  opts.scheduler = sched;
   RunResult res;
   for (int r = 0; r <= reps; ++r) {
     const bool instrument = r == reps;  // final rep: counters, not timing
@@ -157,7 +151,7 @@ int main(int argc, char** argv) {
            {"kernels", "mmm,lu,chol,qr"}, {"threads", "1,2,4"},
            {"reps", "3"}, {"seed", "17"}, {"smoke", "0"}, {"csv", "0"},
            {"json", "BENCH_runtime.json"}});
-  bench::print_header("Runtime scaling — parallel numerics engine", cli);
+  bench::print_header("Runtime scaling — MP task-graph executor", cli);
 
   const bool smoke = cli.get_bool("smoke");
   const auto p = static_cast<std::size_t>(cli.get_int("p"));
@@ -172,7 +166,7 @@ int main(int argc, char** argv) {
 
   std::vector<unsigned> thread_counts;
   if (smoke) {
-    // The acceptance matrix: both schedulers at threads {1, 2, 7}.
+    // The acceptance matrix: threads {1, 2, 7}.
     thread_counts = {1, 2, 7};
   } else {
     for (double v : parse_positive_list(cli.get_string("threads")))
@@ -205,56 +199,42 @@ int main(int argc, char** argv) {
 
   Table table;
   table.header(
-      {"kernel", "sched", "threads", "ms", "speedup", "barriers",
-       "identical"});
+      {"kernel", "threads", "ms", "speedup", "barriers", "identical"});
   bench::JsonReport json("bench_runtime_scaling", cli);
-  json.env("scheduler", "barrier,dag");  // every run covers both
+  json.env("scheduler", "dag");
 
   for (const std::string& kernel : kernels) {
-    // Reference: serial barrier run. Every other configuration must
-    // reproduce it bit for bit.
-    const RunResult serial = run_kernel(kernel, machine, dist, n, block,
-                                        Scheduler::kBarrier, 1, reps, seed);
-    for (const Scheduler sched : {Scheduler::kBarrier, Scheduler::kDag}) {
-      const std::string sched_name =
-          sched == Scheduler::kBarrier ? "barrier" : "dag";
-      for (const unsigned threads : thread_counts) {
-        RunResult fresh;
-        const RunResult* run = &serial;  // (barrier, 1) is the reference
-        if (sched != Scheduler::kBarrier || threads != 1) {
-          fresh = run_kernel(kernel, machine, dist, n, block, sched,
-                             threads, reps, seed);
-          run = &fresh;
-        }
-        const RunResult& res = *run;
-        const bool identical = same_run(res, serial);
-        HG_INTERNAL_CHECK(identical, kernel << " (" << sched_name << ", "
-                                            << threads
-                                            << " threads) diverged from the "
-                                               "serial barrier run");
-        if (sched == Scheduler::kDag) {
-          // The point of the dag scheduler: strictly fewer host
-          // synchronization points than one barrier per phase.
-          HG_INTERNAL_CHECK(
-              res.barriers < serial.barriers,
-              kernel << " dag run did not reduce the barrier count ("
-                     << res.barriers << " vs " << serial.barriers << ")");
-        }
-        const double speedup = res.ms > 0.0 ? serial.ms / res.ms : 0.0;
-        table.row({kernel, sched_name, std::to_string(threads),
-                   Table::num(res.ms, 2), Table::num(speedup, 2),
-                   Table::num(res.barriers, 0), identical ? "yes" : "NO"});
-        json.add()
-            .field("kernel", kernel)
-            .field("sched", sched_name)
-            .field("threads", static_cast<double>(threads))
-            .field("n", static_cast<double>(n))
-            .field("block", static_cast<double>(block))
-            .field("ms", res.ms)
-            .field("speedup", speedup)
-            .field("barriers", res.barriers)
-            .field("identical", identical ? "yes" : "no");
+    // Reference: the serial run. Every other thread count must reproduce
+    // it bit for bit.
+    const RunResult serial =
+        run_kernel(kernel, machine, dist, n, block, 1, reps, seed);
+    for (const unsigned threads : thread_counts) {
+      RunResult fresh;
+      const RunResult* run = &serial;
+      if (threads != 1) {
+        fresh = run_kernel(kernel, machine, dist, n, block, threads, reps,
+                           seed);
+        run = &fresh;
       }
+      const RunResult& res = *run;
+      const bool identical =
+          same_run(res, serial) && res.barriers == serial.barriers;
+      HG_INTERNAL_CHECK(identical, kernel << " (" << threads
+                                          << " threads) diverged from the "
+                                             "serial run");
+      const double speedup = res.ms > 0.0 ? serial.ms / res.ms : 0.0;
+      table.row({kernel, std::to_string(threads), Table::num(res.ms, 2),
+                 Table::num(speedup, 2), Table::num(res.barriers, 0),
+                 identical ? "yes" : "NO"});
+      json.add()
+          .field("kernel", kernel)
+          .field("threads", static_cast<double>(threads))
+          .field("n", static_cast<double>(n))
+          .field("block", static_cast<double>(block))
+          .field("ms", res.ms)
+          .field("speedup", speedup)
+          .field("barriers", res.barriers)
+          .field("identical", identical ? "yes" : "no");
     }
   }
 

@@ -3,9 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 namespace hetgrid {
+
+std::string cycle_time_error(const std::vector<double>& times) {
+  double sum = 0.0, inv_sum = 0.0;
+  double lo = std::numeric_limits<double>::infinity(), hi = 0.0;
+  for (double t : times) {
+    if (!(t > 0.0) || !std::isfinite(t) || !std::isfinite(1.0 / t)) {
+      std::ostringstream oss;
+      oss << "cycle-times and their inverses must be positive and finite, "
+             "got "
+          << t;
+      return oss.str();
+    }
+    sum += t;
+    inv_sum += 1.0 / t;
+    lo = std::min(lo, t);
+    hi = std::max(hi, t);
+  }
+  if (!std::isfinite(sum) || !std::isfinite(inv_sum))
+    return "the sum of the cycle-times or of their inverses overflows";
+  if (!times.empty() && !std::isfinite(hi / lo))
+    return "the cycle-time spread max/min overflows";
+  return {};
+}
 
 CycleTimeGrid::CycleTimeGrid(std::size_t p, std::size_t q,
                              std::vector<double> row_major)
@@ -13,9 +37,8 @@ CycleTimeGrid::CycleTimeGrid(std::size_t p, std::size_t q,
   HG_CHECK(p > 0 && q > 0, "grid dimensions must be positive");
   HG_CHECK(t_.size() == p * q,
            "expected " << p * q << " cycle-times, got " << t_.size());
-  for (double v : t_)
-    HG_CHECK(v > 0.0 && std::isfinite(v),
-             "cycle-times must be positive and finite, got " << v);
+  const std::string err = cycle_time_error(t_);
+  HG_CHECK(err.empty(), err);
 }
 
 CycleTimeGrid CycleTimeGrid::from_arrangement(

@@ -15,9 +15,15 @@
 
 namespace hetgrid {
 
+/// Why `times` cannot be a cycle-time pool, or "" when it can: every t and
+/// 1/t must be positive and finite, and so must the sums of t and of 1/t
+/// and the spread max/min — the quantities the solvers, the capacity bound
+/// and the placement server's canonicalizer form from a pool.
+std::string cycle_time_error(const std::vector<double>& times);
+
 class CycleTimeGrid {
  public:
-  /// Builds from row-major values; all must be positive.
+  /// Builds from row-major values; they must pass cycle_time_error().
   CycleTimeGrid(std::size_t p, std::size_t q, std::vector<double> row_major);
 
   /// Builds by placing `pool[perm[i*q + j]]` at position (i,j).

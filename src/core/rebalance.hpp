@@ -25,7 +25,7 @@
 //
 // Everything here is a pure function of its inputs — no clocks, no
 // randomness — which is what makes the runtime's migration schedule
-// bit-identical across thread counts and schedulers.
+// bit-identical across thread counts.
 #pragma once
 
 #include <cstddef>

@@ -53,7 +53,6 @@
 #include "serve/server.hpp"           // IWYU pragma: export
 #include "serve/solution_cache.hpp"   // IWYU pragma: export
 #include "sim/drift.hpp"              // IWYU pragma: export
-#include "sim/dynamic.hpp"            // IWYU pragma: export
 #include "sim/network.hpp"            // IWYU pragma: export
 #include "sim/simulator.hpp"          // IWYU pragma: export
 #include "svd/svd.hpp"                // IWYU pragma: export

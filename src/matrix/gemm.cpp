@@ -10,7 +10,6 @@
 #include "matrix/gemm_kernel.hpp"
 #include "matrix/packed_cache.hpp"
 #include "obs/metrics.hpp"
-#include "util/parallel_engine.hpp"
 
 namespace hetgrid {
 
@@ -29,11 +28,6 @@ const GemmKernel& active_kernel();  // defined below with the kernels
 constexpr std::size_t kSmallM = 64;
 constexpr std::size_t kSmallK = 64;
 constexpr std::size_t kSmallN = 128;
-
-// Column-stripe alignment for the threaded overload. Also a fixed constant
-// (not the kernel's nc) so the stripe geometry — and with it the engine/pool
-// task structure — never depends on the SIMD dispatch.
-constexpr std::size_t kStripePanel = 128;
 
 double op_at(const ConstMatrixView& m, Trans t, std::size_t i, std::size_t j) {
   return t == Trans::No ? m(i, j) : m(j, i);
@@ -67,11 +61,9 @@ bool is_small_nn(std::size_t m, std::size_t n, std::size_t k) {
 }
 
 // Counts one *logical* gemm call. Classification uses only the call's
-// transpose flags, alpha, and full output shape — never the stripe split,
-// the thread count, or the dispatched kernel — so metric snapshots are
-// byte-stable across all of those. Both public overloads call this exactly
-// once and then run the uncounted gemm_core (per stripe, for the threaded
-// overload).
+// transpose flags, alpha, and full output shape — never the thread count or
+// the dispatched kernel — so metric snapshots are byte-stable across both.
+// gemm and gemm_cached each call this exactly once.
 void count_gemm_call(Trans trans_a, Trans trans_b, double alpha,
                      std::size_t m, std::size_t n, std::size_t k) {
   metric_count("gemm.calls");
@@ -396,7 +388,7 @@ void gemm_nn_blocked(double alpha, const ConstMatrixView& a,
   }
   const GemmKernel& kern = active_kernel();
   // Per-thread pack buffers: reused across calls (resize only grows the
-  // allocation), so the threaded stripes in gemm(..., engine) never share
+  // allocation), so concurrent gemms on task-graph workers never share
   // them and a kernel switch mid-process just re-sizes on next use.
   thread_local std::vector<double> apack;
   thread_local std::vector<double> bpack;
@@ -415,30 +407,6 @@ void gemm_nn_blocked(double alpha, const ConstMatrixView& a,
       }
     }
   }
-}
-
-// The computation behind both public overloads, with no metric counting —
-// the caller has already counted the logical call (count_gemm_call), so the
-// threaded overload can run this once per stripe without inflating the
-// counters.
-void gemm_core(Trans trans_a, Trans trans_b, double alpha,
-               const ConstMatrixView& a, const ConstMatrixView& b, double beta,
-               MatrixView c) {
-  scale_c(beta, c);
-  if (alpha == 0.0) return;
-
-  if (trans_a == Trans::No && trans_b == Trans::No) {
-    gemm_nn_blocked(alpha, a, b, c);
-    return;
-  }
-
-  // Transposed paths always run the packed microkernel path (transposition
-  // happens in the pack), never a naive accumulator loop: the threaded
-  // overload splits C into stripes, and only the in-memory ascending-p
-  // update sequence gives each stripe the same per-element arithmetic as
-  // the serial call — a register-accumulator loop would not.
-  gemm_packed_path(trans_a, trans_b, alpha, a, PackTag{}, b, PackTag{}, c,
-                   nullptr);
 }
 
 // Lazily reads HETGRID_PACK_CACHE into the consumption switch.
@@ -479,40 +447,20 @@ void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
   check_shapes(trans_a, trans_b, a, b, c);
   const std::size_t k = trans_a == Trans::No ? a.cols() : a.rows();
   count_gemm_call(trans_a, trans_b, alpha, c.rows(), c.cols(), k);
-  gemm_core(trans_a, trans_b, alpha, a, b, beta, c);
-}
+  scale_c(beta, c);
+  if (alpha == 0.0) return;
 
-void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
-          const ConstMatrixView& b, double beta, MatrixView c,
-          ParallelEngine& engine) {
-  check_shapes(trans_a, trans_b, a, b, c);
-  const std::size_t n = c.cols();
-  const std::size_t k = trans_a == Trans::No ? a.cols() : a.rows();
-  // Counted once for the logical call, before any stripe split — the
-  // counters cannot depend on the thread count.
-  count_gemm_call(trans_a, trans_b, alpha, c.rows(), n, k);
-  // One stripe per worker, aligned to whole column panels. Each column of C
-  // is produced by exactly one stripe with the same i/p loop structure as
-  // the serial path, so the result is bit-identical for any stripe count.
-  const std::size_t panels = (n + kStripePanel - 1) / kStripePanel;
-  const std::size_t stripes =
-      std::min<std::size_t>(engine.threads(), panels);
-  if (engine.serial() || stripes <= 1) {
-    gemm_core(trans_a, trans_b, alpha, a, b, beta, c);
+  if (trans_a == Trans::No && trans_b == Trans::No) {
+    gemm_nn_blocked(alpha, a, b, c);
     return;
   }
-  engine.run_indexed(stripes, [&](std::size_t s) {
-    const std::size_t j_lo = std::min(n, panels * s / stripes * kStripePanel);
-    const std::size_t j_hi =
-        std::min(n, panels * (s + 1) / stripes * kStripePanel);
-    if (j_lo >= j_hi) return;
-    const std::size_t jlen = j_hi - j_lo;
-    const ConstMatrixView bsub =
-        trans_b == Trans::No ? b.block(0, j_lo, b.rows(), jlen)
-                             : b.block(j_lo, 0, jlen, b.cols());
-    gemm_core(trans_a, trans_b, alpha, a, bsub, beta,
-              c.block(0, j_lo, c.rows(), jlen));
-  });
+
+  // Transposed paths always run the packed microkernel path (transposition
+  // happens in the pack), never a naive accumulator loop: every transpose
+  // combination then keeps the dispatched microkernel's per-element
+  // arithmetic, exactly like gemm_cached's transposed calls.
+  gemm_packed_path(trans_a, trans_b, alpha, a, PackTag{}, b, PackTag{}, c,
+                   nullptr);
 }
 
 void gemm_update(const ConstMatrixView& a, const ConstMatrixView& b,
@@ -526,7 +474,7 @@ void gemm_cached(Trans trans_a, Trans trans_b, double alpha,
                  MatrixView c, PackedPanelCache* cache) {
   check_shapes(trans_a, trans_b, a, b, c);
   const std::size_t k = trans_a == Trans::No ? a.cols() : a.rows();
-  // Counted exactly like the plain overloads, so swapping a call site
+  // Counted exactly like plain gemm, so swapping a call site
   // between gemm and gemm_cached never moves a metric fingerprint.
   count_gemm_call(trans_a, trans_b, alpha, c.rows(), c.cols(), k);
   scale_c(beta, c);

@@ -12,7 +12,6 @@
 
 namespace hetgrid {
 
-class ParallelEngine;
 class PackedPanelCache;
 struct PackedPanel;
 
@@ -29,16 +28,6 @@ enum class Trans { No, Yes };
 /// microkernel and inherits its scalar-vs-SIMD bit-identity.
 void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
           const ConstMatrixView& b, double beta, MatrixView c);
-
-/// Multithreaded large-block variant: partitions C into column stripes
-/// (aligned to whole cache panels) and runs one serial gemm per stripe on
-/// `engine`. Every column of C is computed by exactly one stripe with the
-/// serial loop structure, so the result is bit-identical to the serial
-/// gemm for any thread count. Falls back to the serial path when the
-/// engine is serial or the problem is a single panel wide.
-void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
-          const ConstMatrixView& b, double beta, MatrixView c,
-          ParallelEngine& engine);
 
 /// Name of the packed-tile microkernel gemm would dispatch to right now:
 /// "avx2" on an x86-64 host with AVX2 (explicit mul+add vectors — never FMA,

@@ -22,7 +22,7 @@
 // Bit-identity: a packed panel is a pure copy of the operand (plus an exact
 // alpha fold for B panels), so cache hit vs miss can never change a computed
 // bit — asserted end-to-end in tests across {cache on, off} x kernels x
-// schedulers x thread counts.
+// thread counts.
 //
 // Thread safety: get() may be called concurrently by DAG-scheduler workers.
 // A mutex guards the map; the pack itself is built outside the lock (two

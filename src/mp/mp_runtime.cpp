@@ -18,7 +18,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel_engine.hpp"
 #include "util/task_graph.hpp"
 
 namespace hetgrid {
@@ -49,35 +48,27 @@ double vol_frac(std::size_t r, std::size_t c, std::size_t k,
          static_cast<double>(k) / full;
 }
 
-// Task priorities for the dag scheduler: communication copies first (they
-// unblock whole dependency subtrees), then panel-gating work, then solves,
-// then bulk trailing updates. Priorities only steer the ready queue — they
+// Task priorities: communication copies first (they unblock whole
+// dependency subtrees), then panel-gating work, then solves, then bulk
+// trailing updates. Priorities only steer the ready queue — they
 // can never reorder dependent work, so results are priority-independent.
 constexpr int kPrioComm = 3, kPrioPanel = 2, kPrioSolve = 1, kPrioUpdate = 0;
 
 // Shared state for one distributed execution.
 //
-// Parallel numerics, barrier scheduler: each step's real floating-point
-// block updates are collected into `batch` — one task lane per virtual
-// processor — and flushed through `engine` at every phase boundary
-// (run_batch). A lane's ops run in canonical submission order on one
-// worker, and distinct lanes only ever touch their own processor's
-// BlockStore, so the arithmetic is bit-identical to the serial path for
-// any thread count.
-//
-// Dag scheduler: the same ops are emitted, in the same host order, into a
-// util/task_graph keyed by (processor, block) — run_batch becomes a no-op
-// and the block-versioned read/write dependencies alone order the work, so
-// step k+1's panel chain overlaps step k's trailing updates. Every
-// read-modify-write chain on one block serializes in emission order (WAW),
-// which is exactly the barrier scheduler's lane order — hence bit-identical
-// results. The host synchronizes only where it does inline math
+// Every real floating-point block op is emitted, in canonical host order,
+// into a util/task_graph keyed by (processor, block): the block-versioned
+// read/write dependencies alone order the work, so step k+1's panel chain
+// overlaps step k's trailing updates. Every read-modify-write chain on one
+// block serializes in emission order (WAW), so the arithmetic is
+// bit-identical to the graph's serial inline mode (one thread) for any
+// thread count. The host synchronizes only where it does inline math
 // (host_sync) and at finish().
 //
-// Both ways, clocks, busy times, message counters, and trace spans are
-// computed exclusively on the host thread, in one shared code path, and
-// never depend on the execution schedule — the MpReport and the trace
-// stream are bitwise equal across schedulers and thread counts.
+// Clocks, busy times, message counters, and trace spans are computed
+// exclusively on the host thread and never depend on the execution
+// schedule — the MpReport and the trace stream are bitwise equal across
+// thread counts.
 struct MpContext {
   const Machine& machine;
   const Distribution2D& dist;
@@ -90,11 +81,10 @@ struct MpContext {
   TraceSink* sink;
   // Installed observation, fetched once (the null-sink contract's single
   // atomic load). When set, compute() feeds the cycle-time estimator and
-  // finish() deposits the dag scheduler's task records; nothing about the
-  // computed results changes either way.
+  // finish() deposits the task graph's records; nothing about the computed
+  // results changes either way.
   RunObservation* obs;
   std::size_t step = 0;
-  bool dag;
   // Online rebalancer state (doc/rebalance.md). When `rebalance` is false
   // none of it is touched: owner() falls through to the distribution,
   // cycle_time() skips the trace multiply, and compute() takes no extra
@@ -118,8 +108,6 @@ struct MpContext {
   std::vector<std::vector<std::size_t>> loc;
   std::size_t loc_rows = 0, loc_cols = 0;
   std::size_t reb_applied = 0, reb_blocks = 0;
-  ParallelEngine engine;
-  TaskBatch batch;
   // Erases whose block still has in-flight readers/writers; applied once
   // those tasks drain (poll_erases / finish).
   struct PendingErase {
@@ -129,7 +117,9 @@ struct MpContext {
   };
   std::vector<PendingErase> pending_erases;
   // Declared last: its destructor waits for in-flight tasks, so on unwind
-  // it runs before the stores those tasks' closures reference.
+  // it runs before the stores those tasks' closures reference. Heap-held so
+  // the lock and ready queue that workers hammer never share a cache line
+  // with the host's emission state (`fused` below).
   std::unique_ptr<TaskGraph> graph;
 
   MpContext(const Machine& m, const Distribution2D& d, std::size_t blk,
@@ -137,17 +127,15 @@ struct MpContext {
       : machine(m), dist(d), block(blk), p(d.grid_rows()), q(d.grid_cols()),
         net(p * q, m.net, s), store(p * q), clock(p * q, 0.0),
         busy(p * q, 0.0), sink(s), obs(installed_observation()),
-        dag(opts.scheduler == RuntimeOptions::Scheduler::kDag),
         rebalance(opts.rebalance == RuntimeOptions::Rebalance::kPanel),
         reb_opts(opts.rebalance_opts), trace(opts.trace),
         reb_est(opts.estimator),
-        engine(dag ? 1 : opts.threads), batch(p * q),
-        graph(dag ? std::make_unique<TaskGraph>(opts.threads) : nullptr) {
+        graph(std::make_unique<TaskGraph>(opts.threads)) {
     m.net.validate();
     HG_CHECK(m.grid.rows() == p && m.grid.cols() == q,
              "machine grid does not match distribution");
     HG_CHECK(blk > 0, "block size must be positive");
-    if (graph != nullptr && obs != nullptr) graph->set_observe(true);
+    if (obs != nullptr) graph->set_observe(true);
   }
 
   void set_step(std::size_t k) {
@@ -167,7 +155,7 @@ struct MpContext {
            static_cast<std::uint64_t>(k.col);
   }
 
-  // Emission-order op fusion (dag mode): consecutive ops in the same
+  // Emission-order op fusion: consecutive ops in the same
   // group — one processor's ops at one priority, or one ring hop's block
   // copies — merge into a single task whose read/write sets are the union
   // of the ops'. The fused ops run in emission order inside one task, and
@@ -238,9 +226,8 @@ struct MpContext {
   /// `writes` — the write dependency already serializes it against both
   /// the prior writer and prior readers). Views must be resolved by the
   /// caller (on the host thread) so missing-block errors still surface as
-  /// clean PreconditionErrors. Under the barrier scheduler the sets are
-  /// ignored and the op joins `id`'s lane; under dag it joins the
-  /// processor's open fusion group.
+  /// clean PreconditionErrors. The op joins the processor's open fusion
+  /// group.
   void add_op(std::size_t id, const char* name, int priority,
               std::initializer_list<BlockKey> reads,
               std::initializer_list<BlockKey> writes,
@@ -249,10 +236,6 @@ struct MpContext {
     // panel of the block's previous bytes becomes unreachable in the pack
     // cache the moment its overwriter is queued (see tag()).
     for (const BlockKey& k : writes) store[id].bump_version(k);
-    if (!dag) {
-      batch.add(id, std::move(op));
-      return;
-    }
     std::vector<TaskGraph::Key> r, w;
     r.reserve(reads.size());
     w.reserve(writes.size());
@@ -262,26 +245,14 @@ struct MpContext {
              std::move(op), weight, id);
   }
 
-  /// Barrier scheduler: runs all queued numerics and returns when they are
-  /// done (must precede any store put/erase or host read of a block a
-  /// queued op writes). Dag scheduler: a no-op — dependencies alone order
-  /// the work. The "mp.barriers" counter counts actual host
-  /// synchronization points (run_batch here, host_sync/finish for dag), on
-  /// the host thread, so it is deterministic for any thread count.
-  void run_batch() {
-    if (dag) return;
-    metric_count("mp.barriers", 1);
-    batch.run(engine);
-  }
-
-  /// Dag scheduler: blocks the host until every queued op touching `keys`
-  /// on processor `id` has finished, and takes synchronous ownership of
-  /// them — the partial sync guarding inline host math (panel
-  /// factorizations). Unrelated tasks keep running: this is what lets the
-  /// panel of step k+1 overlap step k's trailing updates. Barrier
-  /// scheduler: a no-op (run_batch already synchronized).
+  /// Blocks the host until every queued op touching `keys` on processor
+  /// `id` has finished, and takes synchronous ownership of them — the
+  /// partial sync guarding inline host math (panel factorizations).
+  /// Unrelated tasks keep running: this is what lets the panel of step k+1
+  /// overlap step k's trailing updates. The "mp.barriers" counter counts
+  /// these host synchronization points (plus finish()), on the host thread,
+  /// so it is deterministic for any thread count.
   void host_sync(std::size_t id, const std::vector<BlockKey>& keys) {
-    if (!dag) return;
     flush_fused();
     metric_count("mp.barriers", 1);
     std::vector<TaskGraph::Key> w;
@@ -291,10 +262,8 @@ struct MpContext {
   }
 
   /// Final synchronization: every queued op completes and all deferred
-  /// transient erases are applied. Must precede gather(). (Barrier mode:
-  /// nothing is pending by construction.)
+  /// transient erases are applied. Must precede gather().
   void finish() {
-    if (!dag) return;
     flush_fused();
     metric_count("mp.barriers", 1);
     graph->wait_all();
@@ -304,28 +273,25 @@ struct MpContext {
     pending_erases.clear();
   }
 
-  /// Drops a transient block copy. Dag mode defers the erase while any
-  /// queued op still reads or writes the block, so its buffer cannot be
-  /// recycled under a running task. Transient keys are step-unique, so a
-  /// deferred erase cannot race a re-put of the same key — except through
+  /// Drops a transient block copy. The erase is deferred while any queued
+  /// op still reads or writes the block, so its buffer cannot be recycled
+  /// under a running task. Transient keys are step-unique, so a deferred
+  /// erase cannot race a re-put of the same key — except through
   /// migration, where a persistent block can leave a processor and land
   /// there again later; copy_block cancels the stale deferral for that
   /// case.
   void erase_block(std::size_t id, BlockKey key) {
-    if (dag) {
-      flush_fused();  // pending_on must see every queued op
-      std::vector<TaskGraph::TaskId> waits =
-          graph->pending_on(key_of(id, key));
-      if (!waits.empty()) {
-        pending_erases.push_back(PendingErase{id, key, std::move(waits)});
-        return;
-      }
+    flush_fused();  // pending_on must see every queued op
+    std::vector<TaskGraph::TaskId> waits = graph->pending_on(key_of(id, key));
+    if (!waits.empty()) {
+      pending_erases.push_back(PendingErase{id, key, std::move(waits)});
+      return;
     }
     store[id].erase(key);
   }
 
   void poll_erases() {
-    if (!dag || pending_erases.empty()) return;
+    if (pending_erases.empty()) return;
     std::size_t kept = 0;
     for (std::size_t i = 0; i < pending_erases.size(); ++i) {
       PendingErase& pe = pending_erases[i];
@@ -350,7 +316,7 @@ struct MpContext {
 
   /// Pack-cache tag for reading `key` on processor `id` at its current
   /// write version — captured on the host at emission time. Safe under the
-  /// dag scheduler's reordering: the task-graph dependencies guarantee the
+  /// task graph's reordering: the task-graph dependencies guarantee the
   /// block's bytes match this version when the tagged gemm actually runs,
   /// and any queued overwriter has already bumped past it (add_op above),
   /// so a stale pack is never looked up, let alone returned.
@@ -417,12 +383,11 @@ struct MpContext {
   /// The panel-boundary rebalance hook: re-solves the allocation from the
   /// internal estimator's rates, and when the plan_rebalance thresholds
   /// clear, rewrites the trailing owner lines and migrates the affected
-  /// blocks. Migrations are ordinary block copies — under the dag
-  /// scheduler they become kPrioComm tasks that overlap the previous
-  /// step's trailing updates; in virtual time the destination clock waits
-  /// for the transfer. Everything here runs on the host thread as a pure
-  /// function of the boundary snapshot, so the migration schedule is
-  /// bit-identical across thread counts and schedulers.
+  /// blocks. Migrations are ordinary block copies — kPrioComm tasks that
+  /// overlap the previous step's trailing updates; in virtual time the
+  /// destination clock waits for the transfer. Everything here runs on the
+  /// host thread as a pure function of the boundary snapshot, so the
+  /// migration schedule is bit-identical across thread counts.
   void maybe_rebalance(std::size_t k, RebalanceRegion region,
                        const std::vector<MigrateSet>& sets) {
     if (!rebalance || k == 0) return;
@@ -497,13 +462,12 @@ struct MpContext {
   }
 
   /// Lands a copy of `key` (present at `from`) in `to`'s store, recycling
-  /// a pooled buffer when one matches the shape. Barrier mode copies
-  /// synchronously on the host; dag mode queues the copy as a task reading
-  /// (from, key) and writing (to, key). When the destination already holds
-  /// the block (a broadcast restoring an owner's blocks), the existing
-  /// buffer is written in place — a put would free a buffer that pending
-  /// readers may still be using, and the write dependency already orders
-  /// the copy after them.
+  /// a pooled buffer when one matches the shape: the copy is queued as a
+  /// task reading (from, key) and writing (to, key). When the destination
+  /// already holds the block (a broadcast restoring an owner's blocks), the
+  /// existing buffer is written in place — a put would free a buffer that
+  /// pending readers may still be using, and the write dependency already
+  /// orders the copy after them.
   void copy_block(std::size_t from, std::size_t to, BlockKey key) {
     const ConstMatrixView src = store[from].at(key);
     // A landing copy re-establishes (to, key) as live: cancel any deferred
@@ -511,19 +475,13 @@ struct MpContext {
     // drain later (poll_erases is worker-timing dependent) and delete the
     // re-landed block. The stale buffer's readers still order the in-place
     // write below through the (to, key) write dependency.
-    if (dag && !pending_erases.empty())
+    if (!pending_erases.empty())
       pending_erases.erase(
           std::remove_if(pending_erases.begin(), pending_erases.end(),
                          [&](const PendingErase& pe) {
                            return pe.id == to && pe.key == key;
                          }),
           pending_erases.end());
-    if (!dag) {
-      Matrix copy = store[to].acquire(src.rows(), src.cols());
-      copy.view().copy_from(src);
-      store[to].put(key, std::move(copy));
-      return;
-    }
     if (!store[to].contains(key))
       store[to].put(key, store[to].acquire(src.rows(), src.cols()));
     const MatrixView dst = store[to].at(key);
@@ -605,10 +563,10 @@ struct MpContext {
 
   /// Observation record for inline host math (panel factorizations): keeps
   /// the weighted critical path connected across the host_sync that cut
-  /// the key history. No-op unless observing under the dag scheduler.
+  /// the key history. No-op unless observing.
   void note_host_work(std::size_t id, const std::vector<BlockKey>& keys,
                       double seconds, const char* name) {
-    if (graph == nullptr || obs == nullptr) return;
+    if (obs == nullptr) return;
     std::vector<TaskGraph::Key> w;
     w.reserve(keys.size());
     for (const BlockKey& k : keys) w.push_back(key_of(id, k));
@@ -638,8 +596,6 @@ void scatter(MpContext& ctx, const ConstMatrixView& m, std::size_t which,
   const std::size_t procs = ctx.p * ctx.q;
   for (std::size_t id = 0; id < procs; ++id)
     ctx.store[id].reserve(nbr * nbc / procs + nbr + nbc + 8);
-  // Barrier lanes see at most one op per owned block and step.
-  ctx.batch.hint(nbr * nbc / procs + 4);
   for (std::size_t bi = 0; bi < nbr; ++bi) {
     const std::size_t ilo = block_lo(bi, ctx.block);
     const std::size_t ilen = block_len(bi, ctx.block, m.rows());
@@ -829,7 +785,6 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
       if (work > 0.0)
         ctx.compute(id, ready, work, "update", ObsOp::kUpdate, units);
     }
-    ctx.run_batch();
 
     // Drop transient panel copies (keep owned originals).
     for (std::size_t id = 0; id < procs; ++id) {
@@ -891,10 +846,10 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
     const BlockKey diag_key{kTagA * nb + k, k};
 
     // --- Factor the diagonal block at its owner (host thread: its result
-    // gates everything below). Dag mode waits only for the ops touching
+    // gates everything below). The host waits only for the ops touching
     // this one block — the previous step's other trailing updates keep
-    // running underneath the factorization, which is the lookahead overlap
-    // the barrier scheduler can only model in virtual time.
+    // running underneath the factorization, the wall-clock lookahead
+    // overlap.
     ctx.host_sync(diag_id, {diag_key});
     ctx.store[diag_id].bump_version(diag_key);  // in-place host write
     if (!lu_factor_nopivot(ctx.store[diag_id].at(diag_key))) {
@@ -933,7 +888,6 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
       ctx.compute(id, diag_ready[id], ctx.cycle_time(id) * op_units,
                   "l-solve", ObsOp::kSolve, op_units);
     }
-    ctx.run_batch();
 
     // --- Horizontal broadcast of the L panel (diag + L21) per grid row.
     std::fill(l_ready.begin(), l_ready.end(), 0.0);
@@ -960,7 +914,6 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
       ctx.compute(id, l_ready[id], ctx.cycle_time(id) * op_units, "u-solve",
                   ObsOp::kSolve, op_units);
     }
-    ctx.run_batch();
 
     // --- Vertical broadcast of the U panel per grid column.
     std::fill(u_ready.begin(), u_ready.end(), 0.0);
@@ -989,7 +942,7 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
     // lookahead, the blocks the next panel needs (block column/row k+1)
     // are charged on the critical path now; the rest is deferred to after
     // the next step's panel phase. The deferral is pure virtual-time
-    // bookkeeping — the GEMM tasks always run in this step's batch, in
+    // bookkeeping — the GEMM tasks are always emitted in this step, in
     // canonical order per processor.
     for (std::size_t id = 0; id < procs; ++id) {
       double work_next = 0.0, work_rest = 0.0;
@@ -1012,7 +965,7 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
           const PackTag lt = ctx.tag(id, l_key);
           const PackTag ut = ctx.tag(id, u_key);
           // Next-panel blocks (column / row k + 1) run at panel priority
-          // so the dag releases step k + 1's critical chain first — the
+          // so the graph releases step k + 1's critical chain first — the
           // wall-clock counterpart of the virtual-time lookahead below.
           const int prio = (bi == k + 1 || bj == k + 1) ? kPrioPanel
                                                         : kPrioUpdate;
@@ -1043,7 +996,6 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
         deferred_ready[id] = std::max(deferred_ready[id], ready);
       }
     }
-    ctx.run_batch();
 
     // --- Drop transient copies of this step's panels.
     for (std::size_t id = 0; id < procs; ++id) {
@@ -1094,9 +1046,9 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
     const std::size_t diag_id = ctx.pid(diag.row, diag.col);
     const BlockKey diag_key{kTagA * nb + k, k};
 
-    // --- Factor the diagonal block (host thread; dag mode waits only for
-    // the ops touching this block, overlapping the rest of the previous
-    // step's trailing update).
+    // --- Factor the diagonal block (host thread; it waits only for the
+    // ops touching this block, overlapping the rest of the previous step's
+    // trailing update).
     ctx.host_sync(diag_id, {diag_key});
     ctx.store[diag_id].bump_version(diag_key);  // in-place host write
     if (!cholesky_factor_unblocked(ctx.store[diag_id].at(diag_key))) {
@@ -1133,7 +1085,6 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
       ctx.compute(id, diag_ready[id], ctx.cycle_time(id) * op_units,
                   "l-solve", ObsOp::kSolve, op_units);
     }
-    ctx.run_batch();
 
     // --- Phase 1: L panel along each grid row.
     std::fill(l_ready.begin(), l_ready.end(), 0.0);
@@ -1200,7 +1151,6 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
       if (work > 0.0)
         ctx.compute(id, ready, work, "update", ObsOp::kUpdate, units);
     }
-    ctx.run_batch();
 
     // --- Drop transient copies of the panel.
     for (std::size_t id = 0; id < procs; ++id)
@@ -1280,7 +1230,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     // --- Factor the assembled panel on the host and write the blocks back
     // into the diagonal owner's copies. All panel arithmetic is serial
     // host-side math, so the factors are bit-identical for any thread
-    // count. Dag mode waits only for the ops touching the panel blocks at
+    // count. The host waits only for the ops touching the panel blocks at
     // the diagonal owner (the feeder copies and the owner's own previous
     // trailing updates); everything else keeps running.
     ctx.host_sync(diag_id, panel_keys);
@@ -1349,9 +1299,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       // --- Build the unit-lower diagonal V block at every processor of
       // grid row diag.row (local postprocessing of the received diagonal
       // block; off-diagonal panel blocks are already pure V). Queued as an
-      // op on the owner's lane so the dag can order it after the diagonal
-      // copy lands; under the barrier scheduler it simply runs first on
-      // the same lane as its pass-1 readers.
+      // op on the owner's lane so the graph orders it after the diagonal
+      // copy lands and before its pass-1 readers.
       for (std::size_t gj = 0; gj < ctx.q; ++gj) {
         const std::size_t id = ctx.pid(diag.row, gj);
         const ConstMatrixView dv = ctx.store[id].at(diag_key);
@@ -1413,7 +1362,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         if (work_acc[id] > 0.0)
           ctx.compute(id, v_ready[id], work_acc[id], "w-accumulate",
                       ObsOp::kUpdate, units_acc[id]);
-      ctx.run_batch();
 
       // --- Reduce the partials within each grid column to the diag.row
       // processor and finish Y = T^T * W there. The adds run on the root's
@@ -1462,7 +1410,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         ctx.compute(root, reduce_ready, ctx.cycle_time(root) * op_units,
                     "w-reduce", ObsOp::kUpdate, op_units);
       }
-      ctx.run_batch();
 
       // --- Y back out along each grid column that owns trailing columns.
       std::fill(y_ready.begin(), y_ready.end(), 0.0);
@@ -1513,7 +1460,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
           ctx.compute(id, std::max(v_ready[id], y_ready[id]), work_acc[id],
                       "update", ObsOp::kUpdate, units_acc[id]);
       }
-      ctx.run_batch();
     }
 
     // --- Drop this step's transients (erase is a no-op on absent keys).

@@ -50,16 +50,14 @@ struct MpQrReport : MpReport {
 /// per-step panels travel by ring broadcasts, and the owned C blocks are
 /// gathered into `c` at the end.
 ///
-/// All run_mp_* entry points honor `opts.threads`: each step's independent
-/// per-processor block updates fan out across a worker pool while every
-/// clock, counter, and trace span is computed on the host thread — the
-/// MpReport, the trace, and the gathered matrix are bit-identical for any
-/// thread count (see doc/parallel_runtime.md).
-///
-/// They also honor `opts.scheduler`: kBarrier (default) flushes the batch
-/// at every phase boundary, kDag emits the same ops into a dependency
-/// graph keyed by (processor, block) so phases of successive steps overlap
-/// — with identical results, reports, and traces either way (same doc).
+/// All run_mp_* entry points execute their real block math through one
+/// util/task_graph keyed by (processor, block): the block-versioned
+/// read/write dependencies alone order the work, so phases of successive
+/// steps overlap. `opts.threads` sizes its worker pool (1, the default,
+/// runs every task inline on the caller — the determinism reference),
+/// while every clock, counter, and trace span is computed on the host
+/// thread — the MpReport, the trace, and the gathered matrix are
+/// bit-identical for any thread count (see doc/parallel_runtime.md).
 MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
                     const ConstMatrixView& a, const ConstMatrixView& b,
                     MatrixView c, std::size_t block,
@@ -76,11 +74,10 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
 /// trailing update until after the next step's panel and triangular
 /// solves — the classic lookahead optimization that takes the panel
 /// factorization off the critical path. Numerical results are identical;
-/// only the virtual schedule changes. Under `opts.scheduler = kDag` the
-/// same overlap also happens for real on the wall clock (next-panel
-/// updates run at elevated priority and the host only waits on the
-/// diagonal block's dependency chain); the flag keeps controlling the
-/// virtual-time model independently, in either scheduler.
+/// only the virtual schedule changes. The same overlap always happens for
+/// real on the wall clock (next-panel updates run at elevated priority and
+/// the host only waits on the diagonal block's dependency chain); the flag
+/// controls the virtual-time model only.
 MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                    MatrixView a, std::size_t block,
                    const KernelCosts& costs = {}, bool lookahead = false,

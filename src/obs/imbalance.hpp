@@ -54,7 +54,7 @@ struct RunObservation {
       : estimator(opt) {}
 
   CycleTimeEstimator estimator;
-  std::vector<TaskRecord> tasks;  // dag scheduler records (empty otherwise)
+  std::vector<TaskRecord> tasks;  // MP task-graph records (empty for sim)
   /// Applied rebalances in step order (written by the host at the panel
   /// boundary that acted; empty when the rebalancer is off or never acted).
   std::vector<RebalanceEvent> rebalances;

@@ -8,13 +8,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <mutex>
 
 #include "core/arrangement.hpp"
+#include "core/cycle_time_grid.hpp"
 #include "core/heuristic.hpp"
 #include "obs/imbalance.hpp"
 #include "obs/metrics.hpp"
@@ -124,10 +124,8 @@ PlaceOutcome PlacementServer::place_admitted(const PlacementRequest& req,
       req.q > kMaxGridSide || req.times.size() != n)
     return error_outcome(WireError::kBadDimensions,
                          "times size must equal p*q, sides in [1, 128]");
-  for (double t : req.times)
-    if (!std::isfinite(t) || t <= 0.0)
-      return error_outcome(WireError::kBadCycleTime,
-                           "cycle-times must be positive and finite");
+  if (const std::string err = cycle_time_error(req.times); !err.empty())
+    return error_outcome(WireError::kBadCycleTime, err);
   if (req.mode > Mode::kHeuristic)
     return error_outcome(WireError::kBadMode, "unknown mode");
   // The only wall-clock decision: expire requests that waited in a queue

@@ -13,7 +13,7 @@
 // that case, keeping drift-free runs bit-identical to pre-trace builds.
 //
 // Traces are plain data evaluated as a pure function of (proc, step) —
-// deterministic in virtual time, independent of threads and schedulers.
+// deterministic in virtual time, independent of the thread count.
 #pragma once
 
 #include <cstddef>

@@ -21,101 +21,222 @@ double SimReport::slowdown_vs_perfect() const {
 
 namespace {
 
-void check_machine(const Machine& machine, const Distribution2D& dist) {
-  machine.net.validate();
-  HG_CHECK(machine.grid.rows() == dist.grid_rows() &&
-               machine.grid.cols() == dist.grid_cols(),
-           "machine grid " << machine.grid.rows() << "x" << machine.grid.cols()
-                           << " does not match distribution grid "
-                           << dist.grid_rows() << "x" << dist.grid_cols());
-}
+// Per-run state shared by the four kernels: the report under construction,
+// the step origin of the trace timeline, the rebalancer's live slot maps and
+// internal estimator, and the traced-rate accessors. With rebalancing off
+// and an empty trace every hook reduces exactly to the paper's static
+// arithmetic — the distribution is consulted directly and no factor is
+// multiplied in — which the golden fingerprints in tests/test_sim.cpp pin.
+struct SimState {
+  const Machine& machine;
+  const Distribution2D& dist;
+  const RuntimeOptions& opts;
+  TraceSink* sink;
+  RunObservation* obs;  // installed observation, fetched once
+  bool on;              // opts.rebalance == kPanel
+  std::size_t p, q;
+  std::vector<std::size_t> row_of, col_of;  // live slot maps (on only)
+  CycleTimeEstimator est;
+  SimReport rep;
+  double now = 0.0;  // start of the current step on the trace timeline
+
+  SimState(const Machine& m, const Distribution2D& d, std::size_t nb,
+           const RuntimeOptions& o, TraceSink* s, const char* kernel)
+      : machine(m),
+        dist(d),
+        opts(o),
+        sink(s),
+        obs(installed_observation()),
+        on(o.rebalance == RuntimeOptions::Rebalance::kPanel),
+        p(m.grid.rows()),
+        q(m.grid.cols()),
+        est(o.estimator) {
+    m.net.validate();
+    HG_CHECK(p == d.grid_rows() && q == d.grid_cols(),
+             "machine grid " << p << "x" << q
+                             << " does not match distribution grid "
+                             << d.grid_rows() << "x" << d.grid_cols());
+    HG_CHECK(nb > 0, "matrix must have at least one block");
+    rep.kernel = kernel;
+    rep.distribution = d.name();
+    rep.busy.assign(p * q, 0.0);
+    if (!on) return;
+    HG_CHECK(
+        neighbor_census(d).aligned,
+        "rebalance=panel requires an aligned (grid-pattern) distribution");
+    row_of.resize(nb);
+    col_of.resize(nb);
+    for (std::size_t i = 0; i < nb; ++i) row_of[i] = d.owner(i, 0).row;
+    for (std::size_t j = 0; j < nb; ++j) col_of[j] = d.owner(0, j).col;
+  }
+
+  ProcCoord owner(std::size_t bi, std::size_t bj) const {
+    if (!on) return dist.owner(bi, bj);
+    return ProcCoord{row_of[bi], col_of[bj]};
+  }
+
+  /// Effective cycle-time of processor (gi, gj) at step `k` under the
+  /// drift trace. An empty trace performs no multiply at all.
+  double rate(std::size_t gi, std::size_t gj, std::size_t k) const {
+    const double t = machine.grid(gi, gj);
+    return opts.trace.empty() ? t : t * opts.trace.factor(gi * q + gj, k);
+  }
+
+  /// Aggregate speed sum_ij 1/rate at step `k` — the denominator of the
+  /// perfectly balanced bound under the traced rates.
+  double capacity(std::size_t k) const {
+    double cap = 0.0;
+    for (std::size_t gi = 0; gi < p; ++gi)
+      for (std::size_t gj = 0; gj < q; ++gj) cap += 1.0 / rate(gi, gj, k);
+    return cap;
+  }
+
+  /// Books `seconds` of `op` work (`units` of it in cycle-time-free block
+  /// updates) on processor (gi, gj) at step `k`: busy time, a compute span
+  /// starting at `start`, and the estimator samples.
+  void charge(std::size_t gi, std::size_t gj, ObsOp op, double units,
+              double seconds, std::size_t k, double start, const char* name) {
+    const std::size_t id = gi * q + gj;
+    rep.busy[id] += seconds;
+    if (seconds <= 0.0) return;
+    trace_span(sink, TraceEventKind::kComputeBlock, id, start, seconds, k,
+               name);
+    if (on) est.sample(id, op, units, seconds, k);
+    if (obs != nullptr) obs->estimator.sample(id, op, units, seconds, k);
+  }
+
+  /// Plans one boundary rebalance over `region` (absolute block
+  /// coordinates) and applies it to the live maps when it acts, setting
+  /// `migration` to the bill charged to this step's communication time.
+  /// Returns whether the maps changed.
+  bool boundary(std::size_t k, RebalanceRegion region, double& migration) {
+    if (!on || k == 0) return false;
+    // plan_rebalance keeps every line at >= 1 slot; a trailing region
+    // smaller than the grid cannot satisfy that, so the last boundaries
+    // simply hold.
+    if (region.row_hi - region.row_lo < p ||
+        region.col_hi - region.col_lo < q)
+      return false;
+    rep.resolves += 1;
+    region.per_block_move_cost =
+        machine.net.latency + machine.net.block_transfer;
+    const CycleTimeGrid rates = estimated_rate_grid(
+        est.estimates(), machine.grid, ObsOp::kUpdate,
+        est.options().min_samples);
+    // Plan over the trailing sub-maps only (region shifted to the origin),
+    // so every rounded slot lands on a row/column that still has work.
+    std::vector<std::size_t> sub_rows(row_of.begin() + region.row_lo,
+                                      row_of.begin() + region.row_hi);
+    std::vector<std::size_t> sub_cols(col_of.begin() + region.col_lo,
+                                      col_of.begin() + region.col_hi);
+    RebalanceRegion local = region;
+    local.row_hi -= local.row_lo;
+    local.col_hi -= local.col_lo;
+    local.row_lo = 0;
+    local.col_lo = 0;
+    const RebalanceDecision d = plan_rebalance(rates, sub_rows, sub_cols,
+                                               local, opts.rebalance_opts);
+    if (!d.act) return false;
+    std::copy(d.row_map.begin(), d.row_map.end(),
+              row_of.begin() + static_cast<std::ptrdiff_t>(region.row_lo));
+    std::copy(d.col_map.begin(), d.col_map.end(),
+              col_of.begin() + static_cast<std::ptrdiff_t>(region.col_lo));
+    rep.migrations += 1;
+    rep.blocks_moved += d.blocks_to_move;
+    rep.events.push_back({k, d.current_sweep, d.proposed_sweep,
+                          d.migration_cost, d.blocks_to_move});
+    if (obs != nullptr) obs->rebalances.push_back(rep.events.back());
+    migration = d.migration_cost;
+    return true;
+  }
+
+  /// Closes one step: books its record and its share of the perfect
+  /// bound, emits the machine-lane phase marker, and advances the step
+  /// origin. A migration bill sits at the start of the step, inside
+  /// `s.comm`, with no span of its own.
+  void close_step(const StepRecord& s, double perfect) {
+    rep.compute_time += s.panel + s.row + s.update;
+    rep.comm_time += s.comm;
+    rep.steps.push_back(s);
+    rep.perfect_compute_bound += perfect;
+    trace_span(sink, TraceEventKind::kPhase, kMachineLane, now, s.total(),
+               s.step, "step");
+    if (obs != nullptr) obs->estimator.panel_boundary(s.step);
+    now += s.total();
+  }
+
+  SimReport finish() {
+    rep.total_time = rep.compute_time + rep.comm_time;
+    return std::move(rep);
+  }
+};
 
 }  // namespace
 
 SimReport simulate_mmm(const Machine& machine, const Distribution2D& dist,
                        std::size_t nb, const KernelCosts& costs,
-                       TraceSink* sink) {
-  check_machine(machine, dist);
-  HG_CHECK(nb > 0, "matrix must have at least one block");
-  const CycleTimeGrid& grid = machine.grid;
-  const std::size_t p = grid.rows(), q = grid.cols();
-  RunObservation* const obs = installed_observation();
-
-  SimReport rep;
-  rep.kernel = "mmm";
-  rep.distribution = dist.name();
-  rep.busy.assign(p * q, 0.0);
-
-  // Ownership of the nb x nb block matrix (identical in every step: the
-  // whole C matrix is updated at every k).
-  std::vector<std::size_t> owned(p * q, 0);
-  for (std::size_t i = 0; i < nb; ++i)
-    for (std::size_t j = 0; j < nb; ++j) {
-      const ProcCoord o = dist.owner(i, j);
-      owned[o.row * q + o.col] += 1;
-    }
-
-  double compute_step = 0.0;
-  for (std::size_t i = 0; i < p; ++i)
-    for (std::size_t j = 0; j < q; ++j) {
-      const double work = static_cast<double>(owned[i * q + j]) *
-                          grid(i, j) * costs.update;
-      compute_step = std::max(compute_step, work);
-    }
-
+                       TraceSink* sink, const RuntimeOptions& opts) {
+  SimState st(machine, dist, nb, opts, sink, "mmm");
+  const std::size_t p = st.p, q = st.q;
   const double step_volume =
       static_cast<double>(nb) * static_cast<double>(nb) * costs.update;
-  const double perfect_step = step_volume / grid.total_capacity();
 
-  // Broadcast counts are computed per step: the A column panel at step k is
-  // block column k, whose row ownership may depend on k for misaligned
-  // distributions (Kalinov–Lastovetsky).
-  std::vector<std::size_t> a_rows(p), b_cols(q);
+  // Ownership of the nb x nb block matrix. The whole C matrix updates at
+  // every step, so the counts change only when a rebalance remaps lines.
+  std::vector<std::size_t> owned(p * q), a_rows(p), b_cols(q);
   std::vector<double> h_costs(p), v_costs(q);
 
-  double now = 0.0;
   for (std::size_t k = 0; k < nb; ++k) {
+    // The priced region is the whole matrix, and one owner change drags
+    // A, B and C blocks along.
+    double migration = 0.0;
+    const bool remapped = st.boundary(
+        k,
+        RebalanceRegion{0, nb, 0, nb, false, static_cast<double>(nb - k),
+                        0.0, 3.0},
+        migration);
+    if (k == 0 || remapped) {
+      std::fill(owned.begin(), owned.end(), 0);
+      for (std::size_t i = 0; i < nb; ++i)
+        for (std::size_t j = 0; j < nb; ++j) {
+          const ProcCoord o = st.owner(i, j);
+          owned[o.row * q + o.col] += 1;
+        }
+    }
+
+    // Broadcast counts are computed per step: the A column panel at step k
+    // is block column k, whose row ownership may depend on k for
+    // misaligned distributions (Kalinov–Lastovetsky).
     std::fill(a_rows.begin(), a_rows.end(), 0);
     std::fill(b_cols.begin(), b_cols.end(), 0);
-    for (std::size_t i = 0; i < nb; ++i) a_rows[dist.owner(i, k).row] += 1;
-    for (std::size_t j = 0; j < nb; ++j) b_cols[dist.owner(k, j).col] += 1;
+    for (std::size_t i = 0; i < nb; ++i) a_rows[st.owner(i, k).row] += 1;
+    for (std::size_t j = 0; j < nb; ++j) b_cols[st.owner(k, j).col] += 1;
     for (std::size_t i = 0; i < p; ++i)
       h_costs[i] = machine.net.broadcast_cost(a_rows[i], q);
     for (std::size_t j = 0; j < q; ++j)
       v_costs[j] = machine.net.broadcast_cost(b_cols[j], p);
-
     const double h_comb = combine_broadcasts(machine.net, h_costs);
     const double v_comb = combine_broadcasts(machine.net, v_costs);
-    const double comm_step = h_comb + v_comb;
-    emit_broadcast_spans(sink, machine.net, h_costs, a_rows, true, p, q, now,
-                         k, "a-panel");
+    const double bcast = h_comb + v_comb;
+    const double start = st.now + migration;
+    emit_broadcast_spans(sink, machine.net, h_costs, a_rows, true, p, q,
+                         start, k, "a-panel");
     emit_broadcast_spans(sink, machine.net, v_costs, b_cols, false, p, q,
-                         now + h_comb, k, "b-panel");
-    rep.comm_time += comm_step;
-    rep.compute_time += compute_step;
-    rep.steps.push_back({k, 0.0, 0.0, compute_step, comm_step});
-    rep.perfect_compute_bound += perfect_step;
+                         start + h_comb, k, "b-panel");
+
+    double compute_step = 0.0;
     for (std::size_t i = 0; i < p; ++i)
       for (std::size_t j = 0; j < q; ++j) {
-        const double work = static_cast<double>(owned[i * q + j]) *
-                            grid(i, j) * costs.update;
-        rep.busy[i * q + j] += work;
-        if (work > 0.0) {
-          trace_span(sink, TraceEventKind::kComputeBlock, i * q + j,
-                     now + comm_step, work, k, "update");
-          if (obs != nullptr)
-            obs->estimator.sample(
-                i * q + j, ObsOp::kUpdate,
-                static_cast<double>(owned[i * q + j]) * costs.update, work, k);
-        }
+        const double blocks = static_cast<double>(owned[i * q + j]);
+        const double work = blocks * st.rate(i, j, k) * costs.update;
+        compute_step = std::max(compute_step, work);
+        st.charge(i, j, ObsOp::kUpdate, blocks * costs.update, work, k,
+                  start + bcast, "update");
       }
-    trace_span(sink, TraceEventKind::kPhase, kMachineLane, now,
-               comm_step + compute_step, k, "step");
-    if (obs != nullptr) obs->estimator.panel_boundary(k);
-    now += comm_step + compute_step;
+    st.close_step({k, 0.0, 0.0, compute_step, bcast + migration},
+                  step_volume / st.capacity(k));
   }
-  rep.total_time = rep.comm_time + rep.compute_time;
-  return rep;
+  return st.finish();
 }
 
 namespace {
@@ -130,179 +251,135 @@ struct FactorizationWeights {
 SimReport simulate_factorization(const Machine& machine,
                                  const Distribution2D& dist, std::size_t nb,
                                  const FactorizationWeights& w,
-                                 TraceSink* sink) {
-  check_machine(machine, dist);
-  HG_CHECK(nb > 0, "matrix must have at least one block");
-  const CycleTimeGrid& grid = machine.grid;
-  const std::size_t p = grid.rows(), q = grid.cols();
-  const double capacity = grid.total_capacity();
-  RunObservation* const obs = installed_observation();
+                                 TraceSink* sink, const RuntimeOptions& opts) {
+  SimState st(machine, dist, nb, opts, sink, w.kernel);
+  const std::size_t p = st.p, q = st.q;
 
-  SimReport rep;
-  rep.kernel = w.kernel;
-  rep.distribution = dist.name();
-  rep.busy.assign(p * q, 0.0);
-
-  std::vector<std::size_t> trailing(p * q);
-  std::vector<std::size_t> panel_rows(p), row_cols(q);
-  std::vector<std::size_t> l_rows(p), u_cols(q);
+  // panel_rows doubles as the L broadcast's per-row block count, row_cols
+  // as the U broadcast's per-column one.
+  std::vector<std::size_t> trailing(p * q), panel_rows(p), row_cols(q);
   std::vector<double> line_costs;
 
-  double now = 0.0;
   for (std::size_t k = 0; k < nb; ++k) {
-    const ProcCoord diag = dist.owner(k, k);
+    // Rebalance the trailing submatrix [k, nb)^2; the shrinking trailing
+    // sweep repays migration over roughly (nb - k) / 3 full sweeps.
+    double migration = 0.0;
+    st.boundary(k,
+                RebalanceRegion{k, nb, k, nb, false,
+                                static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
+                migration);
+    const double start = st.now + migration;
+    const ProcCoord diag = st.owner(k, k);
 
     // --- Panel factorization: column k, rows k..nb-1, done by the owner
     // grid column in parallel across its grid rows.
     std::fill(panel_rows.begin(), panel_rows.end(), 0);
     for (std::size_t i = k; i < nb; ++i)
-      panel_rows[dist.owner(i, k).row] += 1;
+      panel_rows[st.owner(i, k).row] += 1;
     double panel_time = 0.0;
     for (std::size_t gi = 0; gi < p; ++gi) {
-      const double tt = static_cast<double>(panel_rows[gi]) *
-                        grid(gi, diag.col) * w.panel;
+      const double blocks = static_cast<double>(panel_rows[gi]);
+      const double tt = blocks * st.rate(gi, diag.col, k) * w.panel;
       panel_time = std::max(panel_time, tt);
-      rep.busy[gi * q + diag.col] += tt;
-      if (tt > 0.0) {
-        trace_span(sink, TraceEventKind::kComputeBlock, gi * q + diag.col,
-                   now, tt, k, "panel");
-        if (obs != nullptr)
-          obs->estimator.sample(gi * q + diag.col, ObsOp::kPanel,
-                                static_cast<double>(panel_rows[gi]) * w.panel,
-                                tt, k);
-      }
+      st.charge(gi, diag.col, ObsOp::kPanel, blocks * w.panel, tt, k, start,
+                "panel");
     }
 
     // --- Horizontal broadcast of the L panel (one ring per grid row).
-    std::fill(l_rows.begin(), l_rows.end(), 0);
-    for (std::size_t i = k; i < nb; ++i) l_rows[dist.owner(i, k).row] += 1;
     line_costs.clear();
     for (std::size_t gi = 0; gi < p; ++gi)
-      line_costs.push_back(machine.net.broadcast_cost(l_rows[gi], q));
+      line_costs.push_back(machine.net.broadcast_cost(panel_rows[gi], q));
     const double l_bcast = combine_broadcasts(machine.net, line_costs);
-    emit_broadcast_spans(sink, machine.net, line_costs, l_rows, true, p, q,
-                         now + panel_time, k, "l-bcast");
+    emit_broadcast_spans(sink, machine.net, line_costs, panel_rows, true, p,
+                         q, start + panel_time, k, "l-bcast");
 
     // --- Row panel: row k, columns k+1..nb-1, solved by the owner grid row.
     std::fill(row_cols.begin(), row_cols.end(), 0);
     for (std::size_t j = k + 1; j < nb; ++j)
-      row_cols[dist.owner(k, j).col] += 1;
+      row_cols[st.owner(k, j).col] += 1;
     double row_time = 0.0;
     for (std::size_t gj = 0; gj < q; ++gj) {
-      const double tt =
-          static_cast<double>(row_cols[gj]) * grid(diag.row, gj) * w.row;
+      const double blocks = static_cast<double>(row_cols[gj]);
+      const double tt = blocks * st.rate(diag.row, gj, k) * w.row;
       row_time = std::max(row_time, tt);
-      rep.busy[diag.row * q + gj] += tt;
-      if (tt > 0.0) {
-        trace_span(sink, TraceEventKind::kComputeBlock, diag.row * q + gj,
-                   now + panel_time + l_bcast, tt, k, "row");
-        if (obs != nullptr)
-          obs->estimator.sample(diag.row * q + gj, ObsOp::kSolve,
-                                static_cast<double>(row_cols[gj]) * w.row, tt,
-                                k);
-      }
+      st.charge(diag.row, gj, ObsOp::kSolve, blocks * w.row, tt, k,
+                start + panel_time + l_bcast, "row");
     }
 
     // --- Vertical broadcast of the U row panel (one ring per grid column).
-    std::fill(u_cols.begin(), u_cols.end(), 0);
-    for (std::size_t j = k + 1; j < nb; ++j)
-      u_cols[dist.owner(k, j).col] += 1;
     line_costs.clear();
     for (std::size_t gj = 0; gj < q; ++gj)
-      line_costs.push_back(machine.net.broadcast_cost(u_cols[gj], p));
+      line_costs.push_back(machine.net.broadcast_cost(row_cols[gj], p));
     const double u_bcast = combine_broadcasts(machine.net, line_costs);
-    emit_broadcast_spans(sink, machine.net, line_costs, u_cols, false, p, q,
-                         now + panel_time + l_bcast + row_time, k, "u-bcast");
+    emit_broadcast_spans(sink, machine.net, line_costs, row_cols, false, p, q,
+                         start + panel_time + l_bcast + row_time, k,
+                         "u-bcast");
 
     // --- Trailing update of blocks (I > k, J > k).
     std::fill(trailing.begin(), trailing.end(), 0);
     for (std::size_t i = k + 1; i < nb; ++i)
       for (std::size_t j = k + 1; j < nb; ++j) {
-        const ProcCoord o = dist.owner(i, j);
+        const ProcCoord o = st.owner(i, j);
         trailing[o.row * q + o.col] += 1;
       }
-    const double update_start = now + panel_time + l_bcast + row_time + u_bcast;
+    const double update_start =
+        start + panel_time + l_bcast + row_time + u_bcast;
     double update_time = 0.0;
     for (std::size_t gi = 0; gi < p; ++gi)
       for (std::size_t gj = 0; gj < q; ++gj) {
-        const double tt = static_cast<double>(trailing[gi * q + gj]) *
-                          grid(gi, gj) * w.update;
+        const double blocks = static_cast<double>(trailing[gi * q + gj]);
+        const double tt = blocks * st.rate(gi, gj, k) * w.update;
         update_time = std::max(update_time, tt);
-        rep.busy[gi * q + gj] += tt;
-        if (tt > 0.0) {
-          trace_span(sink, TraceEventKind::kComputeBlock, gi * q + gj,
-                     update_start, tt, k, "update");
-          if (obs != nullptr)
-            obs->estimator.sample(
-                gi * q + gj, ObsOp::kUpdate,
-                static_cast<double>(trailing[gi * q + gj]) * w.update, tt, k);
-        }
+        st.charge(gi, gj, ObsOp::kUpdate, blocks * w.update, tt, k,
+                  update_start, "update");
       }
 
-    rep.compute_time += panel_time + row_time + update_time;
-    rep.comm_time += l_bcast + u_bcast;
-    rep.steps.push_back(
-        {k, panel_time, row_time, update_time, l_bcast + u_bcast});
-    trace_span(sink, TraceEventKind::kPhase, kMachineLane, now,
-               rep.steps.back().total(), k, "step");
-    if (obs != nullptr) obs->estimator.panel_boundary(k);
-    now += rep.steps.back().total();
-
-    const double panel_vol =
-        static_cast<double>(nb - k) * w.panel;
+    const double panel_vol = static_cast<double>(nb - k) * w.panel;
     const double row_vol = static_cast<double>(nb - k - 1) * w.row;
     const double upd_vol = static_cast<double>(nb - k - 1) *
                            static_cast<double>(nb - k - 1) * w.update;
-    rep.perfect_compute_bound += (panel_vol + row_vol + upd_vol) / capacity;
+    st.close_step(
+        {k, panel_time, row_time, update_time, l_bcast + u_bcast + migration},
+        (panel_vol + row_vol + upd_vol) / st.capacity(k));
   }
-  rep.total_time = rep.compute_time + rep.comm_time;
-  return rep;
+  return st.finish();
 }
 
 }  // namespace
 
 SimReport simulate_cholesky(const Machine& machine,
                             const Distribution2D& dist, std::size_t nb,
-                            const KernelCosts& costs, TraceSink* sink) {
-  check_machine(machine, dist);
-  HG_CHECK(nb > 0, "matrix must have at least one block");
-  const CycleTimeGrid& grid = machine.grid;
-  const std::size_t p = grid.rows(), q = grid.cols();
-  const double capacity = grid.total_capacity();
-  RunObservation* const obs = installed_observation();
-
-  SimReport rep;
-  rep.kernel = "cholesky";
-  rep.distribution = dist.name();
-  rep.busy.assign(p * q, 0.0);
+                            const KernelCosts& costs, TraceSink* sink,
+                            const RuntimeOptions& opts) {
+  SimState st(machine, dist, nb, opts, sink, "cholesky");
+  const std::size_t p = st.p, q = st.q;
 
   std::vector<std::size_t> panel_rows(p), trailing(p * q), l_rows(p),
       l_cols(q);
   std::vector<double> line_costs;
 
-  double now = 0.0;
   for (std::size_t k = 0; k < nb; ++k) {
-    const ProcCoord diag = dist.owner(k, k);
+    // Rebalance the lower trailing triangle (Cholesky touches only J <= I).
+    double migration = 0.0;
+    st.boundary(k,
+                RebalanceRegion{k, nb, k, nb, true,
+                                static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
+                migration);
+    const double start = st.now + migration;
+    const ProcCoord diag = st.owner(k, k);
 
     // Panel phase: factor the diagonal block and solve the sub-diagonal
     // panel inside the owner grid column.
     std::fill(panel_rows.begin(), panel_rows.end(), 0);
     for (std::size_t i = k; i < nb; ++i)
-      panel_rows[dist.owner(i, k).row] += 1;
+      panel_rows[st.owner(i, k).row] += 1;
     double panel_time = 0.0;
     for (std::size_t gi = 0; gi < p; ++gi) {
-      const double tt = static_cast<double>(panel_rows[gi]) *
-                        grid(gi, diag.col) * costs.chol_factor;
+      const double blocks = static_cast<double>(panel_rows[gi]);
+      const double tt = blocks * st.rate(gi, diag.col, k) * costs.chol_factor;
       panel_time = std::max(panel_time, tt);
-      rep.busy[gi * q + diag.col] += tt;
-      if (tt > 0.0) {
-        trace_span(sink, TraceEventKind::kComputeBlock, gi * q + diag.col,
-                   now, tt, k, "panel");
-        if (obs != nullptr)
-          obs->estimator.sample(
-              gi * q + diag.col, ObsOp::kPanel,
-              static_cast<double>(panel_rows[gi]) * costs.chol_factor, tt, k);
-      }
+      st.charge(gi, diag.col, ObsOp::kPanel, blocks * costs.chol_factor, tt,
+                k, start, "panel");
     }
 
     // The L21 panel travels along grid rows (as the left GEMM operand) and
@@ -310,82 +387,65 @@ SimReport simulate_cholesky(const Machine& machine,
     std::fill(l_rows.begin(), l_rows.end(), 0);
     std::fill(l_cols.begin(), l_cols.end(), 0);
     for (std::size_t i = k + 1; i < nb; ++i) {
-      l_rows[dist.owner(i, k).row] += 1;
+      l_rows[st.owner(i, k).row] += 1;
       // Block (i, k) transposed is needed by the grid column owning block
       // column i of the trailing matrix.
-      l_cols[dist.owner(k, i).col] += 1;
+      l_cols[st.owner(k, i).col] += 1;
     }
     line_costs.clear();
     for (std::size_t gi = 0; gi < p; ++gi)
       line_costs.push_back(machine.net.broadcast_cost(l_rows[gi], q));
     const double row_bcast = combine_broadcasts(machine.net, line_costs);
     emit_broadcast_spans(sink, machine.net, line_costs, l_rows, true, p, q,
-                         now + panel_time, k, "l-bcast-row");
+                         start + panel_time, k, "l-bcast-row");
     line_costs.clear();
     for (std::size_t gj = 0; gj < q; ++gj)
       line_costs.push_back(machine.net.broadcast_cost(l_cols[gj], p));
     const double col_bcast = combine_broadcasts(machine.net, line_costs);
     emit_broadcast_spans(sink, machine.net, line_costs, l_cols, false, p, q,
-                         now + panel_time + row_bcast, k, "l-bcast-col");
+                         start + panel_time + row_bcast, k, "l-bcast-col");
     const double bcast = row_bcast + col_bcast;
 
     // Symmetric trailing update: only lower blocks (I >= J > k).
     std::fill(trailing.begin(), trailing.end(), 0);
     for (std::size_t i = k + 1; i < nb; ++i)
       for (std::size_t j = k + 1; j <= i; ++j) {
-        const ProcCoord o = dist.owner(i, j);
+        const ProcCoord o = st.owner(i, j);
         trailing[o.row * q + o.col] += 1;
       }
     double update_time = 0.0;
     for (std::size_t gi = 0; gi < p; ++gi)
       for (std::size_t gj = 0; gj < q; ++gj) {
-        const double tt = static_cast<double>(trailing[gi * q + gj]) *
-                          grid(gi, gj) * costs.update;
+        const double blocks = static_cast<double>(trailing[gi * q + gj]);
+        const double tt = blocks * st.rate(gi, gj, k) * costs.update;
         update_time = std::max(update_time, tt);
-        rep.busy[gi * q + gj] += tt;
-        if (tt > 0.0) {
-          trace_span(sink, TraceEventKind::kComputeBlock, gi * q + gj,
-                     now + panel_time + bcast, tt, k, "update");
-          if (obs != nullptr)
-            obs->estimator.sample(
-                gi * q + gj, ObsOp::kUpdate,
-                static_cast<double>(trailing[gi * q + gj]) * costs.update, tt,
-                k);
-        }
+        st.charge(gi, gj, ObsOp::kUpdate, blocks * costs.update, tt, k,
+                  start + panel_time + bcast, "update");
       }
 
-    rep.compute_time += panel_time + update_time;
-    rep.comm_time += bcast;
-    rep.steps.push_back({k, panel_time, 0.0, update_time, bcast});
-    trace_span(sink, TraceEventKind::kPhase, kMachineLane, now,
-               rep.steps.back().total(), k, "step");
-    if (obs != nullptr) obs->estimator.panel_boundary(k);
-    now += rep.steps.back().total();
-
     const double m = static_cast<double>(nb - k - 1);
-    rep.perfect_compute_bound +=
-        (static_cast<double>(nb - k) * costs.chol_factor +
-         m * (m + 1.0) / 2.0 * costs.update) /
-        capacity;
+    st.close_step({k, panel_time, 0.0, update_time, bcast + migration},
+                  (static_cast<double>(nb - k) * costs.chol_factor +
+                   m * (m + 1.0) / 2.0 * costs.update) /
+                      st.capacity(k));
   }
-  rep.total_time = rep.compute_time + rep.comm_time;
-  return rep;
+  return st.finish();
 }
 
 SimReport simulate_lu(const Machine& machine, const Distribution2D& dist,
                       std::size_t nb, const KernelCosts& costs,
-                      TraceSink* sink) {
+                      TraceSink* sink, const RuntimeOptions& opts) {
   return simulate_factorization(
-      machine, dist, nb,
-      {costs.panel_factor, costs.trsm, costs.update, "lu"}, sink);
+      machine, dist, nb, {costs.panel_factor, costs.trsm, costs.update, "lu"},
+      sink, opts);
 }
 
 SimReport simulate_qr(const Machine& machine, const Distribution2D& dist,
                       std::size_t nb, const KernelCosts& costs,
-                      TraceSink* sink) {
+                      TraceSink* sink, const RuntimeOptions& opts) {
   return simulate_factorization(
       machine, dist, nb,
-      {costs.qr_factor, costs.qr_update, costs.qr_update, "qr"}, sink);
+      {costs.qr_factor, costs.qr_update, costs.qr_update, "qr"}, sink, opts);
 }
 
 }  // namespace hetgrid

@@ -1,13 +1,22 @@
-// Bulk-synchronous simulation of the paper's three kernels on a
-// heterogeneous 2D grid under any periodic block distribution.
+// Bulk-synchronous simulation of the paper's kernels on a heterogeneous 2D
+// grid under any periodic block distribution.
 //
 // The simulator replays the outer-product matrix multiplication
-// (Section 3.1) and the right-looking LU / QR factorizations (Section 3.2)
-// step by step, charging each processor its owned block operations at its
-// cycle-time and each row/column broadcast at the network model's cost. It
-// reports the makespan, its compute/communication split, per-processor busy
-// times, and the per-step perfect-balance lower bound — everything the
-// strategy-comparison benchmarks need.
+// (Section 3.1) and the right-looking LU / QR / Cholesky factorizations
+// (Section 3.2) step by step, charging each processor its owned block
+// operations at its cycle-time and each row/column broadcast at the network
+// model's cost. It reports the makespan, its compute/communication split,
+// per-processor busy times, and the per-step perfect-balance lower bound —
+// everything the strategy-comparison benchmarks need.
+//
+// The same code prices the online-rebalancing study (doc/rebalance.md)
+// through `RuntimeOptions`: a drift trace scales every per-step charge, so
+// a straggler that slows down mid-run is priced step by step, and with
+// `rebalance = kPanel` an internal CycleTimeEstimator feeds plan_rebalance()
+// at every panel boundary. When it acts, the live row/column slot maps are
+// rewritten and the migration bill is charged to that step's communication
+// time. With the default options (no trace, rebalancing off) every charge
+// is the paper's static model, bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +45,7 @@ struct StepRecord {
   double panel = 0.0;    // panel-factorization phase critical path
   double row = 0.0;      // row-panel (trsm/reflector) phase (LU/QR only)
   double update = 0.0;   // trailing / full update phase critical path
-  double comm = 0.0;     // broadcast phases
+  double comm = 0.0;     // broadcast phases (+ any migration bill)
 
   double total() const { return panel + row + update + comm; }
 };
@@ -55,6 +64,14 @@ struct SimReport {
   double perfect_compute_bound = 0.0;
   /// Per-step timeline (one record per block step, in order).
   std::vector<StepRecord> steps;
+  /// Online rebalancer activity (all zero unless rebalancing is on):
+  /// `resolves` counts the boundaries where a re-solve ran, `migrations`
+  /// the boundaries that acted, `blocks_moved` the total owner changes
+  /// (already including the per-kernel block multiplier — 3 for MMM).
+  std::size_t resolves = 0;
+  std::size_t migrations = 0;
+  std::size_t blocks_moved = 0;
+  std::vector<RebalanceEvent> events;  // applied rebalances, step order
 
   /// Average fraction of the makespan processors spend computing.
   double average_utilization() const;
@@ -74,34 +91,33 @@ struct KernelCosts {
                               // GEMM update, like the LU panel)
 };
 
-/// Host-execution options for the numerics-executing backends (the
-/// virtual-time runtime in src/runtime and the message-passing runtime in
-/// src/mp). `threads` fans each step's independent per-processor block
-/// updates across a util/thread_pool worker pool; 0 means all hardware
+/// Execution options shared by the simulator and the numerics-executing
+/// backends (the virtual-time runtime in src/runtime and the
+/// message-passing runtime in src/mp). `threads` fans the runtimes' real
+/// block math across a util/thread_pool worker pool; 0 means all hardware
 /// threads, 1 (the default) runs serially inline. Virtual clocks, message
 /// counters, and trace spans are always computed on the host thread, and
 /// the floating-point results are bit-identical for every thread count
 /// (see doc/parallel_runtime.md for the contract).
 ///
-/// `scheduler` selects how the MP runtime orders its real block math:
-/// kBarrier flushes a TaskBatch at every phase boundary (bulk-synchronous,
-/// the fallback), kDag emits a util/task_graph whose block-versioned
-/// read/write dependencies alone order the work, so step k+1's panel chain
-/// overlaps step k's trailing updates. Both schedulers produce bit-identical
-/// reports, traces, and matrices at every thread count.
+/// `scheduler` names the MP runtime's executor. kDag, its only value, emits
+/// every block op into a util/task_graph whose block-versioned read/write
+/// dependencies alone order the work, so step k+1's panel chain overlaps
+/// step k's trailing updates.
 /// `rebalance` arms the online rebalancer (doc/rebalance.md): at every
 /// panel boundary the backend re-solves the allocation from its internal
 /// cycle-time estimator (configured by `estimator`) and, when the
 /// `rebalance_opts` thresholds clear, migrates trailing blocks to the new
 /// owners. Off by default and bit-identical to pre-rebalance builds when
-/// off. `trace` plants time-varying cycle-times (drift scenarios); an empty
-/// trace is the static paper model.
+/// off; it requires an aligned (grid-pattern) distribution. `trace` plants
+/// time-varying cycle-times (drift scenarios); an empty trace is the static
+/// paper model.
 struct RuntimeOptions {
-  enum class Scheduler { kBarrier, kDag };
+  enum class Scheduler { kDag };
   enum class Rebalance { kOff, kPanel };
 
   unsigned threads = 1;
-  Scheduler scheduler = Scheduler::kBarrier;
+  Scheduler scheduler = Scheduler::kDag;
   Rebalance rebalance = Rebalance::kOff;
   RebalanceOptions rebalance_opts;
   CycleTimeEstimator::Options estimator;
@@ -114,10 +130,13 @@ struct RuntimeOptions {
 ///
 /// All simulate_* functions optionally stream their timeline into `sink`
 /// (compute/broadcast spans per processor, one phase marker per step; see
-/// doc/observability.md). A null sink costs nothing.
+/// doc/observability.md). A null sink costs nothing. `opts.trace` and
+/// `opts.rebalance` select the drift and rebalancing model described at the
+/// top of this header; `opts.threads` and `opts.scheduler` do not apply.
 SimReport simulate_mmm(const Machine& machine, const Distribution2D& dist,
                        std::size_t nb, const KernelCosts& costs = {},
-                       TraceSink* sink = nullptr);
+                       TraceSink* sink = nullptr,
+                       const RuntimeOptions& opts = {});
 
 /// Simulates the right-looking LU factorization (Section 3.2): at step k,
 /// panel factorization in the owner column, L broadcast along rows, U
@@ -125,13 +144,15 @@ SimReport simulate_mmm(const Machine& machine, const Distribution2D& dist,
 /// update of blocks (I > k, J > k).
 SimReport simulate_lu(const Machine& machine, const Distribution2D& dist,
                       std::size_t nb, const KernelCosts& costs = {},
-                      TraceSink* sink = nullptr);
+                      TraceSink* sink = nullptr,
+                      const RuntimeOptions& opts = {});
 
 /// Simulates the right-looking Householder QR (same communication pattern
 /// as LU, heavier panel and update flops).
 SimReport simulate_qr(const Machine& machine, const Distribution2D& dist,
                       std::size_t nb, const KernelCosts& costs = {},
-                      TraceSink* sink = nullptr);
+                      TraceSink* sink = nullptr,
+                      const RuntimeOptions& opts = {});
 
 /// Simulates the right-looking Cholesky factorization (lower variant): at
 /// step k the owner column factors/solves the panel, the L21 panel is
@@ -140,6 +161,7 @@ SimReport simulate_qr(const Machine& machine, const Distribution2D& dist,
 SimReport simulate_cholesky(const Machine& machine,
                             const Distribution2D& dist, std::size_t nb,
                             const KernelCosts& costs = {},
-                            TraceSink* sink = nullptr);
+                            TraceSink* sink = nullptr,
+                            const RuntimeOptions& opts = {});
 
 }  // namespace hetgrid

@@ -7,9 +7,9 @@
 
 namespace hetgrid {
 
-ParallelEngine::ParallelEngine(unsigned threads)
-    : threads_(ThreadPool::resolve_threads(threads)) {
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
+ParallelEngine::ParallelEngine(unsigned threads) {
+  const unsigned n = ThreadPool::resolve_threads(threads);
+  if (n > 1) pool_ = std::make_unique<ThreadPool>(n);
 }
 
 void ParallelEngine::run_groups(
@@ -53,25 +53,6 @@ void ParallelEngine::run_groups(
         .record(std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - t0)
                     .count());
-}
-
-void ParallelEngine::run_indexed(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (pool_ == nullptr || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ProfScope span("engine.flush");
-  // One batched submit: the pool spreads the units round-robin across the
-  // worker deques, so an uneven-cost fan-out starts balanced and the slow
-  // items get stolen instead of queueing behind one another. `fn` outlives
-  // wait_idle() below, so capturing a reference is safe.
-  std::vector<std::function<void()>> units;
-  units.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    units.emplace_back([&fn, i] { fn(i); });
-  pool_->submit_batch(std::move(units));
-  pool_->wait_idle();
 }
 
 }  // namespace hetgrid

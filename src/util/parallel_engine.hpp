@@ -1,18 +1,17 @@
-// Shared parallel execution engine for the numerics-executing backends.
-//
-// The distributed runtimes (src/runtime's virtual-time executor, src/mp's
-// message-passing runtime) and the large-block GEMM path fan their real
-// floating-point block updates out through this engine while all
-// virtual-time accounting, message counting, and trace emission stays on
-// the host thread. The determinism contract (doc/parallel_runtime.md):
+// Parallel execution engine for the virtual-time runtime (src/runtime),
+// which fans its real floating-point block updates out through this engine
+// while all virtual-time accounting, message counting, and trace emission
+// stays on the host thread. (The message-passing runtime in src/mp runs on
+// util/task_graph instead.) The determinism contract
+// (doc/parallel_runtime.md):
 //
 //   * work is organized in *groups*; ops inside one group always execute
 //     in submission order on a single worker;
 //   * distinct groups touch disjoint memory, so their interleaving cannot
 //     affect any result — bit-identical output for every thread count,
 //     including the serial (threads == 1) inline path;
-//   * run_groups()/run_indexed() block until every op has finished, i.e.
-//     each batch is a synchronization point for the caller.
+//   * run_groups() blocks until every op has finished, i.e. each batch is
+//     a synchronization point for the caller.
 //
 // With threads == 1 no pool is created and everything runs inline on the
 // caller's thread — the serial path has zero synchronization overhead.
@@ -37,39 +36,26 @@ class ParallelEngine {
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  unsigned threads() const { return threads_; }
-  bool serial() const { return pool_ == nullptr; }
-
   /// Executes every op of every group and returns when all are done. One
   /// group is one unit of scheduling: its ops run in order on one worker.
   /// Groups are dispatched in index order (relevant only for the inline
   /// path; concurrent groups must be independent by contract).
   void run_groups(std::vector<std::vector<std::function<void()>>>& groups);
 
-  /// Executes fn(0) ... fn(n-1), each index as its own group.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
-  unsigned threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
 };
 
 /// Accumulator for one fan-out round: ops are appended to per-group lanes
-/// (in the runtimes, one lane per virtual processor) and flushed through
-/// the engine at the phase boundary. Reusable across rounds.
+/// (one lane per virtual processor, or per shared write target) and
+/// flushed through the engine at the phase boundary. Reusable across
+/// rounds.
 class TaskBatch {
  public:
   explicit TaskBatch(std::size_t groups) : lanes_(groups), prev_ops_(groups) {}
 
   void add(std::size_t group, std::function<void()> op) {
     lanes_[group].push_back(std::move(op));
-  }
-
-  /// Pre-sizes every lane for roughly `ops` pending ops, so the first
-  /// round does not grow its std::function vectors geometrically. Later
-  /// rounds re-reserve from their own previous counts (see run()).
-  void hint(std::size_t ops) {
-    for (auto& lane : lanes_) lane.reserve(std::max(lane.capacity(), ops));
   }
 
   /// Runs all pending ops (blocking) and clears the lanes for reuse. Each

@@ -1,5 +1,5 @@
-// Dependency-driven task-graph scheduler for the numerics-executing
-// backends: the dataflow alternative to the bulk-synchronous TaskBatch.
+// Dependency-driven task-graph scheduler: the message-passing runtime's
+// (src/mp) only executor for its real block math.
 //
 // Tasks declare read/write sets over opaque 64-bit keys (the MP runtime
 // encodes (processor, block) pairs). Dependencies are inferred from the

@@ -2,6 +2,9 @@
 // (paper Section 4.1).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/allocation.hpp"
 #include "core/cycle_time_grid.hpp"
 #include "util/rng.hpp"
@@ -22,6 +25,27 @@ TEST(CycleTimeGrid, RowMajorIndexing) {
 TEST(CycleTimeGrid, RejectsNonPositiveTimes) {
   EXPECT_THROW(CycleTimeGrid(1, 2, {1.0, 0.0}), PreconditionError);
   EXPECT_THROW(CycleTimeGrid(1, 2, {1.0, -3.0}), PreconditionError);
+}
+
+TEST(CycleTimeGrid, RejectsTimesThatOverflowWhenInvertedOrSummed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(CycleTimeGrid(1, 2, {1.0, inf}), PreconditionError);
+  EXPECT_THROW(CycleTimeGrid(1, 2, {1.0, nan}), PreconditionError);
+  // 1/t overflows: the capacity bound would be infinite.
+  EXPECT_THROW(CycleTimeGrid(2, 2, {1e-320, 1.0, 1.0, 1.0}),
+               PreconditionError);
+  // Every t and 1/t is finite, but the sum of t overflows.
+  EXPECT_THROW(CycleTimeGrid(2, 2, {1e308, 1e308, 1e308, 1e308}),
+               PreconditionError);
+  // Sums are finite, the spread max/min is not.
+  EXPECT_THROW(CycleTimeGrid(1, 2, {1e-200, 1e200}), PreconditionError);
+
+  EXPECT_EQ(cycle_time_error({1.0, 2.0, 3.0, 6.0}), "");
+  EXPECT_NE(cycle_time_error({1e308, 1e308}), "");
+  // Wide but representable pools stay valid.
+  const CycleTimeGrid wide(1, 2, {1e-150, 1e150});
+  EXPECT_TRUE(std::isfinite(wide.total_capacity()));
 }
 
 TEST(CycleTimeGrid, RejectsWrongSize) {

@@ -2,8 +2,8 @@
 // src/obs/imbalance): EWMA cycle-time estimation and its exact recovery of
 // planted t_ij from virtual-time charges, the drift detector's
 // fires-exactly-once contract, panel-boundary snapshots, the imbalance
-// report (lower bound, lanes, critical-path attribution through the dag
-// scheduler's task records), the null-sink contract (observing a run
+// report (lower bound, lanes, critical-path attribution through the MP
+// task graph's records), the null-sink contract (observing a run
 // changes no computed result), and byte-stable JSON across thread counts.
 #include <gtest/gtest.h>
 
@@ -310,17 +310,16 @@ void expect_same_run(const MpRun& a, const MpRun& b) {
   }
 }
 
-// Observation is a pure tap: for every kernel under the dag scheduler the
-// observed run is bit-identical to the plain one (report, matrices, trace
-// stream), the estimator recovers the planted t_ij exactly, and the
-// critical path is attributed to (processor, op) segments.
+// Observation is a pure tap: for every kernel the observed run is
+// bit-identical to the plain one (report, matrices, trace stream), the
+// estimator recovers the planted t_ij exactly, and the critical path is
+// attributed to (processor, op) segments.
 TEST(MpObservation, AllKernelsBitIdenticalWithCriticalPathAttribution) {
   const std::size_t p = 2, q = 2, nb = 4, block = 4;
   const Machine machine = planted_machine(p, q, {1.0, 1.0, 1.0, 2.0});
   const PanelDistribution dist = PanelDistribution::block_cyclic(p, q);
   RuntimeOptions opts;
   opts.threads = 2;
-  opts.scheduler = RuntimeOptions::Scheduler::kDag;
 
   for (const char* kernel : {"mmm", "lu", "chol", "qr"}) {
     SCOPED_TRACE(kernel);
@@ -358,23 +357,6 @@ TEST(MpObservation, AllKernelsBitIdenticalWithCriticalPathAttribution) {
   }
 }
 
-TEST(MpObservation, BarrierSchedulerStillEstimatesWithoutTaskRecords) {
-  const std::size_t p = 2, q = 2, nb = 4, block = 4;
-  const Machine machine = planted_machine(p, q, {1.0, 1.0, 1.0, 2.0});
-  const PanelDistribution dist = PanelDistribution::block_cyclic(p, q);
-  RuntimeOptions opts;  // barrier scheduler, serial
-
-  RunObservation obs;
-  RunObservation* prev = install_observation(&obs);
-  const MpRun run = run_kernel("lu", machine, dist, nb, block, opts);
-  install_observation(prev);
-
-  const ImbalanceReport report = build_imbalance_report(
-      obs, run.rep.busy, run.rep.clock, &machine.grid, q);
-  EXPECT_FALSE(report.estimates.empty());
-  EXPECT_EQ(report.critical_path_tasks, 0u);  // no dag -> no chain records
-}
-
 TEST(MpObservation, JsonReportIsByteStableAcrossThreadCounts) {
   const std::size_t p = 2, q = 2, nb = 4, block = 4;
   const Machine machine = planted_machine(p, q, {1.0, 1.5, 2.0, 3.0});
@@ -386,7 +368,6 @@ TEST(MpObservation, JsonReportIsByteStableAcrossThreadCounts) {
     for (const unsigned threads : {1u, 2u, 7u}) {
       RuntimeOptions opts;
       opts.threads = threads;
-      opts.scheduler = RuntimeOptions::Scheduler::kDag;
       RunObservation obs;
       RunObservation* prev = install_observation(&obs);
       const MpRun run = run_kernel(kernel, machine, dist, nb, block, opts);

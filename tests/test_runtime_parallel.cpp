@@ -1,7 +1,7 @@
-// Tests for the parallel numerics engine: the serial/parallel bit-identity
-// guarantee of the message-passing and virtual runtimes, the threaded and
-// packed GEMM paths, and the block-store hash/pool upgrades that ride
-// along with it.
+// Tests for the parallel numerics: the serial/parallel bit-identity
+// guarantee of the message-passing and virtual runtimes, the packed GEMM
+// path and its kernel dispatch, and the block-store hash/pool upgrades that
+// ride along with it.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/virtual_runtime.hpp"
-#include "util/parallel_engine.hpp"
 #include "util/rng.hpp"
 
 namespace hetgrid {
@@ -385,32 +384,6 @@ TEST(VirtualParallel, CholeskyBitIdentical) {
 
 // ----------------------------------------------------- gemm paths
 
-TEST(GemmParallel, ThreadedOverloadBitIdenticalToSerial) {
-  Rng rng(67);
-  Matrix a(96, 80), b(80, 300), c0(96, 300), c1(96, 300);
-  fill_random(a.view(), rng);
-  fill_random(b.view(), rng);
-  fill_random(c0.view(), rng);
-  c1.view().copy_from(c0.view());
-  gemm(Trans::No, Trans::No, 2.0, a.view(), b.view(), 0.5, c0.view());
-  ParallelEngine engine(3);
-  gemm(Trans::No, Trans::No, 2.0, a.view(), b.view(), 0.5, c1.view(),
-       engine);
-  EXPECT_TRUE(same_bits(c0.view(), c1.view()));
-}
-
-TEST(GemmParallel, ThreadedOverloadSerialEngineFallsBack) {
-  Rng rng(71);
-  Matrix a(20, 20), b(20, 20), c0(20, 20, 0.0), c1(20, 20, 0.0);
-  fill_random(a.view(), rng);
-  fill_random(b.view(), rng);
-  gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c0.view());
-  ParallelEngine engine(1);
-  gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c1.view(),
-       engine);
-  EXPECT_TRUE(same_bits(c0.view(), c1.view()));
-}
-
 TEST(GemmParallel, PackedLargePathMatchesReference) {
   // 200 x 150 from an inner dimension of 170 exceeds the 64 x 64 tile, so
   // the packed path runs; validate against the naive reference.
@@ -424,47 +397,6 @@ TEST(GemmParallel, PackedLargePathMatchesReference) {
   gemm_reference(Trans::No, Trans::No, 1.5, a.view(), b.view(), -0.5,
                  ref.view());
   EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-9);
-}
-
-TEST(GemmParallel, ThreadedTransposedOperandsBitIdentical) {
-  Rng rng(79);
-  Matrix a(60, 90), b(280, 60), c0(90, 280, 1.0), c1(90, 280, 1.0);
-  fill_random(a.view(), rng);
-  fill_random(b.view(), rng);
-  gemm(Trans::Yes, Trans::Yes, -1.0, a.view(), b.view(), 1.0, c0.view());
-  ParallelEngine engine(4);
-  gemm(Trans::Yes, Trans::Yes, -1.0, a.view(), b.view(), 1.0, c1.view(),
-       engine);
-  EXPECT_TRUE(same_bits(c0.view(), c1.view()));
-}
-
-TEST(GemmParallel, ThreadedAllTransposeCombosMatchReference) {
-  // Every (trans_a, trans_b) combination through the threaded-stripe
-  // overload, wide enough (n = 300) that the engine actually splits
-  // stripes: must match the naive reference numerically and the serial
-  // overload bit-for-bit.
-  Rng rng(83);
-  const std::size_t m = 70, n = 300, k = 90;
-  for (Trans ta : {Trans::No, Trans::Yes}) {
-    for (Trans tb : {Trans::No, Trans::Yes}) {
-      Matrix a(ta == Trans::No ? m : k, ta == Trans::No ? k : m);
-      Matrix b(tb == Trans::No ? k : n, tb == Trans::No ? n : k);
-      Matrix c(m, n), c_serial(m, n), c_ref(m, n);
-      fill_random(a.view(), rng);
-      fill_random(b.view(), rng);
-      fill_random(c.view(), rng);
-      c_serial.view().copy_from(c.view());
-      c_ref.view().copy_from(c.view());
-      ParallelEngine engine(3);
-      gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c.view(), engine);
-      gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_serial.view());
-      gemm_reference(ta, tb, 1.5, a.view(), b.view(), -0.5, c_ref.view());
-      EXPECT_TRUE(same_bits(c.view(), c_serial.view()))
-          << "ta=" << (ta == Trans::Yes) << " tb=" << (tb == Trans::Yes);
-      EXPECT_LT(max_abs_diff(c.view(), c_ref.view()), 1e-11 * k)
-          << "ta=" << (ta == Trans::Yes) << " tb=" << (tb == Trans::Yes);
-    }
-  }
 }
 
 // ----------------------------------------------------- kernel dispatch
@@ -547,10 +479,10 @@ TEST(GemmKernel, SmallPathNBoundBitSafe) {
 // ----------------------------------------------------- metric stability
 
 // Canonical rendering of the gemm call counters — the part of a metrics
-// snapshot the determinism contract pins across thread counts. (The full
-// snapshot also holds pool/engine wall-clock histograms, which exist only
-// when a pool runs; those are documented as wall-clock-valued and excluded
-// from the byte-stability guarantee.)
+// snapshot the determinism contract pins. (The full snapshot also holds
+// pool/engine wall-clock histograms, which exist only when a pool runs;
+// those are documented as wall-clock-valued and excluded from the
+// byte-stability guarantee.)
 std::string gemm_counter_fingerprint(MetricsRegistry& m) {
   std::ostringstream os;
   os << "gemm.calls=" << m.counter("gemm.calls").value()
@@ -559,52 +491,36 @@ std::string gemm_counter_fingerprint(MetricsRegistry& m) {
   return os.str();
 }
 
-std::string counted_gemm_workload(unsigned threads) {
+TEST(GemmMetrics, CallCountersClassifyEachLogicalCallOnce) {
+  // Every logical call counts once in gemm.calls; only untransposed calls
+  // with alpha != 0 are classified, by their shape alone, as a tile or a
+  // packed call (src/matrix/gemm.cpp).
   MetricsRegistry reg;
   install_metrics(&reg);
   {
     Rng rng(101);
-    ParallelEngine engine(threads);
-    // One packed logical call, wide enough to split into several stripes.
+    // One packed call, one tile-sized call, one transposed call, and one
+    // alpha == 0 call.
     Matrix a(96, 80), b(80, 512), c(96, 512);
     fill_random(a.view(), rng);
     fill_random(b.view(), rng);
     fill_random(c.view(), rng);
-    gemm(Trans::No, Trans::No, 1.5, a.view(), b.view(), 0.5, c.view(),
-         engine);
-    // One tile-sized call, one transposed call, one alpha == 0 call.
+    gemm(Trans::No, Trans::No, 1.5, a.view(), b.view(), 0.5, c.view());
     Matrix sa(32, 16), sb(16, 40), sc(32, 40, 0.0);
     fill_random(sa.view(), rng);
     fill_random(sb.view(), rng);
-    gemm(Trans::No, Trans::No, 1.0, sa.view(), sb.view(), 0.0, sc.view(),
-         engine);
+    gemm(Trans::No, Trans::No, 1.0, sa.view(), sb.view(), 0.0, sc.view());
     Matrix ta(16, 32), tc(32, 40, 0.0);
     fill_random(ta.view(), rng);
-    gemm(Trans::Yes, Trans::No, 1.0, ta.view(), sb.view(), 0.0, tc.view(),
-         engine);
-    gemm(Trans::No, Trans::No, 0.0, sa.view(), sb.view(), 1.0, sc.view(),
-         engine);
+    gemm(Trans::Yes, Trans::No, 1.0, ta.view(), sb.view(), 0.0, tc.view());
+    gemm(Trans::No, Trans::No, 0.0, sa.view(), sb.view(), 1.0, sc.view());
   }
   install_metrics(nullptr);
-  return gemm_counter_fingerprint(reg);
-}
-
-TEST(GemmMetrics, CallCountersIdenticalAcrossThreadCounts) {
-  // Regression for the per-stripe counting bug: the ParallelEngine overload
-  // used to recurse into the counted serial gemm once per column stripe, so
-  // gemm.calls / gemm.packed_calls grew with the thread count. Counting the
-  // logical call once restores the "call counts never depend on the thread
-  // count" invariant (src/matrix/gemm.cpp) — the counter fingerprint must
-  // be byte-identical for threads 1, 2, and 7.
-  const std::string serial = counted_gemm_workload(1);
-  EXPECT_EQ(serial,
+  EXPECT_EQ(gemm_counter_fingerprint(reg),
             "gemm.calls=4 gemm.tile_calls=1 gemm.packed_calls=1");
-  for (unsigned t : {2u, 7u}) EXPECT_EQ(serial, counted_gemm_workload(t));
 }
 
 // ----------------------------------------------------- packed-panel cache
-
-using Scheduler = RuntimeOptions::Scheduler;
 
 // Restores the pack-cache consumption toggle no matter how a test exits.
 struct PackCacheGuard {
@@ -624,12 +540,10 @@ struct KernelResults {
 // local trailing update is big enough for the packed microkernel path, so
 // the pack cache (when enabled) is genuinely on the line.
 KernelResults run_all_kernels(const Machine& machine,
-                              const Distribution2D& dist, Scheduler sched,
-                              unsigned threads) {
+                              const Distribution2D& dist, unsigned threads) {
   const std::size_t n = 140, block = 70;
   RuntimeOptions opts;
   opts.threads = threads;
-  opts.scheduler = sched;
   KernelResults r;
   {
     Rng rng(111);
@@ -662,19 +576,18 @@ KernelResults run_all_kernels(const Machine& machine,
   return r;
 }
 
-TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreadsScheduler) {
+TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreads) {
   // The acceptance matrix of the packed-panel cache: MMM, LU, Cholesky and
   // QR must produce byte-identical outputs across {scalar, avx2} x {cache
-  // on, off} x threads {1, 2, 7} x {barrier, dag}. The cache only skips
-  // redundant packing — pure data movement — so no cell of this product may
-  // move a single bit.
+  // on, off} x threads {1, 2, 7}. The cache only skips redundant packing —
+  // pure data movement — so no cell of this product may move a single bit.
   KernelGuard guard;
   const Machine machine = het_machine(47, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   ASSERT_TRUE(gemm_force_kernel("scalar"));
   const KernelResults base = [&] {
     PackCacheGuard cache_guard(true);
-    return run_all_kernels(machine, dist, Scheduler::kBarrier, 1);
+    return run_all_kernels(machine, dist, 1);
   }();
   const bool have_avx2 = gemm_force_kernel("avx2");
   for (const std::string_view kern : {"scalar", "avx2"}) {
@@ -683,19 +596,14 @@ TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreadsScheduler) {
     for (bool cache_on : {true, false}) {
       PackCacheGuard cache_guard(cache_on);
       for (unsigned threads : {1u, 2u, 7u}) {
-        for (Scheduler sched : {Scheduler::kBarrier, Scheduler::kDag}) {
-          SCOPED_TRACE(testing::Message()
-                       << kern << " cache=" << cache_on
-                       << " threads=" << threads << " dag="
-                       << (sched == Scheduler::kDag));
-          const KernelResults got =
-              run_all_kernels(machine, dist, sched, threads);
-          EXPECT_TRUE(same_bits(base.mmm.view(), got.mmm.view()));
-          EXPECT_TRUE(same_bits(base.lu.view(), got.lu.view()));
-          EXPECT_TRUE(same_bits(base.chol.view(), got.chol.view()));
-          EXPECT_TRUE(same_bits(base.qr.view(), got.qr.view()));
-          EXPECT_EQ(base.tau, got.tau);
-        }
+        SCOPED_TRACE(testing::Message() << kern << " cache=" << cache_on
+                                        << " threads=" << threads);
+        const KernelResults got = run_all_kernels(machine, dist, threads);
+        EXPECT_TRUE(same_bits(base.mmm.view(), got.mmm.view()));
+        EXPECT_TRUE(same_bits(base.lu.view(), got.lu.view()));
+        EXPECT_TRUE(same_bits(base.chol.view(), got.chol.view()));
+        EXPECT_TRUE(same_bits(base.qr.view(), got.qr.view()));
+        EXPECT_EQ(base.tau, got.tau);
       }
     }
   }
@@ -707,10 +615,10 @@ TEST(PackCache, LuPacksEachPanelBlockOncePerStep) {
   // every other trailing-update gemm from the cache. Step k has
   // t = nb - 1 - k panel blocks per side and t^2 tagged gemms, so misses =
   // sum_k 2t = 12 and hits = sum_k 2(t^2 - t) = 16. Exact counts are only
-  // pinned under the barrier scheduler with one thread: under dag
-  // concurrency two workers can both miss the same key before the first
-  // insert lands (the pack is then built twice, used once — still correct,
-  // just counted twice).
+  // pinned at one thread (the task graph's serial inline mode): with
+  // workers, two can both miss the same key before the first insert lands
+  // (the pack is then built twice, used once — still correct, just counted
+  // twice).
   KernelGuard guard;
   PackCacheGuard cache_guard(true);
   MetricsRegistry reg;

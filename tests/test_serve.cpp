@@ -241,12 +241,42 @@ TEST(Server, ValidationErrorsAreTyped) {
                     2, 2, {1, 2, 3, std::numeric_limits<double>::quiet_NaN()}))
                 .error.code,
             WireError::kBadCycleTime);
+  // Finite times whose inverse or sum overflows are rejected the same way.
+  EXPECT_EQ(server.place(make_request(2, 2, {1e-320, 1, 1, 1})).error.code,
+            WireError::kBadCycleTime);
+  EXPECT_EQ(
+      server.place(make_request(2, 2, {1e308, 1e308, 1e308, 1e308})).error.code,
+      WireError::kBadCycleTime);
   // 4x4 = 16 processors exceeds the exact pool budget of 10.
   Rng rng(3);
   EXPECT_EQ(server
                 .place(make_request(4, 4, rng.cycle_times(16), Mode::kExact))
                 .error.code,
             WireError::kTooCostly);
+}
+
+TEST(Server, OverflowingCycleTimesAnswerTypedErrorOnTheWire) {
+  // A pool whose sum overflows must come back as kBadCycleTime through the
+  // serial loopback and through batch admission — never as an exception
+  // that drops the connection or escapes a pool worker.
+  PlacementServer server;
+  const std::vector<std::uint8_t> bad =
+      encode_request(make_request(2, 2, {1e308, 1e308, 1e308, 1e308}));
+  const Decoded single = decode_payload(server.handle_payload(bad));
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ(single.type, MsgType::kError);
+  EXPECT_EQ(single.error.code, WireError::kBadCycleTime);
+
+  const std::vector<std::vector<std::uint8_t>> replies = server.handle_batch(
+      {bad, encode_request(make_request(2, 2, {1, 2, 3, 6}))});
+  ASSERT_EQ(replies.size(), 2u);
+  const Decoded first = decode_payload(replies[0]);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.type, MsgType::kError);
+  EXPECT_EQ(first.error.code, WireError::kBadCycleTime);
+  const Decoded second = decode_payload(replies[1]);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.type, MsgType::kResponse);
 }
 
 TEST(Server, UnsupportedVersionAnswersBadVersion) {

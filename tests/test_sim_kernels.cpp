@@ -130,7 +130,7 @@ TEST(SimComm, FreeNetworkMeansZeroCommEverywhere) {
   for (auto sim : {simulate_mmm, simulate_lu, simulate_qr,
                    simulate_cholesky}) {
     KernelCosts costs;
-    const SimReport rep = sim(machine_of(g), d, 9, costs, nullptr);
+    const SimReport rep = sim(machine_of(g), d, 9, costs, nullptr, {});
     EXPECT_DOUBLE_EQ(rep.comm_time, 0.0);
   }
 }
@@ -199,7 +199,7 @@ TEST(SimTrace, StepRecordsSumToReportTotals) {
   for (auto sim : {simulate_mmm, simulate_lu, simulate_qr,
                    simulate_cholesky}) {
     KernelCosts costs;
-    const SimReport rep = sim(machine_of(g, net), d, 10, costs, nullptr);
+    const SimReport rep = sim(machine_of(g, net), d, 10, costs, nullptr, {});
     ASSERT_EQ(rep.steps.size(), 10u) << rep.kernel;
     double compute = 0.0, comm = 0.0;
     for (const StepRecord& s : rep.steps) {

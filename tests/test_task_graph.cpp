@@ -1,8 +1,8 @@
 // Tests for the dependency-driven task-graph scheduler: the scoreboard
 // dependency rules (RAW / WAR / WAW), the cycle check, deterministic
-// execution across thread counts, and the dag-vs-barrier bit-identity of
-// all four MP kernels — including the regression that LU's dag mode
-// reproduces the barrier lookahead results exactly.
+// execution across thread counts, and the bit-identity of all four MP
+// kernels at threads {1, 2, 7} against the graph's serial inline mode —
+// including LU with the lookahead virtual-time model.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,8 +20,6 @@
 
 namespace hetgrid {
 namespace {
-
-using Scheduler = RuntimeOptions::Scheduler;
 
 // ----------------------------------------------------- graph unit tests
 
@@ -164,7 +162,7 @@ TEST(TaskGraph, StatsDeterministicAcrossThreadCounts) {
   }
 }
 
-// ----------------------------------------------------- MP dag-vs-barrier
+// ----------------------------------------------------- MP kernels x threads
 
 bool same_bits(const ConstMatrixView& a, const ConstMatrixView& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
@@ -217,15 +215,14 @@ struct MpRun {
   std::vector<TraceEvent> events;
 };
 
-RuntimeOptions make_opts(Scheduler sched, unsigned threads) {
+RuntimeOptions make_opts(unsigned threads) {
   RuntimeOptions opts;
   opts.threads = threads;
-  opts.scheduler = sched;
   return opts;
 }
 
 MpRun run_mmm(const Machine& machine, const Distribution2D& dist,
-              Scheduler sched, unsigned threads) {
+              unsigned threads) {
   Rng rng(11);
   Matrix a(28, 28), b(28, 28), c(28, 28);
   fill_random(a.view(), rng);
@@ -233,49 +230,49 @@ MpRun run_mmm(const Machine& machine, const Distribution2D& dist,
   MemoryTraceSink sink;
   MpRun run;
   run.report = run_mp_mmm(machine, dist, a.view(), b.view(), c.view(), 6,
-                          {}, &sink, make_opts(sched, threads));
+                          {}, &sink, make_opts(threads));
   run.out = std::move(c);
   run.events = sink.events();
   return run;
 }
 
 MpRun run_lu(const Machine& machine, const Distribution2D& dist,
-             bool lookahead, Scheduler sched, unsigned threads) {
+             bool lookahead, unsigned threads) {
   Rng rng(13);
   Matrix a(28, 28);
   fill_diagonally_dominant(a.view(), rng);
   MemoryTraceSink sink;
   MpRun run;
   run.report = run_mp_lu(machine, dist, a.view(), 6, {}, lookahead, &sink,
-                         make_opts(sched, threads));
+                         make_opts(threads));
   run.out = std::move(a);
   run.events = sink.events();
   return run;
 }
 
 MpRun run_chol(const Machine& machine, const Distribution2D& dist,
-               Scheduler sched, unsigned threads) {
+               unsigned threads) {
   Rng rng(17);
   Matrix a(28, 28);
   fill_spd(a.view(), rng);
   MemoryTraceSink sink;
   MpRun run;
   run.report = run_mp_cholesky(machine, dist, a.view(), 6, {}, &sink,
-                               make_opts(sched, threads));
+                               make_opts(threads));
   run.out = std::move(a);
   run.events = sink.events();
   return run;
 }
 
 MpRun run_qr(const Machine& machine, const Distribution2D& dist,
-             Scheduler sched, unsigned threads) {
+             unsigned threads) {
   Rng rng(19);
   Matrix a(32, 20);
   fill_random(a.view(), rng);
   MemoryTraceSink sink;
   MpRun run;
   const MpQrReport rep = run_mp_qr(machine, dist, a.view(), 5, {}, &sink,
-                                   make_opts(sched, threads));
+                                   make_opts(threads));
   run.report = rep;
   run.tau = rep.tau;
   run.out = std::move(a);
@@ -290,55 +287,57 @@ void expect_same_run(const MpRun& ref, const MpRun& got) {
   expect_same_events(ref.events, got.events);
 }
 
-TEST(MpDag, MmmBitIdenticalToBarrier) {
+// Every thread count must reproduce the serial inline run (TaskGraph(1),
+// the determinism reference) bit for bit: reports, traces, and matrices.
+
+TEST(MpDag, MmmBitIdenticalAcrossThreads) {
   const Machine machine = het_machine(23, 2, 3);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
-  const MpRun barrier = run_mmm(machine, dist, Scheduler::kBarrier, 1);
+  const MpRun serial = run_mmm(machine, dist, 1);
   for (unsigned t : kThreadCounts) {
     SCOPED_TRACE(testing::Message() << "threads=" << t);
-    expect_same_run(barrier, run_mmm(machine, dist, Scheduler::kDag, t));
+    expect_same_run(serial, run_mmm(machine, dist, t));
   }
 }
 
-TEST(MpDag, LuBitIdenticalToBarrier) {
+TEST(MpDag, LuBitIdenticalAcrossThreads) {
   const Machine machine = het_machine(31, 2, 3);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
-  const MpRun barrier = run_lu(machine, dist, false, Scheduler::kBarrier, 1);
+  const MpRun serial = run_lu(machine, dist, false, 1);
   for (unsigned t : kThreadCounts)
-    expect_same_run(barrier,
-                    run_lu(machine, dist, false, Scheduler::kDag, t));
+    expect_same_run(serial, run_lu(machine, dist, false, t));
 }
 
-TEST(MpDag, LuDagReproducesBarrierLookaheadResults) {
-  // Regression for the lookahead subsumption: the dag scheduler runs the
-  // overlap for real, but the `lookahead` flag still selects the same
-  // virtual-time model — dag + lookahead must reproduce the barrier
-  // scheduler's lookahead=true reports, traces, and factors bitwise.
+TEST(MpDag, LuLookaheadBitIdenticalAcrossThreads) {
+  // The graph runs the lookahead overlap for real whatever the flag says;
+  // `lookahead` selects only the virtual-time model. So lookahead runs are
+  // thread-invariant too, and their factors equal the plain run's.
   const Machine machine = het_machine(31, 2, 3);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
-  const MpRun barrier = run_lu(machine, dist, true, Scheduler::kBarrier, 1);
+  const MpRun serial = run_lu(machine, dist, true, 1);
+  EXPECT_TRUE(
+      same_bits(serial.out.view(), run_lu(machine, dist, false, 1).out.view()));
   for (unsigned t : kThreadCounts)
-    expect_same_run(barrier,
-                    run_lu(machine, dist, true, Scheduler::kDag, t));
+    expect_same_run(serial, run_lu(machine, dist, true, t));
 }
 
-TEST(MpDag, CholeskyBitIdenticalToBarrier) {
+TEST(MpDag, CholeskyBitIdenticalAcrossThreads) {
   const Machine machine = het_machine(37, 3, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(3, 2);
-  const MpRun barrier = run_chol(machine, dist, Scheduler::kBarrier, 1);
+  const MpRun serial = run_chol(machine, dist, 1);
   for (unsigned t : kThreadCounts)
-    expect_same_run(barrier, run_chol(machine, dist, Scheduler::kDag, t));
+    expect_same_run(serial, run_chol(machine, dist, t));
 }
 
-TEST(MpDag, QrBitIdenticalToBarrier) {
+TEST(MpDag, QrBitIdenticalAcrossThreads) {
   // The sharp case: QR's W reduction must keep its canonical summation
-  // order through the dag's WAW chains, and its W/Y transients exercise
+  // order through the graph's WAW chains, and its W/Y transients exercise
   // the deferred-erase path.
   const Machine machine = het_machine(59, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
-  const MpRun barrier = run_qr(machine, dist, Scheduler::kBarrier, 1);
+  const MpRun serial = run_qr(machine, dist, 1);
   for (unsigned t : kThreadCounts)
-    expect_same_run(barrier, run_qr(machine, dist, Scheduler::kDag, t));
+    expect_same_run(serial, run_qr(machine, dist, t));
 }
 
 // ---------------------------------------------------------------------------
@@ -428,16 +427,6 @@ TEST(TaskGraphRecords, ChainsAndStatsAreThreadCountInvariant) {
       EXPECT_GE(recs[i].wall_finish, recs[i].wall_start);
     }
   }
-}
-
-TEST(MpDag, BarrierSchedulerUnaffectedByThreads) {
-  // Sanity: the barrier reference itself stays bit-identical across thread
-  // counts (the PR 3 contract still holds with the shared op-emission
-  // path).
-  const Machine machine = het_machine(41, 2, 2);
-  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
-  const MpRun serial = run_qr(machine, dist, Scheduler::kBarrier, 1);
-  expect_same_run(serial, run_qr(machine, dist, Scheduler::kBarrier, 3));
 }
 
 }  // namespace

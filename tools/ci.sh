@@ -34,7 +34,7 @@ build-ci/bench/bench_compare --check-schema=build-ci/BENCH_runtime_smoke.json \
 build-ci/bench/bench_compare --base=build-ci/BENCH_runtime_smoke.json \
       --new=build-ci/BENCH_runtime_smoke.json
 
-# Gate against the committed numbers baseline: the dag scheduler's host
+# Gate against the committed numbers baseline: the MP runtime's host
 # synchronization count must never grow (exact), and wall clock must stay
 # within a generous envelope (CI machines are noisy; this catches
 # catastrophic slowdowns, the bit-identity asserts above catch the rest).
@@ -50,10 +50,10 @@ if build-ci/bench/bench_compare --base=build-ci/BENCH_runtime_smoke.json \
 fi
 
 # Gemm microkernel bench + gate: n = 2048 GFLOP/s per kernel (the harness
-# itself asserts that the scalar, avx2, and threaded configurations agree
-# bit for bit). The output must match the committed schema, the "identical"
-# column must reproduce the committed baseline exactly (string fields are
-# compared pairwise), wall clock stays within a generous envelope, and the
+# itself asserts that the scalar and avx2 kernels agree bit for bit). The
+# output must match the committed schema, the "identical" column must
+# reproduce the committed baseline exactly (string fields are compared
+# pairwise), wall clock stays within a generous envelope, and the
 # injected-regression check proves this gate would fire.
 build-ci/bench/bench_gemm_kernel --smoke=1 --json=build-ci/BENCH_gemm_smoke.json
 build-ci/bench/bench_compare --check-schema=build-ci/BENCH_gemm_smoke.json \
@@ -181,23 +181,16 @@ build-ci/tools/hetgrid profile --smoke=1 --out=build-ci/profile_smoke.json
 # imbalance JSON must be byte-stable across thread counts (doc/observability.md).
 build-ci/tools/hetgrid observe --smoke=1
 
-# Rebalance smoke: the off-path of all four MP kernels must be
-# bit-identical to current behavior under a planted 4x straggler across
-# threads {1, 2, 7} x {barrier, dag}, and the rebalanced migration
-# schedule must be identical in every combination (doc/rebalance.md).
-build-ci/tools/hetgrid trace --rebalance=panel --smoke=1
-
 # MP QR trace smoke: the distributed QR path produces a non-empty trace.
 build-ci/tools/hetgrid trace --times=1,2,3,6 --p=2 --q=2 --kernel=qr \
       --backend=mp --nb=4 --block=4 \
       --out=build-ci/trace_qr_smoke.json >/dev/null
 
-# Dag-scheduler trace smoke: each MP kernel runs end to end under the
-# dependency-driven scheduler (threaded, so the dataflow path is real).
+# Task-graph trace smoke: each MP kernel runs end to end on the
+# dependency-driven executor (threaded, so the dataflow path is real).
 for kernel in mmm lu chol qr; do
   build-ci/tools/hetgrid trace --times=1,2,3,6 --p=2 --q=2 \
-        --kernel="$kernel" --backend=mp --nb=4 --block=4 \
-        --scheduler=dag --threads=2 \
+        --kernel="$kernel" --backend=mp --nb=4 --block=4 --threads=2 \
         --out="build-ci/trace_${kernel}_dag_smoke.json" >/dev/null
 done
 

@@ -21,7 +21,8 @@
 //             Perfetto trace.json, and print per-processor utilization.
 //             --threads parallelizes the mp backend's real block math
 //             (0 = all hardware threads); trace and numerics are
-//             bit-identical for any thread count.
+//             bit-identical for any thread count. Both backends take the
+//             simulate command's --rebalance/--straggler flags.
 //   profile   --times=... --p=2 --q=2 [--out=profile.json]
 //             [--metrics=metrics.json] [--threads=1] [--smoke=0]
 //             run a representative workload (exact solve + mp LU) under
@@ -30,11 +31,11 @@
 //             with the profiler attached, byte-stable metrics snapshots).
 //   observe   --times=... --p=2 --q=2 --kernel=mmm|lu|qr|chol [--nb=8]
 //             [--backend=sim|mp] [--block=4] [--threads=1]
-//             [--scheduler=barrier|dag] [--json] [--out=imbalance.json]
+//             [--json] [--out=imbalance.json]
 //             run one kernel under the cycle-time estimator and print the
 //             load-imbalance report: makespan vs the paper's lower bound,
 //             per-processor busy/idle/slack, critical-path attribution
-//             (dag scheduler), estimated vs true t_ij, and drift events.
+//             (mp backend), estimated vs true t_ij, and drift events.
 //             --smoke=1 runs the observatory self-check instead.
 //   serve     [--port=0 | --unix=path] [--threads=2] [--no-refine]
 //             run the placement server (doc/server.md): length-prefixed
@@ -58,7 +59,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iomanip>
@@ -310,18 +310,16 @@ std::vector<std::size_t> parse_proc_list(const std::string& csv) {
   return out;
 }
 
-// Folds the shared dynamic-run flags into `opts` (doc/rebalance.md):
+// Folds the shared rebalance and drift flags into `opts` (doc/rebalance.md):
 // --rebalance=off|panel turns the panel-boundary rebalancer on, the
 // --straggler preset slows the listed processors by --straggler-factor
 // from step --straggler-onset (--straggler-recover > 0 heals them there),
 // and --ewma-alpha / --drift-band configure the estimator when the caller
-// declares them. Returns true when the run needs the dynamic path.
-bool apply_dynamic_flags(const Cli& cli, RuntimeOptions& opts) {
-  bool dynamic = false;
+// declares them.
+void apply_rebalance_flags(const Cli& cli, RuntimeOptions& opts) {
   const std::string reb = cli.get_string("rebalance");
   if (reb == "panel") {
     opts.rebalance = RuntimeOptions::Rebalance::kPanel;
-    dynamic = true;
   } else {
     HG_CHECK(reb == "off", "--rebalance must be off or panel, got " << reb);
   }
@@ -336,7 +334,6 @@ bool apply_dynamic_flags(const Cli& cli, RuntimeOptions& opts) {
     opts.trace = CycleTimeTrace::straggler(
         parse_proc_list(straggler), factor, static_cast<std::size_t>(onset),
         static_cast<std::size_t>(recover));
-    dynamic = true;
   }
   if (cli.has("ewma-alpha")) {
     const double alpha = cli.get_double("ewma-alpha");
@@ -353,7 +350,17 @@ bool apply_dynamic_flags(const Cli& cli, RuntimeOptions& opts) {
     HG_CHECK(ms >= 1, "--min-samples must be >= 1");
     opts.estimator.min_samples = static_cast<std::uint64_t>(ms);
   }
-  return dynamic;
+}
+
+// Runs one simulator kernel by its CLI name (mmm|lu|qr|chol).
+SimReport simulate_kernel(const std::string& kernel, const Machine& machine,
+                          const Distribution2D& dist, std::size_t nb,
+                          TraceSink* sink, const RuntimeOptions& opts) {
+  if (kernel == "mmm") return simulate_mmm(machine, dist, nb, {}, sink, opts);
+  if (kernel == "lu") return simulate_lu(machine, dist, nb, {}, sink, opts);
+  if (kernel == "qr") return simulate_qr(machine, dist, nb, {}, sink, opts);
+  HG_CHECK(kernel == "chol", "unknown --kernel: " << kernel);
+  return simulate_cholesky(machine, dist, nb, {}, sink, opts);
 }
 
 struct StrategyChoice {
@@ -411,32 +418,10 @@ int cmd_simulate(int argc, const char* const* argv) {
 
   const Machine machine{grid, net};
   const std::string kernel = cli.get_string("kernel");
-  RuntimeOptions dyn_opts;
-  const bool dynamic = apply_dynamic_flags(cli, dyn_opts);
-  DynamicSimReport dyn_rep;
-  SimReport rep;
-  if (dynamic) {
-    if (kernel == "mmm")
-      dyn_rep = simulate_mmm_dynamic(machine, *dist, nb, dyn_opts);
-    else if (kernel == "lu")
-      dyn_rep = simulate_lu_dynamic(machine, *dist, nb, dyn_opts);
-    else if (kernel == "qr")
-      dyn_rep = simulate_qr_dynamic(machine, *dist, nb, dyn_opts);
-    else if (kernel == "chol")
-      dyn_rep = simulate_cholesky_dynamic(machine, *dist, nb, dyn_opts);
-    else
-      HG_CHECK(false, "unknown --kernel: " << kernel);
-    rep = dyn_rep;
-  } else if (kernel == "mmm")
-    rep = simulate_mmm(machine, *dist, nb);
-  else if (kernel == "lu")
-    rep = simulate_lu(machine, *dist, nb);
-  else if (kernel == "qr")
-    rep = simulate_qr(machine, *dist, nb);
-  else if (kernel == "chol")
-    rep = simulate_cholesky(machine, *dist, nb);
-  else
-    HG_CHECK(false, "unknown --kernel: " << kernel);
+  RuntimeOptions opts;
+  apply_rebalance_flags(cli, opts);
+  const SimReport rep =
+      simulate_kernel(kernel, machine, *dist, nb, nullptr, opts);
 
   Table table("simulated " + kernel + " (" + std::to_string(nb) + "x" +
               std::to_string(nb) + " blocks, " + strategy + ", " + network +
@@ -448,17 +433,17 @@ int cmd_simulate(int argc, const char* const* argv) {
   table.row({"perfect bound (s)", Table::num(rep.perfect_compute_bound, 2)});
   table.row({"slowdown vs perfect", Table::num(rep.slowdown_vs_perfect(), 3)});
   table.row({"avg utilization", Table::num(rep.average_utilization(), 3)});
-  if (dynamic) {
+  if (opts.rebalance == RuntimeOptions::Rebalance::kPanel) {
     table.row({"rebalance re-solves",
-               Table::num(static_cast<std::int64_t>(dyn_rep.resolves))});
+               Table::num(static_cast<std::int64_t>(rep.resolves))});
     table.row({"rebalances applied",
-               Table::num(static_cast<std::int64_t>(dyn_rep.migrations))});
+               Table::num(static_cast<std::int64_t>(rep.migrations))});
     table.row({"blocks migrated",
-               Table::num(static_cast<std::int64_t>(dyn_rep.blocks_moved))});
+               Table::num(static_cast<std::int64_t>(rep.blocks_moved))});
   }
   table.print(std::cout);
   if (cli.get_bool("csv")) table.print_csv(std::cout);
-  for (const RebalanceEvent& e : dyn_rep.events)
+  for (const RebalanceEvent& e : rep.events)
     std::cout << "rebalance: step " << e.step << " moved " << e.blocks_moved
               << " blocks, sweep " << Table::num(e.current_sweep, 3) << " -> "
               << Table::num(e.proposed_sweep, 3) << " (cost "
@@ -501,18 +486,7 @@ int run_trace(const Cli& cli) {
   HG_CHECK(threads >= 0, "--threads must be >= 0 (0 = all hardware threads)");
   RuntimeOptions run_opts;
   run_opts.threads = static_cast<unsigned>(threads);
-  const std::string scheduler = cli.get_string("scheduler");
-  if (scheduler == "dag")
-    run_opts.scheduler = RuntimeOptions::Scheduler::kDag;
-  else
-    HG_CHECK(scheduler == "barrier",
-             "--scheduler must be barrier or dag, got " << scheduler);
-  HG_CHECK(backend == "mp" || scheduler == "barrier",
-           "--scheduler only applies to --backend=mp");
-  const bool dynamic = apply_dynamic_flags(cli, run_opts);
-  HG_CHECK(backend == "mp" || !dynamic,
-           "--rebalance/--straggler apply to --backend=mp (use `hetgrid "
-           "simulate` for the bulk-synchronous dynamic model)");
+  apply_rebalance_flags(cli, run_opts);
 
   const NetworkModel net = parse_network_flag(cli.get_string("network"));
   StrategyChoice choice =
@@ -522,20 +496,16 @@ int run_trace(const Cli& cli) {
 
   MemoryTraceSink sink;
   const KernelCosts costs;
+  const bool rebalance =
+      run_opts.rebalance == RuntimeOptions::Rebalance::kPanel;
   double makespan = 0.0;
   if (backend == "sim") {
-    SimReport rep;
-    if (kernel == "mmm")
-      rep = simulate_mmm(machine, dist, nb, costs, &sink);
-    else if (kernel == "lu")
-      rep = simulate_lu(machine, dist, nb, costs, &sink);
-    else if (kernel == "qr")
-      rep = simulate_qr(machine, dist, nb, costs, &sink);
-    else if (kernel == "chol")
-      rep = simulate_cholesky(machine, dist, nb, costs, &sink);
-    else
-      HG_CHECK(false, "unknown --kernel: " << kernel);
+    const SimReport rep =
+        simulate_kernel(kernel, machine, dist, nb, &sink, run_opts);
     makespan = rep.total_time;
+    if (rebalance)
+      std::cout << "rebalance: " << rep.migrations << " applied, "
+                << rep.blocks_moved << " blocks migrated\n";
   } else if (backend == "mp") {
     // The message-passing runtime executes real arithmetic, so build a
     // small n = nb * block matrix and run it for real.
@@ -568,7 +538,7 @@ int run_trace(const Cli& cli) {
                           << kernel);
     }
     makespan = rep.makespan;
-    if (run_opts.rebalance == RuntimeOptions::Rebalance::kPanel)
+    if (rebalance)
       std::cout << "rebalance: " << rep.rebalances << " applied, "
                 << rep.rebalance_blocks << " blocks migrated\n";
   } else {
@@ -603,20 +573,16 @@ int run_trace(const Cli& cli) {
   return 0;
 }
 
-int trace_rebalance_smoke();
-
 int cmd_trace(int argc, const char* const* argv) {
   const Cli cli(argc, argv,
                 {{"times", ""}, {"p", "0"}, {"q", "0"},
                  {"kernel", "mmm"}, {"nb", "16"}, {"backend", "sim"},
                  {"network", "switched"}, {"strategy", "heuristic"},
                  {"scale", "8"}, {"block", "4"}, {"out", "trace.json"},
-                 {"csv", "0"}, {"threads", "1"}, {"scheduler", "barrier"},
-                 {"profile", ""}, {"metrics", ""}, {"rebalance", "off"},
-                 {"straggler", ""}, {"straggler-factor", "4"},
-                 {"straggler-onset", "0"}, {"straggler-recover", "0"},
-                 {"smoke", "0"}});
-  if (cli.get_bool("smoke")) return trace_rebalance_smoke();
+                 {"csv", "0"}, {"threads", "1"}, {"profile", ""},
+                 {"metrics", ""}, {"rebalance", "off"}, {"straggler", ""},
+                 {"straggler-factor", "4"}, {"straggler-onset", "0"},
+                 {"straggler-recover", "0"}});
   ProfileSession session(cli.get_string("profile"), cli.get_string("metrics"));
   session.begin();
   const int rc = run_trace(cli);
@@ -783,117 +749,12 @@ std::string imbalance_json(const ImbalanceReport& rep) {
   return oss.str();
 }
 
-// The rebalance smoke behind `hetgrid trace --smoke` (tools/ci.sh): a 2x2
-// grid whose whole first row slows 4x from step 0. For each kernel,
-//   (1) with --rebalance=off the gathered matrix stays bit-identical to
-//       the drift-free run (the trace only reweights virtual time) and
-//       the virtual makespan is the same for all thread counts and
-//       schedulers;
-//   (2) with --rebalance=panel the migration schedule is deterministic —
-//       same rebalance count, migrated-block count, makespan, and gathered
-//       bits across threads {1,2,7} x {barrier,dag}. MMM/LU/Cholesky also
-//       stay bit-identical to the static result (migration only relocates
-//       blocks); QR regroups its W reduction by the new grid rows, so it
-//       is held to a small elementwise tolerance instead.
-// MMM (whose whole matrix rebalances) must additionally act at least once
-// and beat the static straggler makespan.
-int trace_rebalance_smoke() {
-  const std::vector<double> pool{1.0, 1.0, 1.0, 1.0};
-  const std::size_t p = 2, q = 2, nb = 8, block = 4;
-  StrategyChoice choice = build_strategy("block-cyclic", p, q, pool, 8);
-  const Machine machine{choice.grid, parse_network_flag("switched")};
-  const Distribution2D& dist = *choice.dist;
-  const CycleTimeTrace trace = CycleTimeTrace::straggler({0, 1}, 4.0, 0);
-  const RuntimeOptions::Scheduler scheds[] = {
-      RuntimeOptions::Scheduler::kBarrier, RuntimeOptions::Scheduler::kDag};
-
-  for (const char* kernel : {"mmm", "lu", "chol", "qr"}) {
-    const ObserveMpRun plain =
-        observe_mp_run(kernel, machine, dist, nb, block, RuntimeOptions{});
-
-    double off_makespan = -1.0;
-    for (unsigned threads : {1u, 2u, 7u})
-      for (const RuntimeOptions::Scheduler sched : scheds) {
-        RuntimeOptions ro;
-        ro.threads = threads;
-        ro.scheduler = sched;
-        ro.trace = trace;
-        const ObserveMpRun run =
-            observe_mp_run(kernel, machine, dist, nb, block, ro);
-        HG_CHECK(same_bits(run.out, plain.out),
-                 "straggler trace with rebalance off changed " << kernel
-                                                               << " bits");
-        HG_CHECK(run.rep.rebalances == 0 && run.rep.rebalance_blocks == 0,
-                 "rebalance off still migrated on " << kernel);
-        if (off_makespan < 0.0) off_makespan = run.rep.makespan;
-        HG_CHECK(run.rep.makespan == off_makespan,
-                 "static straggler makespan differs across threads/"
-                 "schedulers on "
-                     << kernel);
-      }
-
-    Matrix first_out;
-    MpReport first_rep;
-    bool have_first = false;
-    for (unsigned threads : {1u, 2u, 7u})
-      for (const RuntimeOptions::Scheduler sched : scheds) {
-        RuntimeOptions ro;
-        ro.threads = threads;
-        ro.scheduler = sched;
-        ro.trace = trace;
-        ro.rebalance = RuntimeOptions::Rebalance::kPanel;
-        ro.estimator.alpha = 1.0;
-        ro.estimator.min_samples = 1;
-        const ObserveMpRun run =
-            observe_mp_run(kernel, machine, dist, nb, block, ro);
-        if (!have_first) {
-          first_out = run.out;
-          first_rep = run.rep;
-          have_first = true;
-          continue;
-        }
-        HG_CHECK(run.rep.rebalances == first_rep.rebalances &&
-                     run.rep.rebalance_blocks == first_rep.rebalance_blocks &&
-                     run.rep.makespan == first_rep.makespan,
-                 "migration schedule differs across threads/schedulers on "
-                     << kernel);
-        HG_CHECK(same_bits(run.out, first_out),
-                 "rebalanced " << kernel
-                               << " bits differ across threads/schedulers");
-      }
-    if (std::string(kernel) == "qr") {
-      double max_diff = 0.0;
-      for (std::size_t j = 0; j < first_out.cols(); ++j)
-        for (std::size_t i = 0; i < first_out.rows(); ++i)
-          max_diff = std::max(
-              max_diff, std::abs(first_out.view()(i, j) - plain.out.view()(i, j)));
-      HG_CHECK(max_diff <= 1e-8,
-               "rebalanced qr drifted from the static factorization by "
-                   << max_diff);
-    } else {
-      HG_CHECK(same_bits(first_out, plain.out),
-               "rebalanced " << kernel << " changed the computed bits");
-    }
-    if (std::string(kernel) == "mmm")
-      HG_CHECK(first_rep.rebalances >= 1 &&
-                   first_rep.makespan < off_makespan,
-               "mmm rebalance never acted or did not improve the straggler "
-               "makespan");
-  }
-  std::cout << "trace smoke: rebalance off bit-identical under a 4x "
-               "straggler; migration schedule deterministic across threads "
-               "{1,2,7} x {barrier,dag}; mmm/lu/chol bits unchanged, qr "
-               "within 1e-8; mmm rebalance beat the static makespan\n";
-  return 0;
-}
-
 // The observatory's self-check behind `hetgrid observe --smoke`
 // (tools/ci.sh): on a 2x2 grid with one planted 2x-slow processor, (1)
 // observing a run leaves every computed result bit-identical for all four
-// kernels under the dag scheduler, the estimator recovers the planted
-// t_ij within 5% (exactly, on virtual time), and the critical path is
-// attributed; (2) the JSON report is byte-for-byte stable across thread
-// counts.
+// kernels, the estimator recovers the planted t_ij within 5% (exactly, on
+// virtual time), and the critical path is attributed; (2) the JSON report
+// is byte-for-byte stable across thread counts.
 int observe_smoke() {
   const std::vector<double> pool{1.0, 1.0, 1.0, 2.0};  // one 2x-slow lane
   const std::size_t p = 2, q = 2, nb = 4, block = 4;
@@ -904,7 +765,6 @@ int observe_smoke() {
   for (const char* kernel : {"mmm", "lu", "chol", "qr"}) {
     RuntimeOptions ro;
     ro.threads = 2;
-    ro.scheduler = RuntimeOptions::Scheduler::kDag;
     const ObserveMpRun plain =
         observe_mp_run(kernel, machine, dist, nb, block, ro);
     RunObservation obs;
@@ -929,7 +789,6 @@ int observe_smoke() {
   for (unsigned threads : {1u, 2u, 7u}) {
     RuntimeOptions ro;
     ro.threads = threads;
-    ro.scheduler = RuntimeOptions::Scheduler::kDag;
     RunObservation obs;
     RunObservation* prev = install_observation(&obs);
     const ObserveMpRun run =
@@ -964,13 +823,7 @@ int run_observe(const Cli& cli) {
   HG_CHECK(threads >= 0, "--threads must be >= 0 (0 = all hardware threads)");
   RuntimeOptions run_opts;
   run_opts.threads = static_cast<unsigned>(threads);
-  const std::string scheduler = cli.get_string("scheduler");
-  if (scheduler == "dag")
-    run_opts.scheduler = RuntimeOptions::Scheduler::kDag;
-  else
-    HG_CHECK(scheduler == "barrier",
-             "--scheduler must be barrier or dag, got " << scheduler);
-  const bool dynamic = apply_dynamic_flags(cli, run_opts);
+  apply_rebalance_flags(cli, run_opts);
 
   StrategyChoice choice =
       build_strategy(cli.get_string("strategy"), p, q, pool, scale);
@@ -978,49 +831,27 @@ int run_observe(const Cli& cli) {
                                          cli.get_string("network"))};
   const Distribution2D& dist = *choice.dist;
 
+  HG_CHECK(backend == "sim" || backend == "mp",
+           "unknown --backend: " << backend << " (sim|mp)");
+  HG_CHECK(kernel == "mmm" || kernel == "lu" || kernel == "qr" ||
+               kernel == "chol",
+           "observe supports --kernel=mmm|lu|chol|qr, got " << kernel);
+
   RunObservation obs(run_opts.estimator);
   RunObservation* prev = install_observation(&obs);
   std::vector<double> busy, finish;
   if (backend == "sim") {
-    const KernelCosts costs;
-    SimReport rep;
-    if (dynamic) {
-      if (kernel == "mmm")
-        rep = simulate_mmm_dynamic(machine, dist, nb, run_opts, costs);
-      else if (kernel == "lu")
-        rep = simulate_lu_dynamic(machine, dist, nb, run_opts, costs);
-      else if (kernel == "qr")
-        rep = simulate_qr_dynamic(machine, dist, nb, run_opts, costs);
-      else if (kernel == "chol")
-        rep = simulate_cholesky_dynamic(machine, dist, nb, run_opts, costs);
-      else {
-        install_observation(prev);
-        HG_CHECK(false, "unknown --kernel: " << kernel);
-      }
-    } else if (kernel == "mmm")
-      rep = simulate_mmm(machine, dist, nb, costs, nullptr);
-    else if (kernel == "lu")
-      rep = simulate_lu(machine, dist, nb, costs, nullptr);
-    else if (kernel == "qr")
-      rep = simulate_qr(machine, dist, nb, costs, nullptr);
-    else if (kernel == "chol")
-      rep = simulate_cholesky(machine, dist, nb, costs, nullptr);
-    else {
-      install_observation(prev);
-      HG_CHECK(false, "unknown --kernel: " << kernel);
-    }
+    const SimReport rep =
+        simulate_kernel(kernel, machine, dist, nb, nullptr, run_opts);
     busy = rep.busy;
     // Bulk-synchronous simulation: every lane holds its data until the
     // run's end, so the finish clock is the total time on each lane.
     finish.assign(busy.size(), rep.total_time);
-  } else if (backend == "mp") {
+  } else {
     const ObserveMpRun run =
         observe_mp_run(kernel, machine, dist, nb, block, run_opts);
     busy = run.rep.busy;
     finish = run.rep.clock;
-  } else {
-    install_observation(prev);
-    HG_CHECK(false, "unknown --backend: " << backend << " (sim|mp)");
   }
   install_observation(prev);
 
@@ -1047,7 +878,7 @@ int cmd_observe(int argc, const char* const* argv) {
                  {"kernel", "lu"}, {"nb", "8"}, {"backend", "mp"},
                  {"network", "switched"}, {"strategy", "heuristic"},
                  {"scale", "8"}, {"block", "4"}, {"threads", "1"},
-                 {"scheduler", "dag"}, {"out", ""}, {"json", "0"},
+                 {"out", ""}, {"json", "0"},
                  {"smoke", "0"}, {"rebalance", "off"}, {"straggler", ""},
                  {"straggler-factor", "4"}, {"straggler-onset", "0"},
                  {"straggler-recover", "0"}, {"ewma-alpha", "0.25"},
@@ -1449,19 +1280,15 @@ int usage() {
       "  trace    --times=... --p=2 --q=2 --kernel=mmm|lu|qr|chol --nb=16\n"
       "           [--backend=sim|mp] [--out=trace.json] [--block=4]\n"
       "           [--network=...] [--strategy=...] [--threads=1]\n"
-      "           [--scheduler=barrier|dag] [--rebalance=off|panel]\n"
-      "           [--straggler=... flags as in simulate] [--smoke=0]\n"
+      "           [--rebalance=off|panel] [--straggler=... as in simulate]\n"
       "           (--threads parallelizes the mp backend's block math;\n"
-      "            0 = all hardware threads, output is bit-identical;\n"
-      "            --scheduler=dag replaces the mp backend's per-phase\n"
-      "            barriers with dataflow dependencies — same output;\n"
-      "            --smoke runs the rebalance determinism self-check)\n"
+      "            0 = all hardware threads, output is bit-identical)\n"
       "  profile  --times=1,2,3,4,5,6 --p=2 --q=3 [--out=profile.json]\n"
       "           [--metrics=metrics.json] [--threads=1] [--smoke=0]\n"
       "           (--smoke runs the determinism self-checks instead)\n"
       "  observe  --times=1,2,3,6 --p=2 --q=2 --kernel=mmm|lu|qr|chol\n"
       "           [--backend=sim|mp] [--nb=8] [--block=4] [--threads=1]\n"
-      "           [--scheduler=barrier|dag] [--network=...] [--strategy=...]\n"
+      "           [--network=...] [--strategy=...]\n"
       "           [--json] [--out=imbalance.json] [--smoke=0]\n"
       "           [--ewma-alpha=0.25] [--drift-band=0.5] [--min-samples=2]\n"
       "           [--rebalance=off|panel] [--straggler=... as in simulate]\n"
