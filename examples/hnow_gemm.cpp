@@ -7,11 +7,13 @@
 //   1. models the department machines with calibrated cycle-times,
 //   2. solves the 2D load-balancing problem (heuristic + exact for the
 //      arrangement search),
-//   3. executes the blocked outer-product algorithm *for real* in virtual
-//      time under three distributions,
-//   4. verifies every result against a sequential reference product.
+//   3. executes the blocked outer-product algorithm *for real* on the
+//      message-passing runtime, in virtual time, under three distributions,
+//   4. verifies every result against a sequential reference product and
+//      exits 1 if any entry is off by more than the stated tolerance.
 //
 //   ./hnow_gemm [--n=240] [--block=24] [--seed=1]
+#include <algorithm>
 #include <iostream>
 
 #include "hetgrid.hpp"
@@ -71,11 +73,15 @@ int main(int argc, char** argv) {
                         {&het, &h.final().grid},
                         {&ex, &opt.grid}};
   const NetworkModel net{Topology::kSwitched, 1e-4, 2e-4, true};
+  const double tolerance = 1e-10;
+  double worst = 0.0;
 
   for (const Case& cs : cases) {
     const Machine machine{*cs.grid, net};
-    const VirtualReport rep = run_distributed_mmm(
-        machine, *cs.dist, a.view(), b.view(), c.view(), block);
+    const MpReport rep =
+        run_mp_mmm(machine, *cs.dist, a.view(), b.view(), c.view(), block);
+    const double err = max_abs_diff(c.view(), ref.view());
+    worst = std::max(worst, err);
     std::string grid_desc;
     for (std::size_t i = 0; i < cs.grid->size(); ++i) {
       if (i) grid_desc += ' ';
@@ -83,11 +89,18 @@ int main(int argc, char** argv) {
     }
     table.row({cs.dist->name(), grid_desc, Table::num(rep.makespan, 1),
                Table::num(rep.average_utilization(), 3),
-               Table::num(max_abs_diff(c.view(), ref.view()), 12)});
+               Table::num(err, 12)});
   }
   table.print(std::cout);
+  if (worst >= tolerance) {
+    std::cout << "\nFAIL: max |err| " << worst << " exceeds " << tolerance
+              << "\n";
+    return 1;
+  }
   std::cout << "\nAll three executions computed the same product as the "
-               "sequential kernel;\nonly the (virtual) time differs — that "
-               "difference is the data allocation.\n";
+               "sequential kernel\n(max |err| below "
+            << tolerance
+            << "); only the (virtual) time differs — that difference is the "
+               "data allocation.\n";
   return 0;
 }

@@ -3,9 +3,10 @@
 // hetgrid reproduces "Load Balancing Strategies for Dense Linear Algebra
 // Kernels on Heterogeneous Two-dimensional Grids" (Beaumont, Boudet,
 // Rastello, Robert — IPPS 2000): data-allocation solvers for heterogeneous
-// p x q processor grids, the block-panel distributions they induce, and
-// simulators / a virtual-time runtime for the ScaLAPACK-style matrix
-// multiplication, LU, and QR kernels on top of them.
+// p x q processor grids, the block-panel distributions they induce, and two
+// backends for the ScaLAPACK-style matrix multiplication, LU, QR and
+// Cholesky kernels on top of them: a cost-only simulator and a
+// message-passing runtime that executes them with real numerics.
 //
 // Typical flow:
 //   1. Measure or choose processor cycle-times (time per r x r block).
@@ -13,9 +14,9 @@
 //      arrangement and rational row/column shares (core/).
 //   3. PanelDistribution::from_allocation to turn shares into a B_p x B_q
 //      block panel with the 4-neighbor grid property (dist/).
-//   4. simulate_mmm / simulate_lu / simulate_qr to predict performance, or
-//      run_distributed_* to execute the kernels in virtual time (sim/,
-//      runtime/).
+//   4. simulate_mmm / simulate_lu / simulate_qr / simulate_cholesky to
+//      predict performance (sim/), or run_mp_* to execute the kernels with
+//      real numerics and explicit messages in virtual time (mp/).
 #pragma once
 
 #include "core/alloc1d.hpp"           // IWYU pragma: export
@@ -47,7 +48,6 @@
 #include "obs/profiler.hpp"           // IWYU pragma: export
 #include "obs/trace.hpp"              // IWYU pragma: export
 #include "obs/utilization.hpp"        // IWYU pragma: export
-#include "runtime/virtual_runtime.hpp"   // IWYU pragma: export
 #include "serve/client.hpp"           // IWYU pragma: export
 #include "serve/protocol.hpp"         // IWYU pragma: export
 #include "serve/server.hpp"           // IWYU pragma: export

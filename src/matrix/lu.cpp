@@ -119,6 +119,9 @@ bool lu_factor_nopivot(MatrixView a) {
 }
 
 void lu_apply_pivots(const std::vector<std::size_t>& piv, MatrixView a) {
+  HG_CHECK(piv.size() <= a.rows(), "pivot vector has " << piv.size()
+                                       << " entries for " << a.rows()
+                                       << " rows");
   for (std::size_t k = 0; k < piv.size(); ++k) {
     HG_CHECK(piv[k] < a.rows(), "pivot index out of range");
     swap_rows(a, k, piv[k]);
@@ -129,6 +132,9 @@ void lu_solve(const ConstMatrixView& lu, const std::vector<std::size_t>& piv,
               MatrixView b) {
   HG_CHECK(lu.rows() == lu.cols(), "lu_solve needs a square factorization");
   HG_CHECK(b.rows() == lu.rows(), "rhs shape mismatch");
+  HG_CHECK(piv.size() == lu.rows(), "pivot vector has " << piv.size()
+                                        << " entries for a " << lu.rows()
+                                        << "-row factorization");
   lu_apply_pivots(piv, b);
   trsm_left_lower_unit(lu, b);
   trsm_left_upper(lu, b);

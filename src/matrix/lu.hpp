@@ -26,18 +26,21 @@ LuResult lu_factor_unblocked(MatrixView a);
 LuResult lu_factor_blocked(MatrixView a, std::size_t block);
 
 /// Unblocked LU *without* pivoting; requires a matrix whose leading
-/// principal minors are nonsingular (e.g. diagonally dominant). Used by the
-/// distributed runtime, where pivot row swaps would move data across
-/// processor rows and change ownership mid-run. Returns true on success,
-/// false if an exact zero pivot was hit (matrix left partially factored).
+/// principal minors are nonsingular (e.g. diagonally dominant). run_mp_lu
+/// factors its diagonal blocks with it: with no interchanges, the panel
+/// needs no gather and no row messages (run_mp_lu_pivoted pays for both).
+/// Returns true on success, false if an exact zero pivot was hit (matrix
+/// left partially factored).
 bool lu_factor_nopivot(MatrixView a);
 
 /// Applies recorded row interchanges to `a` (laswp analogue) for columns of
-/// a matrix that was not part of the factorization (e.g. RHS).
+/// a matrix that was not part of the factorization (e.g. RHS). Requires
+/// piv.size() <= a.rows() and every entry < a.rows().
 void lu_apply_pivots(const std::vector<std::size_t>& piv, MatrixView a);
 
 /// Solves A x = b for multiple RHS using a factorization produced above.
-/// `lu` holds packed L\U; `b` is overwritten with the solution.
+/// `lu` holds packed L\U and `piv` one entry per row; `b` is overwritten
+/// with the solution.
 void lu_solve(const ConstMatrixView& lu, const std::vector<std::size_t>& piv,
               MatrixView b);
 

@@ -3,7 +3,7 @@
 // hetgrid implements its own dense kernels (GEMM/LU/QR) instead of binding a
 // vendor BLAS: the paper's contribution is the data *allocation*, and the
 // kernels only need to be numerically correct and reasonably blocked so the
-// virtual-time runtime exercises realistic block operations.
+// message-passing runtime exercises realistic block operations.
 //
 // Layout is column-major with an explicit leading dimension (LAPACK
 // convention), so that sub-matrix views alias parent storage with no copies.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <numeric>
 
 #include "core/rebalance.hpp"
 #include "matrix/cholesky.hpp"
@@ -227,10 +228,11 @@ struct MpContext {
   /// the prior writer and prior readers). Views must be resolved by the
   /// caller (on the host thread) so missing-block errors still surface as
   /// clean PreconditionErrors. The op joins the processor's open fusion
-  /// group.
+  /// group. `reads` / `writes` are brace lists or any BlockKey container.
+  template <class Reads = std::initializer_list<BlockKey>,
+            class Writes = std::initializer_list<BlockKey>>
   void add_op(std::size_t id, const char* name, int priority,
-              std::initializer_list<BlockKey> reads,
-              std::initializer_list<BlockKey> writes,
+              const Reads& reads, const Writes& writes,
               std::function<void()> op, double weight = 0.0) {
     // Every write key gets a fresh version at emission time: any packed
     // panel of the block's previous bytes becomes unreachable in the pack
@@ -640,6 +642,164 @@ void add_in_place(const ConstMatrixView& src, MatrixView dst) {
     for (std::size_t i = 0; i < dst.rows(); ++i) dst(i, j) += src(i, j);
 }
 
+// The gathered panel phase shared by QR and pivoted LU. Block column k's
+// panel (block rows [k, nbr) of A, all in grid column diag.col) is gathered
+// to the diagonal owner `diag_id` — off-owner blocks take one feeder hop
+// each — then factored there on the host by `factor`, written back into the
+// owner's copies, and charged `weight` (a KernelCosts entry) per panel
+// block. All panel arithmetic is serial host-side math, so the factors are
+// bit-identical for any thread count. The host waits only for the ops
+// touching the panel blocks at the diagonal owner (the feeder copies and
+// the owner's own previous trailing updates); everything else keeps
+// running. Returns the factored panel; `keys` receives its block keys for
+// the ring back down the grid column, which the caller sends.
+template <class Factor>
+Matrix factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
+                    std::size_t rows, std::size_t klen, std::size_t diag_id,
+                    double weight, std::vector<BlockKey>& keys,
+                    Factor&& factor) {
+  const std::size_t block = ctx.block;
+  const std::size_t klo = block_lo(k, block);
+  double gather_ready = ctx.clock[diag_id];
+  keys.clear();
+  for (std::size_t bi = k; bi < nbr; ++bi) {
+    const std::size_t from = ctx.owner_pid(bi, k);
+    const double arrival = ctx.feeder(from, diag_id,
+                                      BlockKey{kTagA * nbr + bi, k},
+                                      ctx.clock[from]);
+    gather_ready = std::max(gather_ready, arrival);
+    keys.push_back(BlockKey{kTagA * nbr + bi, k});
+  }
+
+  ctx.host_sync(diag_id, keys);
+  Matrix panel(rows - klo, klen);
+  for (std::size_t bi = k; bi < nbr; ++bi) {
+    const std::size_t ilen = block_len(bi, block, rows);
+    panel.view()
+        .block(block_lo(bi, block) - klo, 0, ilen, klen)
+        .copy_from(ctx.store[diag_id].at(BlockKey{kTagA * nbr + bi, k}));
+  }
+  factor(panel.view());
+  double panel_work = 0.0, panel_units = 0.0;
+  for (std::size_t bi = k; bi < nbr; ++bi) {
+    const std::size_t ilen = block_len(bi, block, rows);
+    ctx.store[diag_id].bump_version(BlockKey{kTagA * nbr + bi, k});
+    ctx.store[diag_id]
+        .at(BlockKey{kTagA * nbr + bi, k})
+        .copy_from(
+            panel.view().block(block_lo(bi, block) - klo, 0, ilen, klen));
+    panel_units += weight * vol_frac(ilen, klen, klen, block);
+    panel_work +=
+        ctx.cycle_time(diag_id) * weight * vol_frac(ilen, klen, klen, block);
+  }
+  ctx.compute(diag_id, gather_ready, panel_work, "panel", ObsOp::kPanel,
+              panel_units);
+  ctx.note_host_work(diag_id, keys, panel_work, "panel");
+  return panel;
+}
+
+// Pivoted LU's row interchanges for step k, applied to every block column
+// but k (whose rows the panel factorization already swapped). `src` maps
+// each row r in [klo, n) to the row whose pre-step contents it receives —
+// getrf's one-by-one swaps composed into one permutation, so every row
+// moves exactly once. A row that changes processor (always within one grid
+// column, under an aligned distribution) travels as a block copy to its
+// destination: one priced message per (source, destination) pair of a grid
+// column, sized by the rows it carries over all of that column's block
+// columns and rounded up to whole blocks, leaving no earlier than the
+// sender holds the pivots (`ready`, the L panel's arrival). Destinations
+// then write the received and their own rows in a local op, and their
+// clocks wait for the arrivals, as after a migration.
+void apply_row_swaps(MpContext& ctx, std::size_t k, std::size_t nb,
+                     std::size_t n, const std::vector<std::size_t>& src,
+                     const std::vector<double>& ready) {
+  const std::size_t block = ctx.block;
+  const std::size_t klo = block_lo(k, block);
+  std::vector<std::size_t> moved;  // destination rows, ascending
+  for (std::size_t r = klo; r < n; ++r)
+    if (src[r - klo] != r) moved.push_back(r);
+  if (moved.empty()) return;
+  const auto where = [&](std::size_t row, std::size_t bj) {
+    return ctx.location(kTagA, row / block, bj);
+  };
+
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> elems;
+  for (std::size_t bj = 0; bj < nb; ++bj) {
+    if (bj == k) continue;
+    for (const std::size_t r : moved) {
+      const std::size_t from = where(src[r - klo], bj), to = where(r, bj);
+      if (from != to) elems[{from, to}] += block_len(bj, block, n);
+    }
+  }
+  std::vector<double> arrive(ctx.p * ctx.q, 0.0);
+  for (const auto& [pair, count] : elems) {
+    const auto [from, to] = pair;
+    const std::size_t blocks = (count + block * block - 1) / (block * block);
+    const double arrival = ctx.net.transfer(
+        from, to, blocks, std::max(ctx.clock[from], ready[from]));
+    arrive[to] = std::max(arrive[to], arrival);
+  }
+
+  struct RowMove {
+    ConstMatrixView from;
+    std::size_t from_row;
+    MatrixView to;
+    std::size_t to_row;
+  };
+  std::vector<std::pair<std::size_t, BlockKey>> transients;
+  for (std::size_t bj = 0; bj < nb; ++bj) {
+    if (bj == k) continue;
+    const auto key_of_row = [&](std::size_t row) {
+      return BlockKey{kTagA * nb + row / block, bj};
+    };
+    // Every copy of this block column is queued before any destination
+    // writes, so each copy carries its source block's pre-swap rows.
+    for (const std::size_t r : moved) {
+      const std::size_t from = where(src[r - klo], bj), to = where(r, bj);
+      const BlockKey key = key_of_row(src[r - klo]);
+      const std::pair<std::size_t, BlockKey> copy{to, key};
+      if (from == to || std::find(transients.begin(), transients.end(),
+                                  copy) != transients.end())
+        continue;
+      ctx.copy_block(from, to, key);
+      transients.push_back(copy);
+    }
+    for (std::size_t id = 0; id < ctx.p * ctx.q; ++id) {
+      std::vector<BlockKey> reads, writes;
+      std::vector<RowMove> rows;
+      for (const std::size_t r : moved) {
+        if (where(r, bj) != id) continue;
+        const BlockKey from_key = key_of_row(src[r - klo]);
+        const BlockKey to_key = key_of_row(r);
+        if (std::find(reads.begin(), reads.end(), from_key) == reads.end())
+          reads.push_back(from_key);
+        if (std::find(writes.begin(), writes.end(), to_key) == writes.end())
+          writes.push_back(to_key);
+        rows.push_back(RowMove{ctx.store[id].at(from_key),
+                               src[r - klo] % block, ctx.store[id].at(to_key),
+                               r % block});
+      }
+      if (rows.empty()) continue;
+      ctx.add_op(id, "mp.swap", kPrioPanel, reads, writes,
+                 [rows = std::move(rows)] {
+                   // Read every source row before writing any: a local
+                   // source row may be another move's destination.
+                   const std::size_t cols = rows.front().to.cols();
+                   std::vector<double> buf(rows.size() * cols);
+                   for (std::size_t i = 0; i < rows.size(); ++i)
+                     for (std::size_t j = 0; j < cols; ++j)
+                       buf[i * cols + j] = rows[i].from(rows[i].from_row, j);
+                   for (std::size_t i = 0; i < rows.size(); ++i)
+                     for (std::size_t j = 0; j < cols; ++j)
+                       rows[i].to(rows[i].to_row, j) = buf[i * cols + j];
+                 });
+    }
+  }
+  for (const auto& [id, key] : transients) ctx.erase_block(id, key);
+  for (std::size_t id = 0; id < ctx.p * ctx.q; ++id)
+    ctx.clock[id] = std::max(ctx.clock[id], arrive[id]);
+}
+
 }  // namespace
 
 MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
@@ -802,26 +962,39 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   return ctx.report();
 }
 
-MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
-                   MatrixView a, std::size_t block,
-                   const KernelCosts& costs, bool lookahead,
-                   TraceSink* sink, const RuntimeOptions& opts) {
-  ProfScope prof_span("mp.lu");
+namespace {
+
+// The right-looking LU step loop behind run_mp_lu and run_mp_lu_pivoted.
+// The two differ only in the panel phase (and pivoting's row
+// interchanges); the broadcasts, U12 solves and trailing update are shared.
+MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
+                  MatrixView a, std::size_t block, const KernelCosts& costs,
+                  bool lookahead, bool pivoted, TraceSink* sink,
+                  const RuntimeOptions& opts) {
+  ProfScope prof_span(pivoted ? "mp.lu_pivoted" : "mp.lu");
+  const char* const fn = pivoted ? "run_mp_lu_pivoted" : "run_mp_lu";
   const std::size_t n = a.rows();
-  HG_CHECK(a.cols() == n, "run_mp_lu needs a square matrix");
+  HG_CHECK(a.cols() == n, fn << " needs a square matrix");
   // LU's row/column panels must each live inside one grid row/column for
   // the ring broadcasts below to have a single source — exactly the
   // paper's alignment condition. Misaligned distributions (K–L) are not
   // LU-capable without extra redistribution messages.
   HG_CHECK(neighbor_census(dist).aligned,
-           "run_mp_lu requires an aligned (grid-pattern) distribution");
+           fn << " requires an aligned (grid-pattern) distribution");
+  // Row interchanges move data between the owners of fixed block
+  // coordinates; a migration mid-run would move the owners under them.
+  HG_CHECK(!pivoted || opts.rebalance == RuntimeOptions::Rebalance::kOff,
+           fn << " does not support rebalance=panel");
   MpContext ctx(machine, dist, block, sink, opts);
   const std::size_t nb = block_count(n, block);
   const std::size_t procs = ctx.p * ctx.q;
 
   ctx.init_rebalance(nb, nb, 1);
   scatter(ctx, a, kTagA, nb, nb);
-  MpReport early;
+  MpLuReport rep;
+  if (pivoted) rep.piv.resize(n);
+  bool singular = false;
+  std::vector<BlockKey> panel_keys;
 
   std::vector<double> diag_ready(procs), l_ready(procs), u_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p), col_keys(ctx.q);
@@ -845,48 +1018,75 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
     const std::size_t diag_id = ctx.pid(diag.row, diag.col);
     const BlockKey diag_key{kTagA * nb + k, k};
 
-    // --- Factor the diagonal block at its owner (host thread: its result
-    // gates everything below). The host waits only for the ops touching
-    // this one block — the previous step's other trailing updates keep
-    // running underneath the factorization, the wall-clock lookahead
-    // overlap.
-    ctx.host_sync(diag_id, {diag_key});
-    ctx.store[diag_id].bump_version(diag_key);  // in-place host write
-    if (!lu_factor_nopivot(ctx.store[diag_id].at(diag_key))) {
-      ctx.finish();
-      early = ctx.report();
-      early.factorized = false;
-      gather(ctx, a, kTagA, nb, nb);
-      return early;
-    }
-    const double panel_units =
-        costs.panel_factor * vol_frac(klen, klen, klen, block);
-    ctx.compute(diag_id, 0.0, ctx.cycle_time(diag_id) * panel_units, "panel",
-                ObsOp::kPanel, panel_units);
-    ctx.note_host_work(diag_id, {diag_key},
-                       ctx.cycle_time(diag_id) * panel_units, "panel");
+    std::vector<std::size_t> swap_src;
+    if (pivoted) {
+      // --- Pivoted panel phase: the whole panel column is gathered to the
+      // diagonal owner, factored there with partial pivoting, and ringed
+      // back down its grid column (run_mp_qr's panel sequence).
+      LuResult pres;
+      factor_panel(ctx, k, nb, n, klen, diag_id, costs.panel_factor,
+                   panel_keys, [&pres](MatrixView panel) {
+                     pres = lu_factor_unblocked(panel);
+                   });
+      singular = singular || pres.singular;
+      const std::size_t klo = block_lo(k, block);
+      swap_src.resize(n - klo);
+      std::iota(swap_src.begin(), swap_src.end(), klo);
+      for (std::size_t i = 0; i < klen; ++i) {
+        rep.piv[klo + i] = klo + pres.piv[i];
+        std::swap(swap_src[i], swap_src[pres.piv[i]]);
+      }
+      std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
+      ctx.ring_broadcast_col(diag.col, diag.row, panel_keys,
+                             ctx.clock[diag_id], diag_ready);
+      // The panel's grid column forwards the L panel only once it holds
+      // the factored blocks.
+      for (std::size_t id = 0; id < procs; ++id)
+        ctx.clock[id] = std::max(ctx.clock[id], diag_ready[id]);
+    } else {
+      // --- Factor the diagonal block at its owner (host thread: its result
+      // gates everything below). The host waits only for the ops touching
+      // this one block — the previous step's other trailing updates keep
+      // running underneath the factorization, the wall-clock lookahead
+      // overlap.
+      ctx.host_sync(diag_id, {diag_key});
+      ctx.store[diag_id].bump_version(diag_key);  // in-place host write
+      if (!lu_factor_nopivot(ctx.store[diag_id].at(diag_key))) {
+        ctx.finish();
+        static_cast<MpReport&>(rep) = ctx.report();
+        rep.factorized = false;
+        gather(ctx, a, kTagA, nb, nb);
+        return rep;
+      }
+      const double panel_units =
+          costs.panel_factor * vol_frac(klen, klen, klen, block);
+      ctx.compute(diag_id, 0.0, ctx.cycle_time(diag_id) * panel_units, "panel",
+                  ObsOp::kPanel, panel_units);
+      ctx.note_host_work(diag_id, {diag_key},
+                         ctx.cycle_time(diag_id) * panel_units, "panel");
 
-    // --- Broadcast the diagonal block down its grid column (for the L21
-    // solves) and note its availability.
-    std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
-    ctx.ring_broadcast_col(diag.col, diag.row, {diag_key},
-                           ctx.clock[diag_id], diag_ready);
+      // --- Broadcast the diagonal block down its grid column (for the L21
+      // solves) and note its availability.
+      std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
+      ctx.ring_broadcast_col(diag.col, diag.row, {diag_key},
+                             ctx.clock[diag_id], diag_ready);
 
-    // --- L21 solves: owners of blocks (I, k), I > k. One task lane per
-    // owner; every lane reads its own diag copy and writes its own blocks.
-    for (std::size_t bi = k + 1; bi < nb; ++bi) {
-      const std::size_t id = ctx.owner_pid(bi, k);
-      const std::size_t ilen = block_len(bi, block, n);
-      const BlockKey l_key{kTagA * nb + bi, k};
-      const ConstMatrixView dv = ctx.store[id].at(diag_key);
-      const MatrixView lv = ctx.store[id].at(l_key);
-      const double op_units =
-          costs.panel_factor * vol_frac(ilen, klen, klen, block);
-      ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {l_key},
-                 [dv, lv] { trsm_right_upper(dv, lv); },
-                 ctx.cycle_time(id) * op_units);
-      ctx.compute(id, diag_ready[id], ctx.cycle_time(id) * op_units,
-                  "l-solve", ObsOp::kSolve, op_units);
+      // --- L21 solves: owners of blocks (I, k), I > k. One task lane per
+      // owner; every lane reads its own diag copy and writes its own blocks.
+      for (std::size_t bi = k + 1; bi < nb; ++bi) {
+        const std::size_t id = ctx.owner_pid(bi, k);
+        const std::size_t ilen = block_len(bi, block, n);
+        const BlockKey l_key{kTagA * nb + bi, k};
+        const ConstMatrixView dv = ctx.store[id].at(diag_key);
+        const MatrixView lv = ctx.store[id].at(l_key);
+        const double op_units =
+            costs.panel_factor * vol_frac(ilen, klen, klen, block);
+        ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {l_key},
+                   [dv, lv] { trsm_right_upper(dv, lv); },
+                   ctx.cycle_time(id) * op_units);
+        ctx.compute(id, diag_ready[id], ctx.cycle_time(id) * op_units,
+                    "l-solve", ObsOp::kSolve, op_units);
+      }
     }
 
     // --- Horizontal broadcast of the L panel (diag + L21) per grid row.
@@ -898,6 +1098,10 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
     for (std::size_t gi = 0; gi < ctx.p; ++gi)
       ctx.ring_broadcast_row(gi, diag.col, row_keys[gi],
                              ctx.clock[ctx.pid(gi, diag.col)], l_ready);
+
+    // --- Pivoting: the L panel carried the step's pivots along the grid
+    // rows; every other block column now interchanges its rows.
+    if (pivoted) apply_row_swaps(ctx, k, nb, n, swap_src, l_ready);
 
     // --- U12 solves: owners of (k, J), J > k need L11 (came with the L
     // panel broadcast along their row).
@@ -1010,7 +1214,26 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
 
   ctx.finish();
   gather(ctx, a, kTagA, nb, nb);
-  return ctx.report();
+  static_cast<MpReport&>(rep) = ctx.report();
+  rep.factorized = !singular;
+  return rep;
+}
+
+}  // namespace
+
+MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
+                   MatrixView a, std::size_t block,
+                   const KernelCosts& costs, bool lookahead,
+                   TraceSink* sink, const RuntimeOptions& opts) {
+  return run_lu(machine, dist, a, block, costs, lookahead, false, sink,
+                opts);
+}
+
+MpLuReport run_mp_lu_pivoted(const Machine& machine,
+                             const Distribution2D& dist, MatrixView a,
+                             std::size_t block, const KernelCosts& costs,
+                             TraceSink* sink, const RuntimeOptions& opts) {
+  return run_lu(machine, dist, a, block, costs, false, true, sink, opts);
 }
 
 MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
@@ -1200,7 +1423,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         RebalanceRegion{k, nbr, k, nbc, false,
                         static_cast<double>(nbc - k) / 3.0, 0.0, 1.0},
         {{kTagA, k, nbr, k, nbc, false}});
-    const std::size_t klo = block_lo(k, block);
     const std::size_t klen = block_len(k, block, cols);
     const ProcCoord diag = ctx.owner(k, k);
     const std::size_t diag_id = ctx.pid(diag.row, diag.col);
@@ -1214,50 +1436,16 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     for (std::size_t bi = k; bi < nbr; ++bi)
       contrib[ctx.owner(bi, k).row] = 1;
 
-    // --- Gather the column panel to the diagonal owner (the panel lives in
-    // grid column diag.col; off-owner blocks take one feeder hop each).
-    double gather_ready = ctx.clock[diag_id];
+    // --- Gather the column panel to the diagonal owner and factor it there
+    // on the host.
+    QrResult pres;
     std::vector<BlockKey> panel_keys;
-    for (std::size_t bi = k; bi < nbr; ++bi) {
-      const std::size_t from = ctx.owner_pid(bi, k);
-      const double arrival = ctx.feeder(from, diag_id,
-                                        BlockKey{kTagA * nbr + bi, k},
-                                        ctx.clock[from]);
-      gather_ready = std::max(gather_ready, arrival);
-      panel_keys.push_back(BlockKey{kTagA * nbr + bi, k});
-    }
-
-    // --- Factor the assembled panel on the host and write the blocks back
-    // into the diagonal owner's copies. All panel arithmetic is serial
-    // host-side math, so the factors are bit-identical for any thread
-    // count. The host waits only for the ops touching the panel blocks at
-    // the diagonal owner (the feeder copies and the owner's own previous
-    // trailing updates); everything else keeps running.
-    ctx.host_sync(diag_id, panel_keys);
-    Matrix panel(rows - klo, klen);
-    for (std::size_t bi = k; bi < nbr; ++bi) {
-      const std::size_t ilen = block_len(bi, block, rows);
-      panel.view()
-          .block(block_lo(bi, block) - klo, 0, ilen, klen)
-          .copy_from(ctx.store[diag_id].at(BlockKey{kTagA * nbr + bi, k}));
-    }
-    const QrResult pres = qr_factor(panel.view());
-    rep.tau.insert(rep.tau.end(), pres.tau.begin(), pres.tau.end());
-    double panel_work = 0.0, panel_units = 0.0;
-    for (std::size_t bi = k; bi < nbr; ++bi) {
-      const std::size_t ilen = block_len(bi, block, rows);
-      ctx.store[diag_id].bump_version(BlockKey{kTagA * nbr + bi, k});
-      ctx.store[diag_id]
-          .at(BlockKey{kTagA * nbr + bi, k})
-          .copy_from(
-              panel.view().block(block_lo(bi, block) - klo, 0, ilen, klen));
-      panel_units += costs.qr_factor * vol_frac(ilen, klen, klen, block);
-      panel_work += ctx.cycle_time(diag_id) * costs.qr_factor *
-                    vol_frac(ilen, klen, klen, block);
-    }
-    ctx.compute(diag_id, gather_ready, panel_work, "panel", ObsOp::kPanel,
-                panel_units);
-    ctx.note_host_work(diag_id, panel_keys, panel_work, "panel");
+    const Matrix panel = factor_panel(
+        ctx, k, nbr, rows, klen, diag_id, costs.qr_factor, panel_keys,
+        [&](MatrixView pv) {
+          pres = qr_factor(pv);
+          rep.tau.insert(rep.tau.end(), pres.tau.begin(), pres.tau.end());
+        });
 
     const bool has_trailing = k + 1 < nbc;
     if (has_trailing) {

@@ -2,7 +2,8 @@
 // the paper's kernels with per-processor storage and explicit messages.
 //
 // This is the highest-fidelity model in hetgrid. Compared to the
-// bulk-synchronous virtual runtime (src/runtime):
+// bulk-synchronous simulator (src/sim), which charges costs without
+// touching data:
 //   * every processor has its own BlockStore — data moves only through
 //     VirtualNetwork::transfer, and reading a block that was never sent
 //     throws (catching missing-communication bugs in kernel ports);
@@ -45,6 +46,12 @@ struct MpQrReport : MpReport {
   std::vector<double> tau;  // reflector scales, panel-major like qr_factor
 };
 
+struct MpLuReport : MpReport {
+  // LAPACK-style ipiv (0-based, global rows): row i was interchanged with
+  // row piv[i] at step i, exactly like lu_factor_blocked's.
+  std::vector<std::size_t> piv;
+};
+
 /// Distributed-memory C = A * B (outer-product algorithm) with square
 /// blocks of `block` elements. A and B are scattered to their owners, the
 /// per-step panels travel by ring broadcasts, and the owned C blocks are
@@ -83,6 +90,27 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                    const KernelCosts& costs = {}, bool lookahead = false,
                    TraceSink* sink = nullptr,
                    const RuntimeOptions& opts = {});
+
+/// Distributed-memory right-looking LU with partial pivoting (ScaLAPACK's
+/// pdgetrf): the same step loop as run_mp_lu, with a pivoted panel phase.
+/// Each step gathers the full-height panel column to the diagonal owner,
+/// factors it there with lu_factor_unblocked, and rings it back down the
+/// grid column (run_mp_qr's panel sequence). The L panel broadcast then
+/// carries the pivots along the grid rows, and every other block column,
+/// left and trailing, applies the step's row interchanges: rows that
+/// change processor travel as one priced message per (source,
+/// destination) pair of a grid column, and same-processor rows are
+/// swapped locally. U12 solves, the U broadcast and the trailing update
+/// follow as in run_mp_lu. On return `a` holds the packed L\U factors of
+/// P * A and the report carries `piv`; `factorized` is false if an exact
+/// zero pivot was hit (the factorization still completes, as getrf does).
+/// Requires an aligned distribution and RuntimeOptions::Rebalance::kOff;
+/// the virtual schedule has no lookahead.
+MpLuReport run_mp_lu_pivoted(const Machine& machine,
+                             const Distribution2D& dist, MatrixView a,
+                             std::size_t block, const KernelCosts& costs = {},
+                             TraceSink* sink = nullptr,
+                             const RuntimeOptions& opts = {});
 
 /// Distributed-memory right-looking Cholesky (lower variant) on an SPD
 /// matrix. The L21 panel is ring-broadcast along grid rows, then each

@@ -1,6 +1,6 @@
 // Wall-clock metrics registry: counters, gauges, and log-bucketed
-// histograms for the real execution machinery (thread pool, parallel
-// engine, exact solver, gemm, block store).
+// histograms for the real execution machinery (thread pool, task graph,
+// exact solver, gemm, block store).
 //
 // Design mirrors the TraceSink null-pointer discipline: instrumentation
 // sites call the free helpers (metric_count / metric_gauge /

@@ -1,12 +1,12 @@
-// Tracing and metrics for the simulators and runtimes.
+// Tracing and metrics for the simulator and the message-passing runtime.
 //
-// Every backend (the bulk-synchronous simulator in src/sim, the
-// virtual-time executor in src/runtime, the asynchronous message-passing
-// runtime in src/mp) can emit a timeline of typed spans — compute,
-// send/recv, broadcast, phase markers — into a TraceSink. The sink is
-// always optional: instrumentation sites take a `TraceSink*` that defaults
-// to nullptr, and the emit helpers below reduce to a single pointer test
-// on the null path, so untraced runs pay nothing measurable.
+// Both backends (the bulk-synchronous simulator in src/sim and the
+// asynchronous message-passing runtime in src/mp) can emit a timeline of
+// typed spans — compute, send/recv, broadcast, phase markers — into a
+// TraceSink. The sink is always optional: instrumentation sites take a
+// `TraceSink*` that defaults to nullptr, and the emit helpers below reduce
+// to a single pointer test on the null path, so untraced runs pay nothing
+// measurable.
 //
 // From a recorded trace, summarize_trace() derives per-processor counters
 // (busy/idle time, blocks and messages moved) whose defining invariant is

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/imbalance.hpp"
-#include "sim/trace_emit.hpp"
 
 namespace hetgrid {
 
@@ -20,6 +19,51 @@ double SimReport::slowdown_vs_perfect() const {
 }
 
 namespace {
+
+// Ring-broadcast phases: combining per-line costs under a topology, and
+// emitting the matching trace spans into an optional TraceSink.
+
+/// Combines per-line broadcast costs according to the topology: on
+/// Ethernet every transmission serializes across the machine; on a
+/// switched network the lines proceed in parallel.
+double combine_broadcasts(const NetworkModel& net,
+                          const std::vector<double>& line_costs) {
+  double total = 0.0, worst = 0.0;
+  for (double c : line_costs) {
+    total += c;
+    worst = std::max(worst, c);
+  }
+  return net.topology == Topology::kEthernet ? total : worst;
+}
+
+/// Emits one broadcast span per processor of each line with nonzero cost.
+/// On Ethernet the lines serialize across the shared medium (matching
+/// combine_broadcasts); on a switched network every line starts at
+/// `start`. `line_blocks[line]` is the panel-block count travelling on
+/// that line.
+void emit_broadcast_spans(TraceSink* sink, const NetworkModel& net,
+                          const std::vector<double>& line_costs,
+                          const std::vector<std::size_t>& line_blocks,
+                          bool lines_are_rows, std::size_t p, std::size_t q,
+                          double start, std::size_t step, const char* name) {
+  if (sink == nullptr) return;
+  double offset = 0.0;
+  for (std::size_t line = 0; line < line_costs.size(); ++line) {
+    const double cost = line_costs[line];
+    if (cost > 0.0) {
+      const double line_start =
+          net.topology == Topology::kEthernet ? start + offset : start;
+      const std::size_t span = lines_are_rows ? q : p;
+      for (std::size_t m = 0; m < span; ++m) {
+        const std::size_t proc =
+            lines_are_rows ? line * q + m : m * q + line;
+        trace_span(sink, TraceEventKind::kBroadcast, proc, line_start, cost,
+                   step, name, static_cast<double>(line_blocks[line]));
+      }
+    }
+    offset += cost;
+  }
+}
 
 // Per-run state shared by the four kernels: the report under construction,
 // the step origin of the trace timeline, the rebalancer's live slot maps and

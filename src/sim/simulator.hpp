@@ -91,14 +91,13 @@ struct KernelCosts {
                               // GEMM update, like the LU panel)
 };
 
-/// Execution options shared by the simulator and the numerics-executing
-/// backends (the virtual-time runtime in src/runtime and the
-/// message-passing runtime in src/mp). `threads` fans the runtimes' real
-/// block math across a util/thread_pool worker pool; 0 means all hardware
-/// threads, 1 (the default) runs serially inline. Virtual clocks, message
-/// counters, and trace spans are always computed on the host thread, and
-/// the floating-point results are bit-identical for every thread count
-/// (see doc/parallel_runtime.md for the contract).
+/// Execution options shared by the simulator and the message-passing
+/// runtime in src/mp, the numerics-executing backend. `threads` fans the
+/// runtime's real block math across a util/thread_pool worker pool; 0
+/// means all hardware threads, 1 (the default) runs serially inline.
+/// Virtual clocks, message counters, and trace spans are always computed
+/// on the host thread, and the floating-point results are bit-identical
+/// for every thread count (see doc/parallel_runtime.md for the contract).
 ///
 /// `scheduler` names the MP runtime's executor. kDag, its only value, emits
 /// every block op into a util/task_graph whose block-versioned read/write

@@ -1,6 +1,6 @@
 // A small fixed-size worker pool for CPU-bound fan-out (the parallel exact
-// solver's prefix tasks, the parallel numerics engine, the dag scheduler's
-// pump closures). Tasks are plain std::function<void()>; submit() is
+// solver's prefix tasks, the MP task graph's pump closures, the placement
+// server's workers). Tasks are plain std::function<void()>; submit() is
 // thread-safe, wait_idle() blocks until every submitted task has finished,
 // and the pool is reusable across wait_idle() rounds.
 //
@@ -63,9 +63,9 @@ class ThreadPool {
 
   /// Enqueues all tasks and wakes at most min(tasks, parked workers)
   /// workers — the batched form of submit() for fan-out callers (TaskGraph
-  /// releasing several ready tasks at once, ParallelEngine flushing a
-  /// batch). From outside the pool the tasks are spread round-robin, one
-  /// per deque, so a fan-out starts balanced before any stealing happens.
+  /// releasing several ready tasks at once). From outside the pool the
+  /// tasks are spread round-robin, one per deque, so a fan-out starts
+  /// balanced before any stealing happens.
   void submit_batch(std::vector<std::function<void()>> tasks);
 
   /// Blocks until every deque is empty and no task is executing.

@@ -9,7 +9,7 @@
 #include "dist/panel_distribution.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/norms.hpp"
-#include "runtime/virtual_runtime.hpp"
+#include "mp/mp_runtime.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -103,8 +103,8 @@ TEST(Integration, SimulatedUtilizationTracksSolverWorkload) {
 }
 
 TEST(Integration, EndToEndNumericsThroughHeuristicDistribution) {
-  // Full stack: pool -> heuristic -> panel -> virtual execution -> exact
-  // numerical agreement with the sequential kernels.
+  // Full stack: pool -> heuristic -> panel -> message-passing execution ->
+  // exact numerical agreement with the sequential kernels.
   // nb = 36/6 = 6 block rows/columns: exactly one 6x6 panel period.
   const std::size_t n = 36, block = 6;
   const std::vector<double> pool{0.3, 0.55, 0.7, 0.9, 1.0, 1.4};
@@ -115,8 +115,8 @@ TEST(Integration, EndToEndNumericsThroughHeuristicDistribution) {
   fill_random(a.view(), rng);
   fill_random(b.view(), rng);
   const Machine m{pl.grid, NetworkModel::free()};
-  const VirtualReport rep =
-      run_distributed_mmm(m, pl.dist, a.view(), b.view(), c.view(), block);
+  const MpReport rep =
+      run_mp_mmm(m, pl.dist, a.view(), b.view(), c.view(), block);
   gemm_reference(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0,
                  ref.view());
   EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-11);

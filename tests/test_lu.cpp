@@ -172,6 +172,20 @@ TEST(LuNoPivot, FailsOnZeroLeadingPivot) {
 TEST(LuPivots, ApplyPivotsOutOfRangeThrows) {
   Matrix a(2, 2, 1.0);
   EXPECT_THROW(lu_apply_pivots({5}, a.view()), PreconditionError);
+  // More pivots than rows: in-range entries, but step k >= rows would swap
+  // a row that does not exist.
+  EXPECT_THROW(lu_apply_pivots({0, 1, 1}, a.view()), PreconditionError);
+  // lu_solve needs exactly one pivot per row of the factorization.
+  Rng rng(7);
+  Matrix lu(4, 4), b(4, 1, 1.0);
+  fill_random(lu.view(), rng);
+  const LuResult res = lu_factor_unblocked(lu.view());
+  std::vector<std::size_t> oversized = res.piv;
+  oversized.resize(6, 0);
+  EXPECT_THROW(lu_solve(lu.view(), oversized, b.view()), PreconditionError);
+  const std::vector<std::size_t> short_piv(res.piv.begin(),
+                                           res.piv.begin() + 3);
+  EXPECT_THROW(lu_solve(lu.view(), short_piv, b.view()), PreconditionError);
 }
 
 }  // namespace

@@ -212,6 +212,55 @@ TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeTheExactSolver) {
             observed.nodes_visited);
 }
 
+TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeMpLu) {
+  // The MP half of `hetgrid profile`'s workload: an LU under an installed
+  // Profiler plus metrics registry computes exactly the plain run's bits,
+  // and a 2-thread run shows its block math on a pool worker lane.
+  const auto run_lu = [](unsigned threads) {
+    const CycleTimeGrid grid =
+        CycleTimeGrid::sorted_row_major(2, 3, {1, 2, 3, 4, 5, 6});
+    const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
+    const Machine machine{grid, {Topology::kSwitched, 1e-4, 2e-4, true}};
+    RuntimeOptions opts;
+    opts.threads = threads;
+    Rng rng(7);
+    Matrix a(48, 48);
+    fill_diagonally_dominant(a.view(), rng);
+    run_mp_lu(machine, dist, a.view(), 8, KernelCosts{}, false, nullptr,
+              opts);
+    return a;
+  };
+  const auto same_bits = [](const Matrix& x, const Matrix& y) {
+    for (std::size_t j = 0; j < x.cols(); ++j)
+      for (std::size_t i = 0; i < x.rows(); ++i)
+        if (bits(x.view()(i, j)) != bits(y.view()(i, j))) return false;
+    return true;
+  };
+  const Matrix plain = run_lu(1);
+
+  Profiler prof;
+  prof.start();
+  Matrix observed;
+  {
+    ScopedMetrics scoped;
+    observed = run_lu(1);
+    EXPECT_GT(scoped.registry.counter("gemm.calls").value(), 0u);
+  }
+  prof.stop();
+  EXPECT_TRUE(same_bits(plain, observed));
+  EXPECT_GT(prof.span_seconds("mp.lu"), 0.0);
+
+  Profiler threaded;
+  threaded.start();
+  const Matrix pooled = run_lu(2);
+  threaded.stop();
+  EXPECT_TRUE(same_bits(plain, pooled));
+  bool has_worker = false;
+  for (const std::string& lane : threaded.lane_names())
+    has_worker = has_worker || lane.rfind("worker-", 0) == 0;
+  EXPECT_TRUE(has_worker);
+}
+
 TEST(ProfilerTest, SerialMetricsSnapshotIsByteStableAcrossRuns) {
   // The determinism contract from doc/observability.md: with --threads=1
   // every recorded metric derives from the computation, never from wall
@@ -238,7 +287,7 @@ TEST(ProfilerTest, SerialMetricsSnapshotIsByteStableAcrossRuns) {
   EXPECT_NE(first.find("\"block_store.pool_hits\""), std::string::npos);
   // Wall-clock metrics must be absent on the serial path.
   EXPECT_EQ(first.find("task_run_us"), std::string::npos);
-  EXPECT_EQ(first.find("flush_us"), std::string::npos);
+  EXPECT_EQ(first.find("task_wait_us"), std::string::npos);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for the Householder QR factorization.
+// Tests for the Householder QR factorization and its compact-WY block
+// reflector (qr_form_t).
 #include <gtest/gtest.h>
 
 #include "matrix/gemm.hpp"
@@ -137,6 +138,55 @@ TEST(Qr, DiagonalOfRHasMagnitudeOfColumnNorms) {
   const QrResult res = qr_factor(a.view());
   EXPECT_NEAR(std::abs(a(0, 0)), 5.0, 1e-12);
   EXPECT_NEAR(std::abs(a(1, 1)), 13.0, 1e-12);
+}
+
+// ----------------------------------------------------- block reflector T
+
+TEST(QrFormT, SingleReflectorIsTau) {
+  Rng rng(1);
+  Matrix panel(6, 1);
+  fill_random(panel.view(), rng);
+  const QrResult res = qr_factor(panel.view());
+  const Matrix t = qr_form_t(panel.view(), res.tau);
+  EXPECT_DOUBLE_EQ(t(0, 0), res.tau[0]);
+}
+
+TEST(QrFormT, BlockReflectorEqualsReflectorProduct) {
+  // (I - V T V^T) x must equal H_0 H_1 ... H_{b-1} x = Q^T' ... applied via
+  // qr_apply_qt's reflector loop on a tall panel.
+  Rng rng(2);
+  const std::size_t m = 10, b = 4;
+  Matrix panel(m, b);
+  fill_random(panel.view(), rng);
+  Matrix packed(m, b);
+  packed.view().copy_from(panel.view());
+  const QrResult res = qr_factor(packed.view());
+  const Matrix t = qr_form_t(packed.view(), res.tau);
+
+  // V: unit lower trapezoid.
+  Matrix v(m, b, 0.0);
+  for (std::size_t j = 0; j < b; ++j) {
+    v(j, j) = 1.0;
+    for (std::size_t i = j + 1; i < m; ++i) v(i, j) = packed(i, j);
+  }
+
+  Rng rng2(3);
+  Matrix x(m, 2), x_wy(m, 2);
+  fill_random(x.view(), rng2);
+  x_wy.view().copy_from(x.view());
+
+  // Reference: apply reflectors in forward order (this is Q^T x).
+  qr_apply_qt(packed.view(), res.tau, x.view());
+
+  // Compact WY: Q^T = I - V T^T V^T  (since Q = H_0...H_{b-1} = I - V T V^T,
+  // Q^T = I - V T^T V^T).
+  Matrix w(b, 2, 0.0);
+  gemm(Trans::Yes, Trans::No, 1.0, v.view(), x_wy.view(), 0.0, w.view());
+  Matrix y(b, 2, 0.0);
+  gemm(Trans::Yes, Trans::No, 1.0, t.view(), w.view(), 0.0, y.view());
+  gemm(Trans::No, Trans::No, -1.0, v.view(), y.view(), 1.0, x_wy.view());
+
+  EXPECT_LT(max_abs_diff(x.view(), x_wy.view()), 1e-12);
 }
 
 }  // namespace

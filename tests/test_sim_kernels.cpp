@@ -244,5 +244,30 @@ TEST(SimHand, LuTwoStepsHeterogeneous) {
   EXPECT_DOUBLE_EQ(rep.compute_time, 11.5);
 }
 
+// ----------------------------------------------------- Cholesky
+
+TEST(SimCholesky, PerfectBoundAndMonotonicity) {
+  Rng rng(25);
+  for (int trial = 0; trial < 10; ++trial) {
+    const CycleTimeGrid g(2, 2, rng.cycle_times(4, 0.05));
+    const Machine m{g, NetworkModel::free()};
+    const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+    const SimReport rep = simulate_cholesky(m, d, 16);
+    EXPECT_GE(rep.total_time, rep.perfect_compute_bound - 1e-9);
+    EXPECT_DOUBLE_EQ(rep.total_time, rep.compute_time + rep.comm_time);
+  }
+}
+
+TEST(SimCholesky, HeterogeneousPanelBeatsBlockCyclic) {
+  const HeuristicResult h = solve_heuristic(2, 2, {1, 2, 3, 6});
+  const Machine m{h.final().grid, NetworkModel::free()};
+  const PanelDistribution het = PanelDistribution::from_allocation(
+      h.final().grid, h.final().alloc, 8, 8, PanelOrder::kContiguous,
+      PanelOrder::kInterleaved, "het");
+  const PanelDistribution bc = PanelDistribution::block_cyclic(2, 2);
+  EXPECT_LT(simulate_cholesky(m, het, 48).total_time,
+            simulate_cholesky(m, bc, 48).total_time);
+}
+
 }  // namespace
 }  // namespace hetgrid

@@ -2,7 +2,7 @@
 // dependency rules (RAW / WAR / WAW), the cycle check, deterministic
 // execution across thread counts, and the bit-identity of all four MP
 // kernels at threads {1, 2, 7} against the graph's serial inline mode —
-// including LU with the lookahead virtual-time model.
+// including LU with the lookahead virtual-time model and pivoted LU.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -211,7 +211,8 @@ constexpr unsigned kThreadCounts[] = {1, 2, 7};
 struct MpRun {
   MpReport report;
   Matrix out;
-  std::vector<double> tau;  // QR only
+  std::vector<double> tau;         // QR only
+  std::vector<std::size_t> piv;    // pivoted LU only
   std::vector<TraceEvent> events;
 };
 
@@ -250,6 +251,22 @@ MpRun run_lu(const Machine& machine, const Distribution2D& dist,
   return run;
 }
 
+MpRun run_lu_pivoted(const Machine& machine, const Distribution2D& dist,
+                     unsigned threads) {
+  Rng rng(13);
+  Matrix a(28, 28);
+  fill_random(a.view(), rng);  // general: pivots cross grid rows
+  MemoryTraceSink sink;
+  MpRun run;
+  const MpLuReport rep = run_mp_lu_pivoted(machine, dist, a.view(), 6, {},
+                                           &sink, make_opts(threads));
+  run.report = rep;
+  run.piv = rep.piv;
+  run.out = std::move(a);
+  run.events = sink.events();
+  return run;
+}
+
 MpRun run_chol(const Machine& machine, const Distribution2D& dist,
                unsigned threads) {
   Rng rng(17);
@@ -283,6 +300,7 @@ MpRun run_qr(const Machine& machine, const Distribution2D& dist,
 void expect_same_run(const MpRun& ref, const MpRun& got) {
   expect_same_report(ref.report, got.report);
   EXPECT_EQ(ref.tau, got.tau);
+  EXPECT_EQ(ref.piv, got.piv);
   EXPECT_TRUE(same_bits(ref.out.view(), got.out.view()));
   expect_same_events(ref.events, got.events);
 }
@@ -319,6 +337,18 @@ TEST(MpDag, LuLookaheadBitIdenticalAcrossThreads) {
       same_bits(serial.out.view(), run_lu(machine, dist, false, 1).out.view()));
   for (unsigned t : kThreadCounts)
     expect_same_run(serial, run_lu(machine, dist, true, t));
+}
+
+TEST(MpDag, LuPivotedBitIdenticalAcrossThreads) {
+  // Row interchanges add copy/write chains on trailing and finished
+  // blocks alike, and transient copies that the next broadcast may land
+  // on again; none of it may depend on worker timing.
+  const Machine machine = het_machine(31, 2, 3);
+  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
+  const MpRun serial = run_lu_pivoted(machine, dist, 1);
+  ASSERT_GT(serial.events.size(), 0u);
+  for (unsigned t : kThreadCounts)
+    expect_same_run(serial, run_lu_pivoted(machine, dist, t));
 }
 
 TEST(MpDag, CholeskyBitIdenticalAcrossThreads) {

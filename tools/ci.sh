@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Tier-1 verification: strict (-Werror) configure + build + full test run,
 # in an isolated build-ci/ tree so it never disturbs the dev build/. Then a
-# smoke run of the runtime-scaling bench (crosses the parallel numerics
-# engine's serial/parallel seam and asserts bit-identity), the placement
+# smoke run of the runtime-scaling bench (crosses the message-passing
+# runtime's serial/threaded seam and asserts bit-identity), the placement
 # server's concurrent-loopback and throughput smokes with their regression
 # gates, a documentation link check, and finally a ThreadSanitizer pass
 # over the concurrent pieces (the exact solver's thread pool, the
-# message-passing runtime, the parallel numerics engine, and the placement
-# server) in build-tsan/.
+# message-passing runtime's task graph, and the placement server) in
+# build-tsan/.
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -169,17 +169,6 @@ for src in README.md EXPERIMENTS.md doc/*.md; do
     fi
   done
 done
-
-# Profiler smoke: instrumented reruns of the exact solver and the MP LU
-# runtime must be bit-identical to plain runs, metrics snapshots must be
-# byte-stable, and worker lanes must appear in the profile.
-build-ci/tools/hetgrid profile --smoke=1 --out=build-ci/profile_smoke.json
-
-# Imbalance-observatory smoke: a watched LU run must be bit-identical to a
-# plain one, the cycle-time estimator must recover a planted 2x-slow
-# processor, the drift detector must fire exactly once for it, and the
-# imbalance JSON must be byte-stable across thread counts (doc/observability.md).
-build-ci/tools/hetgrid observe --smoke=1
 
 # MP QR trace smoke: the distributed QR path produces a non-empty trace.
 build-ci/tools/hetgrid trace --times=1,2,3,6 --p=2 --q=2 --kernel=qr \
