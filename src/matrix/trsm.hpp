@@ -26,7 +26,9 @@ namespace hetgrid {
 void trsm_left_lower_unit(const ConstMatrixView& l, MatrixView b);
 
 /// B := inv(U) * B where U is upper triangular, non-unit diagonal
-/// (back substitution).
+/// (back substitution). Reads only the upper triangle of `u` (diagonal
+/// included), so U may share storage with other data below it — e.g. R
+/// above the Householder vectors of a QR factorization.
 void trsm_left_upper(const ConstMatrixView& u, MatrixView b);
 
 /// B := B * inv(U) where U is upper triangular, non-unit diagonal

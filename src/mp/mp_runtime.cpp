@@ -651,13 +651,13 @@ void add_in_place(const ConstMatrixView& src, MatrixView dst) {
 // bit-identical for any thread count. The host waits only for the ops
 // touching the panel blocks at the diagonal owner (the feeder copies and
 // the owner's own previous trailing updates); everything else keeps
-// running. Returns the factored panel; `keys` receives its block keys for
-// the ring back down the grid column, which the caller sends.
+// running. `keys` receives the panel's block keys for the ring back down
+// the grid column, which the caller sends.
 template <class Factor>
-Matrix factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
-                    std::size_t rows, std::size_t klen, std::size_t diag_id,
-                    double weight, std::vector<BlockKey>& keys,
-                    Factor&& factor) {
+void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
+                  std::size_t rows, std::size_t klen, std::size_t diag_id,
+                  double weight, std::vector<BlockKey>& keys,
+                  Factor&& factor) {
   const std::size_t block = ctx.block;
   const std::size_t klo = block_lo(k, block);
   double gather_ready = ctx.clock[diag_id];
@@ -695,7 +695,6 @@ Matrix factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
   ctx.compute(diag_id, gather_ready, panel_work, "panel", ObsOp::kPanel,
               panel_units);
   ctx.note_host_work(diag_id, keys, panel_work, "panel");
-  return panel;
 }
 
 // Pivoted LU's row interchanges for step k, applied to every block column
@@ -1437,21 +1436,22 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       contrib[ctx.owner(bi, k).row] = 1;
 
     // --- Gather the column panel to the diagonal owner and factor it there
-    // on the host.
-    QrResult pres;
-    std::vector<BlockKey> panel_keys;
-    const Matrix panel = factor_panel(
-        ctx, k, nbr, rows, klen, diag_id, costs.qr_factor, panel_keys,
-        [&](MatrixView pv) {
-          pres = qr_factor(pv);
-          rep.tau.insert(rep.tau.end(), pres.tau.begin(), pres.tau.end());
-        });
-
+    // on the host; the factorization also builds the block-reflector factor
+    // T when a trailing update will need it.
     const bool has_trailing = k + 1 < nbc;
+    Matrix t;
+    std::vector<BlockKey> panel_keys;
+    factor_panel(ctx, k, nbr, rows, klen, diag_id, costs.qr_factor,
+                 panel_keys, [&](MatrixView pv) {
+                   const QrResult pres =
+                       qr_factor(pv, has_trailing ? &t : nullptr);
+                   rep.tau.insert(rep.tau.end(), pres.tau.begin(),
+                                  pres.tau.end());
+                 });
+
     if (has_trailing) {
-      // larft T factor, kept at the diagonal owner and shipped along grid
-      // row diag.row with the V panel below.
-      Matrix t = qr_form_t(panel.view(), pres.tau);
+      // T, kept at the diagonal owner and shipped along grid row diag.row
+      // with the V panel below.
       ctx.store[diag_id].put(t_key, std::move(t));
       const double t_units =
           costs.qr_update * vol_frac(klen, klen, klen, block);

@@ -634,9 +634,11 @@ double qr_reconstruction_error(const Matrix& orig, const Matrix& factored,
 }
 
 TEST(MpQr, ReconstructsOriginalSquareMatrix) {
-  // 22 = 4*5 + 2 adds ragged edge blocks.
+  // 22 = 4*5 + 2 adds ragged edge blocks; 150 = 3*40 + 30 does too, with
+  // panels wide enough for the recursive panel factorization.
   for (const auto& [n, block] : {std::pair<std::size_t, std::size_t>{24, 4},
-                                {22, 5}}) {
+                                {22, 5},
+                                {150, 40}}) {
     Rng rng(61);
     Matrix orig(n, n);
     fill_random(orig.view(), rng);
@@ -711,23 +713,27 @@ TEST(MpQr, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(max_abs_diff(a1.view(), a2.view()), 0.0);
 }
 
-TEST(MpQr, MatchesSequentialUnblockedFactors) {
-  // The blocked compact-WY algorithm produces the same packed reflectors
-  // and R as the unblocked sequential QR, up to roundoff.
-  const std::size_t n = 18, block = 6;
-  Rng rng(12);
-  Matrix seq(n, n);
-  fill_random(seq.view(), rng);
-  Matrix par = seq;
-  const QrResult sres = qr_factor(seq.view());
-  const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
-  const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const MpQrReport rep =
-      run_mp_qr(Machine{g, NetworkModel::free()}, d, par.view(), block);
-  EXPECT_LT(max_abs_diff(seq.view(), par.view()), 1e-10);
-  ASSERT_EQ(rep.tau.size(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(sres.tau[i], rep.tau[i], 1e-10) << "tau " << i;
+TEST(MpQr, MatchesSequentialFactors) {
+  // The distributed compact-WY algorithm produces the same packed
+  // reflectors and R as the sequential QR of the whole matrix, up to
+  // roundoff — with column-loop panels (block 6) and recursive ones
+  // (block 40).
+  for (const auto& [n, block] : {std::pair<std::size_t, std::size_t>{18, 6},
+                                {100, 40}}) {
+    Rng rng(12);
+    Matrix seq(n, n);
+    fill_random(seq.view(), rng);
+    Matrix par = seq;
+    const QrResult sres = qr_factor(seq.view());
+    const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
+    const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+    const MpQrReport rep =
+        run_mp_qr(Machine{g, NetworkModel::free()}, d, par.view(), block);
+    EXPECT_LT(max_abs_diff(seq.view(), par.view()), 1e-10) << "n=" << n;
+    ASSERT_EQ(rep.tau.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(sres.tau[i], rep.tau[i], 1e-10) << "n=" << n << " tau " << i;
+  }
 }
 
 TEST(MpQr, ChargesMoreThanLuOnSameMachine) {

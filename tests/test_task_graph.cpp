@@ -282,13 +282,14 @@ MpRun run_chol(const Machine& machine, const Distribution2D& dist,
 }
 
 MpRun run_qr(const Machine& machine, const Distribution2D& dist,
-             unsigned threads) {
+             unsigned threads, std::size_t rows = 32, std::size_t cols = 20,
+             std::size_t block = 5) {
   Rng rng(19);
-  Matrix a(32, 20);
+  Matrix a(rows, cols);
   fill_random(a.view(), rng);
   MemoryTraceSink sink;
   MpRun run;
-  const MpQrReport rep = run_mp_qr(machine, dist, a.view(), 5, {}, &sink,
+  const MpQrReport rep = run_mp_qr(machine, dist, a.view(), block, {}, &sink,
                                    make_opts(threads));
   run.report = rep;
   run.tau = rep.tau;
@@ -362,12 +363,16 @@ TEST(MpDag, CholeskyBitIdenticalAcrossThreads) {
 TEST(MpDag, QrBitIdenticalAcrossThreads) {
   // The sharp case: QR's W reduction must keep its canonical summation
   // order through the graph's WAW chains, and its W/Y transients exercise
-  // the deferred-erase path.
+  // the deferred-erase path. The second shape's 36-wide panels (last one
+  // ragged) run the recursive panel factorization on the host.
   const Machine machine = het_machine(59, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const MpRun serial = run_qr(machine, dist, 1);
   for (unsigned t : kThreadCounts)
     expect_same_run(serial, run_qr(machine, dist, t));
+  const MpRun wide = run_qr(machine, dist, 1, 100, 90, 36);
+  for (unsigned t : kThreadCounts)
+    expect_same_run(wide, run_qr(machine, dist, t, 100, 90, 36));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 # Tier-1 verification: strict (-Werror) configure + build + full test run,
 # in an isolated build-ci/ tree so it never disturbs the dev build/. Then a
 # smoke run of the runtime-scaling bench (crosses the message-passing
-# runtime's serial/threaded seam and asserts bit-identity), the placement
-# server's concurrent-loopback and throughput smokes with their regression
-# gates, a documentation link check, and finally a ThreadSanitizer pass
-# over the concurrent pieces (the exact solver's thread pool, the
-# message-passing runtime's task graph, and the placement server) in
-# build-tsan/.
+# runtime's serial/threaded seam and asserts bit-identity), the repository
+# benchmark's self-test, the placement server's concurrent-loopback and
+# throughput smokes with their regression gates, a documentation link
+# check, and finally a ThreadSanitizer pass over the concurrent pieces (the
+# exact solver's thread pool, the message-passing runtime's task graph, and
+# the placement server) in build-tsan/.
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -117,6 +117,12 @@ HETGRID_GEMM_KERNEL=scalar ctest --test-dir build-ci --output-on-failure \
       -j "$NPROC" -R '^(test_mp|test_runtime_parallel|test_task_graph)$'
 HETGRID_PACK_CACHE=0 ctest --test-dir build-ci --output-on-failure \
       -j "$NPROC" -R '^(test_mp|test_runtime_parallel|test_task_graph)$'
+
+# Repository benchmark self-test: perfbench compiles ../src on its own and
+# calls matrix/ and mp/ entry points directly, so a src/ change that breaks
+# it must fail here rather than only when the benchmark runs. Builds it,
+# runs its own tests and its forced-scalar must-fire check.
+python3 perfbench/run.py --self-test
 
 # Placement-server smoke: concurrent loopback clients hammer the server;
 # every response (miss or hit, any interleaving) must be bit-identical to a
