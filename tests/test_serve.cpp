@@ -450,55 +450,116 @@ TEST(Server, BatchAnswersInRequestOrderWithTypedErrors) {
   EXPECT_EQ(d2.response.objective, direct_b.solution.obj2);
 }
 
+// Client threads hammer one in-process server in two phases. Cold: an
+// unscaled mix of in-order and shuffled pools, where every response (miss
+// or hit, any interleaving) must be bit-identical to a direct solve. Warm:
+// the same pools shuffled and scaled by powers of two, where every request
+// must hit the cache. The entry's scale convention depends on which
+// request filled it, so the warm phase checks the scale-free bits: the
+// objective is direct / scale and every r_i * (t_ij * s) * c_j equals the
+// direct solve's. In both phases perm must lay out the canonical
+// arrangement the solvers used.
 TEST(Server, ConcurrentLoopbackIsBitIdenticalAndHitsTheCache) {
+  constexpr std::size_t kShapes[4][2] = {{2, 2}, {2, 3}, {3, 2}, {3, 3}};
+  constexpr double kScales[3] = {1.0, 2.0, 0.25};
   Rng seed_rng(27);
-  const std::vector<double> pools[2] = {seed_rng.cycle_times(4),
-                                        seed_rng.cycle_times(6)};
-  const OptimalArrangement direct[2] = {
-      solve_optimal_arrangement(2, 2, pools[0]),
-      solve_optimal_arrangement(2, 3, pools[1])};
-  const std::size_t shapes[2][2] = {{2, 2}, {2, 3}};
+  std::vector<std::vector<double>> pools;
+  std::vector<OptimalArrangement> direct;
+  for (const auto& [p, q] : kShapes) {
+    pools.push_back(seed_rng.cycle_times(p * q));
+    direct.push_back(solve_optimal_arrangement(p, q, pools.back()));
+  }
 
+  // Returns "" when `reply` answers `times` (pool `s` times `scale`) as the
+  // phase requires, a diagnostic otherwise: client threads must not throw.
+  auto check = [&](std::size_t s, const std::vector<double>& times,
+                   double scale, bool warm,
+                   const std::vector<std::uint8_t>& reply) -> std::string {
+    const Decoded d = decode_payload(reply);
+    if (!d.ok() || d.type != MsgType::kResponse)
+      return "reply is not a response";
+    const PlacementResponse& rsp = d.response;
+    const OptimalArrangement& want = direct[s];
+    const auto [p, q] = kShapes[s];
+    if (rsp.solver != SolverKind::kExact) return "not the exact solver";
+    if (rsp.r.size() != p || rsp.c.size() != q || rsp.perm.size() != p * q)
+      return "response sizes differ";
+    std::vector<bool> used(times.size(), false);
+    for (std::size_t k = 0; k < p * q; ++k) {
+      const std::uint32_t idx = rsp.perm[k];
+      if (idx >= times.size() || used[idx]) return "perm is not a permutation";
+      used[idx] = true;
+      if (times[idx] != want.grid(k / q, k % q) * scale)
+        return "perm does not lay out the canonical arrangement";
+    }
+    if (!warm)
+      return rsp.r == want.solution.alloc.r &&
+                     rsp.c == want.solution.alloc.c &&
+                     rsp.objective == want.solution.obj2
+                 ? ""
+                 : "response differs from the direct solve";
+    if (rsp.cache_state == CacheState::kMiss) return "warm request missed";
+    if (rsp.objective != want.solution.obj2 / scale)
+      return "objective is not direct / scale";
+    for (std::size_t i = 0; i < p; ++i)
+      for (std::size_t j = 0; j < q; ++j)
+        if (rsp.r[i] * (want.grid(i, j) * scale) * rsp.c[j] !=
+            want.solution.alloc.r[i] * want.grid(i, j) *
+                want.solution.alloc.c[j])
+          return "workload products differ from the direct solve";
+    return "";
+  };
+
+  constexpr unsigned kClients = 4, kRequests = 32;
   MetricsRegistry metrics;
   MetricsRegistry* prev = install_metrics(&metrics);
+  std::uint64_t cold_hits = 0, cold_misses = 0;
   {
     PlacementServer server;
-    constexpr unsigned kClients = 4, kRequests = 16;
     std::vector<std::string> errors(kClients);
-    std::vector<std::thread> clients;
-    for (unsigned t = 0; t < kClients; ++t) {
-      clients.emplace_back([&, t] {
-        Rng rng(100 + t);
-        for (unsigned i = 0; i < kRequests && errors[t].empty(); ++i) {
-          const std::size_t which = (t + i) % 2;
-          std::vector<double> times = pools[which];
-          if (i % 2 == 1) rng.shuffle(times);
-          const Decoded d = decode_payload(server.handle_payload(
-              encode_request(make_request(shapes[which][0], shapes[which][1],
-                                          times))));
-          if (!d.ok() || d.type != MsgType::kResponse) {
-            errors[t] = "reply is not a response";
-            return;
+    auto run_phase = [&](bool warm) {
+      std::vector<std::thread> clients;
+      for (unsigned t = 0; t < kClients; ++t) {
+        clients.emplace_back([&, t] {
+          Rng rng(100 + t + (warm ? kClients : 0));
+          for (unsigned i = 0; i < kRequests && errors[t].empty(); ++i) {
+            const std::size_t s = (t + i) % 4;
+            const double scale = warm ? kScales[i % 3] : 1.0;
+            std::vector<double> times = pools[s];
+            if (warm || i % 2 == 1) rng.shuffle(times);
+            for (double& x : times) x *= scale;
+            const std::string err =
+                check(s, times, scale, warm,
+                      server.handle_payload(encode_request(make_request(
+                          kShapes[s][0], kShapes[s][1], times))));
+            if (!err.empty())
+              errors[t] = err + (warm ? " (warm" : " (cold") + ", client " +
+                          std::to_string(t) + ", request " +
+                          std::to_string(i) + ")";
           }
-          if (d.response.r != direct[which].solution.alloc.r ||
-              d.response.c != direct[which].solution.alloc.c ||
-              d.response.objective != direct[which].solution.obj2)
-            errors[t] = "response differs from the direct solve";
-        }
-      });
-    }
-    for (std::thread& th : clients) th.join();
+        });
+      }
+      for (std::thread& th : clients) th.join();
+    };
+    run_phase(/*warm=*/false);
+    cold_hits = metrics.counter("serve.cache.hits").value();
+    cold_misses = metrics.counter("serve.cache.misses").value();
+    run_phase(/*warm=*/true);
     server.drain();
     for (const std::string& err : errors) EXPECT_EQ(err, "");
   }
   install_metrics(prev);
-  // Upper bound on misses: once a thread's own miss-insert completes it can
-  // never miss that key again, so each of the 4 threads misses each of the
-  // 2 pools at most once (concurrent first encounters may each miss — the
-  // lookup/solve/insert sequence is not one atomic step).
-  EXPECT_GT(metrics.counter("serve.cache.hits").value(), 0u);
-  EXPECT_GE(metrics.counter("serve.cache.misses").value(), 2u);
-  EXPECT_LE(metrics.counter("serve.cache.misses").value(), 4u * 2u);
+  // Upper bound on cold misses: once a thread's own miss-insert completes
+  // it can never miss that key again, so each of the 4 threads misses each
+  // of the 4 pools at most once (concurrent first encounters may each miss
+  // — the lookup/solve/insert sequence is not one atomic step).
+  EXPECT_GT(cold_hits, 0u);
+  EXPECT_GE(cold_misses, 4u);
+  EXPECT_LE(cold_misses, kClients * 4u);
+  // Every warm request is one cache lookup, and every one hits.
+  EXPECT_EQ(metrics.counter("serve.cache.hits").value() - cold_hits,
+            kClients * kRequests);
+  EXPECT_EQ(metrics.counter("serve.cache.misses").value(), cold_misses);
 }
 
 // ---------------------------------------------------------------------------
