@@ -22,7 +22,7 @@
 // sort anyway, so a response is bit-identical to a direct
 // solve_optimal_arrangement / solve_heuristic call with the same times,
 // for any server thread count and any client concurrency
-// (tests/test_serve.cpp, `hetgrid serve --smoke`). The only wall-clock
+// (tests/test_serve.cpp, Server.ConcurrentLoopback*). The only wall-clock
 // input is the optional per-request expiry check (deadline_us > 0), which
 // can produce a kDeadlineExceeded error but never a different solution.
 //

@@ -213,9 +213,10 @@ TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeTheExactSolver) {
 }
 
 TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeMpLu) {
-  // The MP half of `hetgrid profile`'s workload: an LU under an installed
-  // Profiler plus metrics registry computes exactly the plain run's bits,
-  // and a 2-thread run shows its block math on a pool worker lane.
+  // The workload of `hetgrid trace --backend=mp --kernel=lu --profile`: an
+  // LU under an installed Profiler plus metrics registry computes exactly
+  // the plain run's bits, and a 2-thread run shows its block math on a
+  // pool worker lane.
   const auto run_lu = [](unsigned threads) {
     const CycleTimeGrid grid =
         CycleTimeGrid::sorted_row_major(2, 3, {1, 2, 3, 4, 5, 6});
