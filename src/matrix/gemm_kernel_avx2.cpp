@@ -84,9 +84,9 @@ inline void block_8x4(const double* apack, std::size_t mlen,
   _mm256_storeu_pd(c3 + 4, c3h);
 }
 
-void tile_nn_packed_avx2(const double* apack, std::size_t mlen,
-                         const double* bpack, std::size_t klen, double* cbase,
-                         std::size_t ldc, std::size_t jlen) {
+void tile_avx2(const double* apack, std::size_t mlen, const double* bpack,
+               std::size_t klen, double* cbase, std::size_t ldc,
+               std::size_t jlen) {
   std::size_t j = 0;
   for (; j + 4 <= jlen; j += 4) {
     std::size_t i = 0;
@@ -115,7 +115,7 @@ void tile_nn_packed_avx2(const double* apack, std::size_t mlen,
 // targets L3 — a level up from the scalar kernel's L1-sized 64/64/128 tiles,
 // which would leave the 8x4 register core starved on repacks. mc is a
 // multiple of the 8-row register block and nc of its 4-column width.
-constexpr GemmKernel kAvx2Kernel{"avx2", 96, 256, 512, tile_nn_packed_avx2};
+constexpr GemmKernel kAvx2Kernel{"avx2", 96, 256, 512, tile_avx2};
 
 }  // namespace
 

@@ -16,7 +16,6 @@ std::uint64_t shape_key(std::size_t rows, std::size_t cols) {
 }  // namespace
 
 void BlockStore::put(BlockKey key, Matrix block) {
-  bump_version(key);
   blocks_[key] = std::move(block);
 }
 
@@ -37,7 +36,6 @@ ConstMatrixView BlockStore::at(BlockKey key) const {
 void BlockStore::erase(BlockKey key) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return;
-  bump_version(key);
   Matrix& m = it->second;
   if (!m.empty()) {
     auto& shelf = pool_[shape_key(m.rows(), m.cols())];
@@ -68,11 +66,6 @@ std::size_t BlockStore::pooled() const {
   std::size_t n = 0;
   for (const auto& [shape, buffers] : pool_) n += buffers.size();
   return n;
-}
-
-std::uint64_t BlockStore::version(BlockKey key) const {
-  auto it = versions_.find(key);
-  return it == versions_.end() ? 0 : it->second;
 }
 
 }  // namespace hetgrid

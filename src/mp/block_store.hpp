@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "matrix/matrix.hpp"
-#include "matrix/packed_cache.hpp"
 
 namespace hetgrid {
 
@@ -55,8 +54,6 @@ struct BlockKeyHash {
 class BlockStore {
  public:
   /// Inserts (or overwrites) a block copy; the payload is moved in.
-  /// Bumps the key's write version (as does erase), so packed panels of the
-  /// previous contents become unreachable in the pack cache.
   void put(BlockKey key, Matrix block);
 
   /// Mutable access; throws PreconditionError if the block is not local —
@@ -83,15 +80,6 @@ class BlockStore {
   std::size_t size() const { return blocks_.size(); }
   std::size_t pooled() const;
 
-  /// Write epoch of a block slot, starting at 0 for a never-written key.
-  /// The host thread bumps it (bump_version) every time it emits an
-  /// operation that will write the block — put/erase, a staged op's output,
-  /// an in-place copy — and the (key, version) pair is what tags entries in
-  /// the packed-panel cache, so a reordering scheduler can never look up a
-  /// stale pack: stale versions are simply never asked for again.
-  std::uint64_t version(BlockKey key) const;
-  std::uint64_t bump_version(BlockKey key) { return ++versions_[key]; }
-
   /// Shape-checked block copy: the write half of a block transfer (panel
   /// broadcast or migration) into an already-resident destination slot.
   /// Throws PreconditionError on a shape mismatch instead of reading out of
@@ -101,16 +89,6 @@ class BlockStore {
              "copy_block into a block of different shape");
     dst.copy_from(src);
   }
-
-  /// Dense 64-bit id for (key, tag-multiplexed) block coordinates — the
-  /// PackedPanelCache id for this block slot.
-  static std::uint64_t pack_id(BlockKey key) {
-    return (static_cast<std::uint64_t>(key.row) << 32) ^
-           static_cast<std::uint64_t>(key.col);
-  }
-
-  /// The processor-local packed-operand cache (see matrix/packed_cache.hpp).
-  PackedPanelCache& pack_cache() { return pack_cache_; }
 
   /// Per-shape cap on pooled free buffers. erase() drops (frees) a payload
   /// instead of pooling it once its shape's pool is full, counting
@@ -125,9 +103,6 @@ class BlockStore {
   // Freed payloads keyed by (rows << 32) ^ cols, at most pool_cap_ each.
   std::unordered_map<std::uint64_t, std::vector<Matrix>> pool_;
   std::size_t pool_cap_ = kDefaultPoolCapPerShape;
-  // Write epochs; host-thread-only, like every other mutation here.
-  std::unordered_map<BlockKey, std::uint64_t, BlockKeyHash> versions_;
-  PackedPanelCache pack_cache_;
 };
 
 }  // namespace hetgrid

@@ -234,10 +234,6 @@ struct MpContext {
   void add_op(std::size_t id, const char* name, int priority,
               const Reads& reads, const Writes& writes,
               std::function<void()> op, double weight = 0.0) {
-    // Every write key gets a fresh version at emission time: any packed
-    // panel of the block's previous bytes becomes unreachable in the pack
-    // cache the moment its overwriter is queued (see tag()).
-    for (const BlockKey& k : writes) store[id].bump_version(k);
     std::vector<TaskGraph::Key> r, w;
     r.reserve(reads.size());
     w.reserve(writes.size());
@@ -314,16 +310,6 @@ struct MpContext {
       }
     }
     pending_erases.resize(kept);
-  }
-
-  /// Pack-cache tag for reading `key` on processor `id` at its current
-  /// write version — captured on the host at emission time. Safe under the
-  /// task graph's reordering: the task-graph dependencies guarantee the
-  /// block's bytes match this version when the tagged gemm actually runs,
-  /// and any queued overwriter has already bumped past it (add_op above),
-  /// so a stale pack is never looked up, let alone returned.
-  PackTag tag(std::size_t id, BlockKey key) const {
-    return PackTag{BlockStore::pack_id(key), store[id].version(key), true};
   }
 
   std::size_t pid(std::size_t gi, std::size_t gj) const {
@@ -427,8 +413,7 @@ struct MpContext {
       col_of[bj] = d.col_map[bj - region.col_lo];
 
     // Migrate every set block whose owner changed: read at the old owner,
-    // write at the new one, erase the stale copy (bumping its write epoch,
-    // so the old owner's packed panels of it become unreachable).
+    // write at the new one, erase the stale copy.
     std::vector<double> arrive(p * q, 0.0);
     std::size_t moved = 0;
     for (const MigrateSet& s : sets) {
@@ -489,48 +474,35 @@ struct MpContext {
     const MatrixView dst = store[to].at(key);
     HG_INTERNAL_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols(),
                       "copy_block into a block of different shape");
-    store[to].bump_version(key);  // in-place write: put() did not bump
     stage_op(kGroupCopy | (static_cast<std::uint64_t>(from) << 24) | to,
              "mp.copy", kPrioComm, {key_of(from, key)}, {key_of(to, key)},
              [src, dst] { dst.copy_from(src); }, 0.0, to);
   }
 
-  /// Ring-broadcasts the listed blocks (all already present at grid
-  /// position (gi, src_gj)) along grid row gi, starting no earlier than
-  /// `start`. `ready[id]` is updated with the time the bundle is fully
-  /// available at each processor of the row; copies land in the
-  /// receivers' stores.
-  void ring_broadcast_row(std::size_t gi, std::size_t src_gj,
-                          const std::vector<BlockKey>& keys,
-                          double start, std::vector<double>& ready) {
-    const std::size_t src = pid(gi, src_gj);
-    ready[src] = std::max(ready[src], start);
-    if (q == 1 || keys.empty()) return;
-    double upstream = ready[src];
-    for (std::size_t hop = 1; hop < q; ++hop) {
-      const std::size_t from = pid(gi, (src_gj + hop - 1) % q);
-      const std::size_t to = pid(gi, (src_gj + hop) % q);
-      const double arrival =
-          net.transfer(from, to, keys.size(), upstream);
-      for (const BlockKey& k : keys) copy_block(from, to, k);
-      ready[to] = std::max(ready[to], arrival);
-      upstream = arrival;
-    }
-  }
+  /// One grid row or column, walked as processor ids base + t * stride for
+  /// line positions t < len.
+  struct GridLine {
+    std::size_t base, stride, len;
+    std::size_t at(std::size_t t) const { return base + t * stride; }
+  };
+  GridLine grid_row(std::size_t gi) const { return {gi * q, 1, q}; }
+  GridLine grid_col(std::size_t gj) const { return {gj, q, p}; }
 
-  /// Same along a grid column.
-  void ring_broadcast_col(std::size_t gj, std::size_t src_gi,
-                          const std::vector<BlockKey>& keys,
-                          double start, std::vector<double>& ready) {
-    const std::size_t src = pid(src_gi, gj);
+  /// Ring-broadcasts the listed blocks (all already present at line
+  /// position `src_pos`) along `line`, starting no earlier than `start`.
+  /// `ready[id]` is updated with the time the bundle is fully available at
+  /// each processor of the line; copies land in the receivers' stores.
+  void ring_broadcast(GridLine line, std::size_t src_pos,
+                      const std::vector<BlockKey>& keys, double start,
+                      std::vector<double>& ready) {
+    const std::size_t src = line.at(src_pos);
     ready[src] = std::max(ready[src], start);
-    if (p == 1 || keys.empty()) return;
+    if (line.len == 1 || keys.empty()) return;
     double upstream = ready[src];
-    for (std::size_t hop = 1; hop < p; ++hop) {
-      const std::size_t from = pid((src_gi + hop - 1) % p, gj);
-      const std::size_t to = pid((src_gi + hop) % p, gj);
-      const double arrival =
-          net.transfer(from, to, keys.size(), upstream);
+    for (std::size_t hop = 1; hop < line.len; ++hop) {
+      const std::size_t from = line.at((src_pos + hop - 1) % line.len);
+      const std::size_t to = line.at((src_pos + hop) % line.len);
+      const double arrival = net.transfer(from, to, keys.size(), upstream);
       for (const BlockKey& k : keys) copy_block(from, to, k);
       ready[to] = std::max(ready[to], arrival);
       upstream = arrival;
@@ -683,7 +655,6 @@ void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
   double panel_work = 0.0, panel_units = 0.0;
   for (std::size_t bi = k; bi < nbr; ++bi) {
     const std::size_t ilen = block_len(bi, block, rows);
-    ctx.store[diag_id].bump_version(BlockKey{kTagA * nbr + bi, k});
     ctx.store[diag_id]
         .at(BlockKey{kTagA * nbr + bi, k})
         .copy_from(
@@ -900,11 +871,11 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     }
 
     for (std::size_t gi = 0; gi < ctx.p; ++gi)
-      ctx.ring_broadcast_row(gi, a_src[gi], row_keys[gi], row_start[gi],
-                             a_ready);
+      ctx.ring_broadcast(ctx.grid_row(gi), a_src[gi], row_keys[gi],
+                         row_start[gi], a_ready);
     for (std::size_t gj = 0; gj < ctx.q; ++gj)
-      ctx.ring_broadcast_col(gj, b_src[gj], col_keys[gj], col_start[gj],
-                             b_ready);
+      ctx.ring_broadcast(ctx.grid_col(gj), b_src[gj], col_keys[gj],
+                         col_start[gj], b_ready);
 
     // Local updates: C_IJ += A_Ik * B_kJ on owned blocks. Clocks are
     // charged on the host in canonical order; the GEMMs fan out one task
@@ -924,17 +895,11 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
           const ConstMatrixView av = ctx.store[id].at(a_key);
           const ConstMatrixView bv = ctx.store[id].at(b_key);
           const MatrixView cv = ctx.store[id].at(c_key);
-          // Both operands are panel blocks reused across this step's
-          // updates on this processor: pack each once per (block, version).
-          PackedPanelCache* const cache = &ctx.store[id].pack_cache();
-          const PackTag at = ctx.tag(id, a_key);
-          const PackTag bt = ctx.tag(id, b_key);
           const double op_units =
               costs.update * vol_frac(ilen, jlen, klen, block);
           ctx.add_op(id, "mp.gemm", kPrioUpdate, {a_key, b_key}, {c_key},
-                     [av, at, bv, bt, cv, cache] {
-                       gemm_cached(Trans::No, Trans::No, 1.0, av, at, bv, bt,
-                                   1.0, cv, cache);
+                     [av, bv, cv] {
+                       gemm(Trans::No, Trans::No, 1.0, av, bv, 1.0, cv);
                      },
                      ctx.cycle_time(id) * op_units);
           units += op_units;
@@ -1036,8 +1001,8 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
         std::swap(swap_src[i], swap_src[pres.piv[i]]);
       }
       std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
-      ctx.ring_broadcast_col(diag.col, diag.row, panel_keys,
-                             ctx.clock[diag_id], diag_ready);
+      ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, panel_keys,
+                         ctx.clock[diag_id], diag_ready);
       // The panel's grid column forwards the L panel only once it holds
       // the factored blocks.
       for (std::size_t id = 0; id < procs; ++id)
@@ -1049,7 +1014,6 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
       // running underneath the factorization, the wall-clock lookahead
       // overlap.
       ctx.host_sync(diag_id, {diag_key});
-      ctx.store[diag_id].bump_version(diag_key);  // in-place host write
       if (!lu_factor_nopivot(ctx.store[diag_id].at(diag_key))) {
         ctx.finish();
         static_cast<MpReport&>(rep) = ctx.report();
@@ -1067,8 +1031,8 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
       // --- Broadcast the diagonal block down its grid column (for the L21
       // solves) and note its availability.
       std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
-      ctx.ring_broadcast_col(diag.col, diag.row, {diag_key},
-                             ctx.clock[diag_id], diag_ready);
+      ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
+                         ctx.clock[diag_id], diag_ready);
 
       // --- L21 solves: owners of blocks (I, k), I > k. One task lane per
       // owner; every lane reads its own diag copy and writes its own blocks.
@@ -1095,8 +1059,8 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
       row_keys[ctx.owner(bi, k).row].push_back(
           BlockKey{kTagA * nb + bi, k});
     for (std::size_t gi = 0; gi < ctx.p; ++gi)
-      ctx.ring_broadcast_row(gi, diag.col, row_keys[gi],
-                             ctx.clock[ctx.pid(gi, diag.col)], l_ready);
+      ctx.ring_broadcast(ctx.grid_row(gi), diag.col, row_keys[gi],
+                         ctx.clock[ctx.pid(gi, diag.col)], l_ready);
 
     // --- Pivoting: the L panel carried the step's pivots along the grid
     // rows; every other block column now interchanges its rows.
@@ -1125,8 +1089,8 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
       col_keys[ctx.owner(k, bj).col].push_back(
           BlockKey{kTagA * nb + k, bj});
     for (std::size_t gj = 0; gj < ctx.q; ++gj)
-      ctx.ring_broadcast_col(gj, diag.row, col_keys[gj],
-                             ctx.clock[ctx.pid(diag.row, gj)], u_ready);
+      ctx.ring_broadcast(ctx.grid_col(gj), diag.row, col_keys[gj],
+                         ctx.clock[ctx.pid(diag.row, gj)], u_ready);
 
     // --- Settle the previous step's deferred (non-critical) work before
     // this step's trailing phase: the panel and solves above already went
@@ -1162,11 +1126,6 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
           const ConstMatrixView lv = ctx.store[id].at(l_key);
           const ConstMatrixView uv = ctx.store[id].at(u_key);
           const MatrixView tv = ctx.store[id].at(t_key);
-          // The L block is reused across this block row's updates, the U
-          // block across the block column's: pack each once per step.
-          PackedPanelCache* const cache = &ctx.store[id].pack_cache();
-          const PackTag lt = ctx.tag(id, l_key);
-          const PackTag ut = ctx.tag(id, u_key);
           // Next-panel blocks (column / row k + 1) run at panel priority
           // so the graph releases step k + 1's critical chain first — the
           // wall-clock counterpart of the virtual-time lookahead below.
@@ -1175,9 +1134,8 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
           const double op_units =
               costs.update * vol_frac(ilen, jlen, klen, block);
           ctx.add_op(id, "mp.gemm", prio, {l_key, u_key}, {t_key},
-                     [lv, lt, uv, ut, tv, cache] {
-                       gemm_cached(Trans::No, Trans::No, -1.0, lv, lt, uv,
-                                   ut, 1.0, tv, cache);
+                     [lv, uv, tv] {
+                       gemm(Trans::No, Trans::No, -1.0, lv, uv, 1.0, tv);
                      },
                      ctx.cycle_time(id) * op_units);
           const double cost = ctx.cycle_time(id) * op_units;
@@ -1272,7 +1230,6 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
     // ops touching this block, overlapping the rest of the previous step's
     // trailing update).
     ctx.host_sync(diag_id, {diag_key});
-    ctx.store[diag_id].bump_version(diag_key);  // in-place host write
     if (!cholesky_factor_unblocked(ctx.store[diag_id].at(diag_key))) {
       ctx.finish();
       MpReport rep = ctx.report();
@@ -1289,8 +1246,8 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
 
     // --- Diagonal block down its grid column for the L21 solves.
     std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
-    ctx.ring_broadcast_col(diag.col, diag.row, {diag_key},
-                           ctx.clock[diag_id], diag_ready);
+    ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
+                       ctx.clock[diag_id], diag_ready);
 
     // --- L21 solves: A_Ik := A_Ik * inv(L11)^T, one task lane per owner.
     for (std::size_t bi = k + 1; bi < nb; ++bi) {
@@ -1315,8 +1272,8 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
       row_keys[ctx.owner(bi, k).row].push_back(
           BlockKey{kTagA * nb + bi, k});
     for (std::size_t gi = 0; gi < ctx.p; ++gi)
-      ctx.ring_broadcast_row(gi, diag.col, row_keys[gi],
-                             ctx.clock[ctx.pid(gi, diag.col)], l_ready);
+      ctx.ring_broadcast(ctx.grid_row(gi), diag.col, row_keys[gi],
+                         ctx.clock[ctx.pid(gi, diag.col)], l_ready);
 
     // --- Phase 2: each L block (J, k) relays down grid column
     // owner(.,J).col, starting from the processor of its own grid row in
@@ -1332,8 +1289,8 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
     }
     for (const auto& [line, keys] : col_rings) {
       const auto [gj, src_gi] = line;
-      ctx.ring_broadcast_col(gj, src_gi, keys,
-                             l_ready[ctx.pid(src_gi, gj)], c_ready);
+      ctx.ring_broadcast(ctx.grid_col(gj), src_gi, keys,
+                         l_ready[ctx.pid(src_gi, gj)], c_ready);
     }
 
     // --- Symmetric trailing update A_IJ -= L_I * L_J^T, I >= J > k.
@@ -1351,19 +1308,12 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
           const ConstMatrixView li = ctx.store[id].at(li_key);
           const ConstMatrixView lj = ctx.store[id].at(lj_key);
           const MatrixView tv = ctx.store[id].at(t_key);
-          // Both L panel blocks are reused across the symmetric update
-          // (li across the block row, lj — transposed — across the block
-          // column); the transposed pack is cached like any other.
-          PackedPanelCache* const cache = &ctx.store[id].pack_cache();
-          const PackTag li_t = ctx.tag(id, li_key);
-          const PackTag lj_t = ctx.tag(id, lj_key);
           const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
           const double op_units =
               costs.update * vol_frac(ilen, jlen, klen, block);
           ctx.add_op(id, "mp.gemm", prio, {li_key, lj_key}, {t_key},
-                     [li, li_t, lj, lj_t, tv, cache] {
-                       gemm_cached(Trans::No, Trans::Yes, -1.0, li, li_t,
-                                   lj, lj_t, 1.0, tv, cache);
+                     [li, lj, tv] {
+                       gemm(Trans::No, Trans::Yes, -1.0, li, lj, 1.0, tv);
                      },
                      ctx.cycle_time(id) * op_units);
           units += op_units;
@@ -1464,8 +1414,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     // --- Send the factored panel back down the owner grid column (also
     // restores the owners' blocks, so this runs even at the last step).
     std::fill(col_ready.begin(), col_ready.end(), 0.0);
-    ctx.ring_broadcast_col(diag.col, diag.row, panel_keys,
-                           ctx.clock[diag_id], col_ready);
+    ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, panel_keys,
+                       ctx.clock[diag_id], col_ready);
 
     if (has_trailing) {
       // --- V panel out along grid rows: each row carries its own blocks;
@@ -1479,9 +1429,9 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       for (std::size_t gi = 0; gi < ctx.p; ++gi) {
         if (row_keys[gi].empty()) continue;
         const std::size_t src = ctx.pid(gi, diag.col);
-        ctx.ring_broadcast_row(gi, diag.col, row_keys[gi],
-                               std::max(col_ready[src], ctx.clock[src]),
-                               v_ready);
+        ctx.ring_broadcast(ctx.grid_row(gi), diag.col, row_keys[gi],
+                           std::max(col_ready[src], ctx.clock[src]),
+                           v_ready);
       }
 
       // --- Build the unit-lower diagonal V block at every processor of
@@ -1528,17 +1478,11 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
             const BlockKey c_key{kTagA * nbr + bi, bj};
             const ConstMatrixView vv = ctx.store[id].at(v_key);
             const ConstMatrixView cv = ctx.store[id].at(c_key);
-            // The V block is reused for every trailing column this
-            // processor owns; its transposed pack is cached. C is read
-            // once per step — no tag.
-            PackedPanelCache* const cache = &ctx.store[id].pack_cache();
-            const PackTag vt = ctx.tag(id, v_key);
             const double op_units = 0.5 * costs.qr_update *
                                     vol_frac(ilen, jlen, klen, block);
             ctx.add_op(id, "mp.gemm", kPrioUpdate, {v_key, c_key}, {w_key},
-                       [vv, vt, cv, wv, cache] {
-                         gemm_cached(Trans::Yes, Trans::No, 1.0, vv, vt, cv,
-                                     PackTag{}, 1.0, wv, cache);
+                       [vv, cv, wv] {
+                         gemm(Trans::Yes, Trans::No, 1.0, vv, cv, 1.0, wv);
                        },
                        ctx.cycle_time(id) * op_units);
             units_acc[id] += op_units;
@@ -1581,18 +1525,13 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         const MatrixView yv = ctx.store[root].at(y_key);
         const ConstMatrixView tv = ctx.store[root].at(t_key);
         const ConstMatrixView wcv = ctx.store[root].at(w_root_key);
-        // T is reused for every trailing column at this root: cache its
-        // transposed pack. beta = 0 overwrites whatever the recycled
-        // buffer held.
-        PackedPanelCache* const cache = &ctx.store[root].pack_cache();
-        const PackTag tt = ctx.tag(root, t_key);
+        // beta = 0 overwrites whatever the recycled buffer held.
         const double op_units =
             costs.qr_update * vol_frac(klen, jlen, klen, block);
         ctx.add_op(root, "mp.gemm", kPrioSolve, {t_key, w_root_key},
                    {y_key},
-                   [tv, tt, wcv, yv, cache] {
-                     gemm_cached(Trans::Yes, Trans::No, 1.0, tv, tt, wcv,
-                                 PackTag{}, 0.0, yv, cache);
+                   [tv, wcv, yv] {
+                     gemm(Trans::Yes, Trans::No, 1.0, tv, wcv, 0.0, yv);
                    },
                    ctx.cycle_time(root) * op_units);
         ctx.compute(root, reduce_ready, ctx.cycle_time(root) * op_units,
@@ -1607,8 +1546,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
             BlockKey{kTagY * nbr + bj, k});
       for (std::size_t gj = 0; gj < ctx.q; ++gj) {
         if (col_keys[gj].empty()) continue;
-        ctx.ring_broadcast_col(gj, diag.row, col_keys[gj],
-                               ctx.clock[ctx.pid(diag.row, gj)], y_ready);
+        ctx.ring_broadcast(ctx.grid_col(gj), diag.row, col_keys[gj],
+                           ctx.clock[ctx.pid(diag.row, gj)], y_ready);
       }
 
       // --- Pass 2: C -= V * Y on every owned trailing block.
@@ -1627,17 +1566,11 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
             const ConstMatrixView vv = ctx.store[id].at(v_key);
             const ConstMatrixView yv = ctx.store[id].at(y_key);
             const MatrixView cv = ctx.store[id].at(c_key);
-            // V is reused across the trailing columns, Y across the block
-            // rows: pack each once per step on this processor.
-            PackedPanelCache* const cache = &ctx.store[id].pack_cache();
-            const PackTag vt = ctx.tag(id, v_key);
-            const PackTag yt = ctx.tag(id, y_key);
             const double op_units = 0.5 * costs.qr_update *
                                     vol_frac(ilen, jlen, klen, block);
             ctx.add_op(id, "mp.gemm", kPrioUpdate, {v_key, y_key}, {c_key},
-                       [vv, vt, yv, yt, cv, cache] {
-                         gemm_cached(Trans::No, Trans::No, -1.0, vv, vt, yv,
-                                     yt, 1.0, cv, cache);
+                       [vv, yv, cv] {
+                         gemm(Trans::No, Trans::No, -1.0, vv, yv, 1.0, cv);
                        },
                        ctx.cycle_time(id) * op_units);
             units_acc[id] += op_units;

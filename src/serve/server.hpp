@@ -59,7 +59,8 @@ struct ServerOptions {
   /// Worker threads shared by socket connections, batch admission, and
   /// async refinement (0 = all hardware threads).
   unsigned threads = 1;
-  /// Power-of-two shard count for the solution cache.
+  /// Power-of-two shard count for the solution cache, at most
+  /// SolutionCache::kMaxShards.
   std::size_t cache_shards = 16;
   /// Auto-mode cost gate: the exact solver runs inline only if Scoins'
   /// tree count and the pool size fit these budgets (the same rule as

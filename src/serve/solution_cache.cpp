@@ -67,6 +67,8 @@ bool same_key(const CachedSolution& entry, const CanonicalPlacement& key) {
 }
 
 SolutionCache::SolutionCache(std::size_t shards) {
+  HG_CHECK(shards <= kMaxShards, "solution cache shards must be <= "
+                                     << kMaxShards << ", got " << shards);
   std::size_t n = 1;
   while (n < std::max<std::size_t>(shards, 1)) n <<= 1;
   shards_ = std::vector<Shard>(n);

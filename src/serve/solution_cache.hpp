@@ -91,7 +91,11 @@ struct CachedSolution {
 
 class SolutionCache {
  public:
-  /// `shards` is rounded up to a power of two, minimum 1.
+  /// Most shards the index can address: shard_for() reads 16 hash bits.
+  static constexpr std::size_t kMaxShards = std::size_t{1} << 16;
+
+  /// `shards` is rounded up to a power of two, minimum 1; more than
+  /// kMaxShards throws PreconditionError.
   explicit SolutionCache(std::size_t shards = 16);
 
   SolutionCache(const SolutionCache&) = delete;

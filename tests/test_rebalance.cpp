@@ -6,8 +6,8 @@
 // (a planted 4x straggler rebalanced to within 15% of the imbalance
 // report's balanced lower bound), the message-passing runtime's migration
 // path (same acceptance scenario with real numerics, all four kernels
-// deterministic across thread counts), and migration x packed-panel-cache
-// coherence.
+// deterministic across thread counts, a rebalanced LU bit-identical to the
+// static one), and the shape check on migration copies.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,7 +24,6 @@
 #include "mp/mp_runtime.hpp"
 #include "obs/cycle_estimator.hpp"
 #include "obs/imbalance.hpp"
-#include "obs/metrics.hpp"
 #include "sim/drift.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -465,66 +464,12 @@ TEST(MpRebalance, MigrationScheduleIsThreadInvariant) {
   }
 }
 
-// ------------------------------------------- migration x pack cache
+// ------------------------------------------- migration
 
-// Restores the pack-cache consumption toggle no matter how a test exits.
-struct PackCacheGuard {
-  explicit PackCacheGuard(bool on) : prev_(gemm_set_pack_cache(on)) {}
-  ~PackCacheGuard() { gemm_set_pack_cache(prev_); }
-
- private:
-  bool prev_;
-};
-
-TEST(MigrationPackCache, EraseAndReputMakeOldPacksUnreachable) {
-  // The migration protocol at the block-store level: the old owner erases
-  // the migrated block, the new owner puts it. Both bump the write
-  // version, so a pack tagged with the pre-migration version is never
-  // asked for again — even when the re-put bytes are identical, the fresh
-  // version forces a fresh pack instead of replaying the stale one.
-  PackCacheGuard cache_guard(true);
-  MetricsRegistry reg;
-  install_metrics(&reg);
-  {
-    BlockStore store;
-    const BlockKey key{3, 5};
-    PackedPanelCache* cache = &store.pack_cache();
-    Rng rng(229);
-    Matrix a1(80, 80), b(80, 80);
-    fill_random(a1.view(), rng);
-    fill_random(b.view(), rng);
-    EXPECT_EQ(store.version(key), 0u);
-    store.put(key, a1);
-    EXPECT_EQ(store.version(key), 1u);
-    const BlockStore& cstore = store;
-    const auto tag = [&] {
-      return PackTag{BlockStore::pack_id(key), store.version(key), true};
-    };
-    Matrix c1(80, 80, 0.0), c2(80, 80, 0.0), c3(80, 80, 0.0);
-    gemm_cached(Trans::No, Trans::No, 1.0, cstore.at(key), tag(), b.view(),
-                PackTag{}, 0.0, c1.view(), cache);  // miss: packs a1
-    gemm_cached(Trans::No, Trans::No, 1.0, cstore.at(key), tag(), b.view(),
-                PackTag{}, 0.0, c2.view(), cache);  // hit
-    EXPECT_TRUE(same_bits(c1.view(), c2.view()));
-    store.erase(key);  // old owner's half of a migration
-    EXPECT_EQ(store.version(key), 2u);
-    store.put(key, a1);  // new owner's half (same bytes here)
-    EXPECT_EQ(store.version(key), 3u);
-    gemm_cached(Trans::No, Trans::No, 1.0, cstore.at(key), tag(), b.view(),
-                PackTag{}, 0.0, c3.view(), cache);  // miss: fresh version
-    EXPECT_TRUE(same_bits(c1.view(), c3.view()));
-  }
-  install_metrics(nullptr);
-  EXPECT_EQ(reg.counter("gemm.pack_misses").value(), 2u);
-  EXPECT_EQ(reg.counter("gemm.pack_hits").value(), 1u);
-}
-
-TEST(MigrationPackCache, RebalancedLuStaysCoherentCacheOnAndOff) {
-  // End to end: an LU run that actually migrates mid-factorization, with
-  // blocks big enough for the packed-microkernel path. The pack cache may
-  // only skip redundant packing, so the factors must be bit-identical to
-  // the static run with the cache on or off, and the hit/miss counts of
-  // the rebalanced run must be pinned (identical across repeats).
+TEST(MpRebalance, RebalancedLuBitIdenticalToStatic) {
+  // An LU run that actually migrates mid-factorization, with blocks wider
+  // than the gemm kernels' register tile: migration only moves blocks, so
+  // the factors must be bit-identical to the static run.
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 560, block = 80;  // nb = 7
@@ -533,38 +478,13 @@ TEST(MigrationPackCache, RebalancedLuStaysCoherentCacheOnAndOff) {
   fill_diagonally_dominant(a.view(), rng);
 
   Matrix stat = a;
-  {
-    PackCacheGuard cache_guard(true);
-    run_mp_lu(machine, dist, stat.view(), block);
-  }
+  run_mp_lu(machine, dist, stat.view(), block);
 
-  const RuntimeOptions opts = straggler_options(Rebalance::kPanel);
-  std::vector<std::uint64_t> misses, hits;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    PackCacheGuard cache_guard(true);
-    MetricsRegistry reg;
-    install_metrics(&reg);
-    Matrix lu = a;
-    const MpReport rep =
-        run_mp_lu(machine, dist, lu.view(), block, {}, false, nullptr, opts);
-    install_metrics(nullptr);
-    EXPECT_GE(rep.rebalances, 1u);
-    EXPECT_TRUE(same_bits(stat.view(), lu.view()));
-    misses.push_back(reg.counter("gemm.pack_misses").value());
-    hits.push_back(reg.counter("gemm.pack_hits").value());
-  }
-  EXPECT_EQ(misses[0], misses[1]);
-  EXPECT_EQ(hits[0], hits[1]);
-  EXPECT_GT(misses[0], 0u);
-
-  {
-    PackCacheGuard cache_guard(false);
-    Matrix lu = a;
-    const MpReport rep =
-        run_mp_lu(machine, dist, lu.view(), block, {}, false, nullptr, opts);
-    EXPECT_GE(rep.rebalances, 1u);
-    EXPECT_TRUE(same_bits(stat.view(), lu.view()));
-  }
+  Matrix lu = a;
+  const MpReport rep = run_mp_lu(machine, dist, lu.view(), block, {}, false,
+                                 nullptr, straggler_options(Rebalance::kPanel));
+  EXPECT_GE(rep.rebalances, 1u);
+  EXPECT_TRUE(same_bits(stat.view(), lu.view()));
 }
 
 TEST(BlockStoreMigration, CopyBlockIntoMismatchedShapeThrows) {

@@ -245,8 +245,8 @@ TEST(MpParallel, ThreadsZeroMeansAllHardwareThreads) {
 // ----------------------------------------------------- gemm paths
 
 TEST(GemmParallel, PackedLargePathMatchesReference) {
-  // 200 x 150 from an inner dimension of 170 exceeds the 64 x 64 tile, so
-  // the packed path runs; validate against the naive reference.
+  // 200 x 150 from an inner dimension of 170 spans several kernel tiles in
+  // every dimension; validate against the naive reference.
   Rng rng(73);
   Matrix a(200, 170), b(170, 150), c(200, 150), ref(200, 150);
   fill_random(a.view(), rng);
@@ -283,26 +283,46 @@ TEST(GemmKernel, ScalarAndAvx2BitIdentical) {
   // so each C element keeps the scalar kernel's rounding sequence exactly.
   KernelGuard guard;
   if (!gemm_force_kernel("avx2")) GTEST_SKIP() << "host lacks AVX2";
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  // 137 x 211 x 93 exercises the 8x4 register core plus its row tail (137 =
+  // 17*8 + 1), column tail (211 = 52*4 + 3), and partial packs. The small
+  // shapes are block-update sizes: tails only (1, 3, 5, 7), exact tiles (64,
+  // 128), and one past them (65 x 63 x 66).
+  const Shape shapes[] = {{137, 211, 93}, {1, 1, 1},    {3, 5, 7},
+                          {7, 3, 5},      {64, 64, 64}, {64, 128, 64},
+                          {65, 63, 66}};
   Rng rng(89);
-  // Ragged shapes exercise the 8x4 register core plus its row tail (137 =
-  // 17*8 + 1), column tail (211 = 52*4 + 3), and partial packs.
-  const std::size_t m = 137, n = 211, k = 93;
-  Matrix a(m, k), b(k, n), c_simd(m, n), c_scalar(m, n);
-  fill_random(a.view(), rng);
-  fill_random(b.view(), rng);
-  fill_random(c_simd.view(), rng);
-  c_scalar.view().copy_from(c_simd.view());
-  gemm(Trans::No, Trans::No, 1.5, a.view(), b.view(), -0.5, c_simd.view());
-  ASSERT_TRUE(gemm_force_kernel("scalar"));
-  gemm(Trans::No, Trans::No, 1.5, a.view(), b.view(), -0.5,
-       c_scalar.view());
-  EXPECT_TRUE(same_bits(c_simd.view(), c_scalar.view()));
+  for (const Shape& s : shapes) {
+    for (const Trans ta : {Trans::No, Trans::Yes}) {
+      for (const Trans tb : {Trans::No, Trans::Yes}) {
+        SCOPED_TRACE(testing::Message()
+                     << s.m << "x" << s.n << "x" << s.k
+                     << " trans_a=" << (ta == Trans::Yes)
+                     << " trans_b=" << (tb == Trans::Yes));
+        Matrix a = ta == Trans::No ? Matrix(s.m, s.k) : Matrix(s.k, s.m);
+        Matrix b = tb == Trans::No ? Matrix(s.k, s.n) : Matrix(s.n, s.k);
+        Matrix c_simd(s.m, s.n), c_scalar(s.m, s.n);
+        fill_random(a.view(), rng);
+        fill_random(b.view(), rng);
+        fill_random(c_simd.view(), rng);
+        c_scalar.view().copy_from(c_simd.view());
+        ASSERT_TRUE(gemm_force_kernel("avx2"));
+        gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_simd.view());
+        ASSERT_TRUE(gemm_force_kernel("scalar"));
+        gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_scalar.view());
+        EXPECT_TRUE(same_bits(c_simd.view(), c_scalar.view()));
+      }
+    }
+  }
 }
 
 TEST(GemmKernel, MpRunsBitIdenticalAcrossDispatch) {
-  // End-to-end: a distributed MMM and LU with 70-wide blocks (large enough
-  // that every local update takes the packed microkernel path) must produce
-  // byte-identical reports, matrices, and traces under either kernel.
+  // End-to-end: a distributed MMM and LU with 70-wide blocks (wider than
+  // the AVX2 kernel's 8x4 register block and not a multiple of it) must
+  // produce byte-identical reports, matrices, and traces under either
+  // kernel.
   KernelGuard guard;
   if (!gemm_force_kernel("avx2")) GTEST_SKIP() << "host lacks AVX2";
   const Machine machine = het_machine(47, 2, 2);
@@ -315,11 +335,11 @@ TEST(GemmKernel, MpRunsBitIdenticalAcrossDispatch) {
 }
 
 TEST(GemmKernel, SmallPathNBoundBitSafe) {
-  // Regression for the small-path bound: a 64 x 64 x 400 call now takes
-  // the packed path (the old m/k-only test streamed strided B columns with
-  // no reuse). Packed and unpacked kernels are FP-identical per element,
-  // so the result must match, bit for bit, the same product computed in
-  // column slices narrow enough to stay on the unpacked tile path.
+  // Splitting a call into column slices moves no bit: every C element's
+  // operation sequence depends only on its own row of A and column of B,
+  // never on how many columns share the call, so a 64 x 64 x 400 product
+  // must match, bit for bit, the same product computed 100 columns at a
+  // time.
   Rng rng(97);
   const std::size_t m = 64, k = 64, n = 400, slice = 100;
   Matrix a(m, k), b(k, n), c_full(m, n), c_sliced(m, n);
@@ -380,25 +400,16 @@ TEST(GemmMetrics, CallCountersClassifyEachLogicalCallOnce) {
             "gemm.calls=4 gemm.tile_calls=1 gemm.packed_calls=1");
 }
 
-// ----------------------------------------------------- packed-panel cache
-
-// Restores the pack-cache consumption toggle no matter how a test exits.
-struct PackCacheGuard {
-  explicit PackCacheGuard(bool on) : prev_(gemm_set_pack_cache(on)) {}
-  ~PackCacheGuard() { gemm_set_pack_cache(prev_); }
-
- private:
-  bool prev_;
-};
+// ----------------------------------------------------- MP kernels x dispatch
 
 struct KernelResults {
   Matrix mmm, lu, chol, qr;
   std::vector<double> tau;
 };
 
-// One run of all four MP kernels at n = 140 with 70-wide blocks: every
-// local trailing update is big enough for the packed microkernel path, so
-// the pack cache (when enabled) is genuinely on the line.
+// One run of all four MP kernels at n = 140 with 70-wide blocks, so every
+// local trailing update reaches the register core and its row and column
+// tails.
 KernelResults run_all_kernels(const Machine& machine,
                               const Distribution2D& dist, unsigned threads) {
   const std::size_t n = 140, block = 70;
@@ -436,139 +447,28 @@ KernelResults run_all_kernels(const Machine& machine,
   return r;
 }
 
-TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreads) {
-  // The acceptance matrix of the packed-panel cache: MMM, LU, Cholesky and
-  // QR must produce byte-identical outputs across {scalar, avx2} x {cache
-  // on, off} x threads {1, 2, 7}. The cache only skips redundant packing —
-  // pure data movement — so no cell of this product may move a single bit.
+TEST(GemmKernel, MpKernelsBitIdenticalAcrossKernelsAndThreads) {
+  // MMM, LU, Cholesky and QR must produce byte-identical outputs across
+  // {scalar, avx2} x threads {1, 2, 7}.
   KernelGuard guard;
   const Machine machine = het_machine(47, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   ASSERT_TRUE(gemm_force_kernel("scalar"));
-  const KernelResults base = [&] {
-    PackCacheGuard cache_guard(true);
-    return run_all_kernels(machine, dist, 1);
-  }();
+  const KernelResults base = run_all_kernels(machine, dist, 1);
   const bool have_avx2 = gemm_force_kernel("avx2");
   for (const std::string_view kern : {"scalar", "avx2"}) {
     if (kern == "avx2" && !have_avx2) continue;
     ASSERT_TRUE(gemm_force_kernel(kern));
-    for (bool cache_on : {true, false}) {
-      PackCacheGuard cache_guard(cache_on);
-      for (unsigned threads : {1u, 2u, 7u}) {
-        SCOPED_TRACE(testing::Message() << kern << " cache=" << cache_on
-                                        << " threads=" << threads);
-        const KernelResults got = run_all_kernels(machine, dist, threads);
-        EXPECT_TRUE(same_bits(base.mmm.view(), got.mmm.view()));
-        EXPECT_TRUE(same_bits(base.lu.view(), got.lu.view()));
-        EXPECT_TRUE(same_bits(base.chol.view(), got.chol.view()));
-        EXPECT_TRUE(same_bits(base.qr.view(), got.qr.view()));
-        EXPECT_EQ(base.tau, got.tau);
-      }
+    for (unsigned threads : {1u, 2u, 7u}) {
+      SCOPED_TRACE(testing::Message() << kern << " threads=" << threads);
+      const KernelResults got = run_all_kernels(machine, dist, threads);
+      EXPECT_TRUE(same_bits(base.mmm.view(), got.mmm.view()));
+      EXPECT_TRUE(same_bits(base.lu.view(), got.lu.view()));
+      EXPECT_TRUE(same_bits(base.chol.view(), got.chol.view()));
+      EXPECT_TRUE(same_bits(base.qr.view(), got.qr.view()));
+      EXPECT_EQ(base.tau, got.tau);
     }
   }
-}
-
-TEST(PackCache, LuPacksEachPanelBlockOncePerStep) {
-  // The point of the cache, counted: a 320 / 80 LU (nb = 4) on a 1x1 grid
-  // packs each trailing L/U panel block exactly once per step and serves
-  // every other trailing-update gemm from the cache. Step k has
-  // t = nb - 1 - k panel blocks per side and t^2 tagged gemms, so misses =
-  // sum_k 2t = 12 and hits = sum_k 2(t^2 - t) = 16. Exact counts are only
-  // pinned at one thread (the task graph's serial inline mode): with
-  // workers, two can both miss the same key before the first insert lands
-  // (the pack is then built twice, used once — still correct, just counted
-  // twice).
-  KernelGuard guard;
-  PackCacheGuard cache_guard(true);
-  MetricsRegistry reg;
-  install_metrics(&reg);
-  {
-    const Machine machine = het_machine(67, 1, 1);
-    const PanelDistribution dist = PanelDistribution::block_cyclic(1, 1);
-    Rng rng(131);
-    Matrix a(320, 320);
-    fill_diagonally_dominant(a.view(), rng);
-    run_mp_lu(machine, dist, a.view(), 80);
-  }
-  install_metrics(nullptr);
-  EXPECT_EQ(reg.counter("gemm.pack_misses").value(), 12u);
-  EXPECT_EQ(reg.counter("gemm.pack_hits").value(), 16u);
-  EXPECT_EQ(reg.counter("gemm.pack_evictions").value(), 0u);
-}
-
-TEST(PackCache, VersionBumpInvalidatesStalePack) {
-  // The invalidation protocol: overwriting a block bumps its write version
-  // (BlockStore::put), so the next tagged gemm looks up a key that has
-  // never been cached — the stale pack is simply never asked for again.
-  KernelGuard guard;
-  PackCacheGuard cache_guard(true);
-  MetricsRegistry reg;
-  install_metrics(&reg);
-  {
-    BlockStore store;
-    const BlockKey key{3, 5};
-    PackedPanelCache* cache = &store.pack_cache();
-    Rng rng(137);
-    Matrix a1(80, 80), a2(80, 80), b(80, 80);
-    fill_random(a1.view(), rng);
-    fill_random(a2.view(), rng);
-    fill_random(b.view(), rng);
-    store.put(key, a1);
-    const BlockStore& cstore = store;
-    const auto tag = [&] {
-      return PackTag{BlockStore::pack_id(key), store.version(key), true};
-    };
-    Matrix c1(80, 80, 0.0), c2(80, 80, 0.0), c3(80, 80, 0.0);
-    gemm_cached(Trans::No, Trans::No, 1.0, cstore.at(key), tag(), b.view(),
-                PackTag{}, 0.0, c1.view(), cache);  // miss: packs a1
-    gemm_cached(Trans::No, Trans::No, 1.0, cstore.at(key), tag(), b.view(),
-                PackTag{}, 0.0, c2.view(), cache);  // hit: reuses the pack
-    EXPECT_TRUE(same_bits(c1.view(), c2.view()));
-    store.put(key, a2);  // overwrite: version bump makes the pack stale
-    gemm_cached(Trans::No, Trans::No, 1.0, cstore.at(key), tag(), b.view(),
-                PackTag{}, 0.0, c3.view(), cache);  // miss: packs a2
-    // The post-overwrite result must be the fresh a2 * b product, bit for
-    // bit — not a replay of the stale a1 pack.
-    Matrix ref(80, 80, 0.0);
-    gemm(Trans::No, Trans::No, 1.0, a2.view(), b.view(), 0.0, ref.view());
-    EXPECT_TRUE(same_bits(c3.view(), ref.view()));
-    EXPECT_FALSE(same_bits(c3.view(), c1.view()));
-  }
-  install_metrics(nullptr);
-  EXPECT_EQ(reg.counter("gemm.pack_misses").value(), 2u);
-  EXPECT_EQ(reg.counter("gemm.pack_hits").value(), 1u);
-}
-
-TEST(PackCache, CapacityBoundEvictsLeastRecentlyUsed) {
-  // A tiny capacity forces evictions: three distinct 80 x 80 packs (6400
-  // doubles each) through a 10000-double cache leave at most one resident
-  // (eviction never removes the sole entry), and re-touching an evicted key
-  // misses again.
-  KernelGuard guard;
-  PackCacheGuard cache_guard(true);
-  MetricsRegistry reg;
-  install_metrics(&reg);
-  {
-    PackedPanelCache cache;
-    cache.set_capacity(10000);
-    Rng rng(139);
-    Matrix a(80, 80), b(80, 80), c(80, 80, 0.0);
-    fill_random(a.view(), rng);
-    fill_random(b.view(), rng);
-    for (std::uint64_t id : {1u, 2u, 3u, 1u}) {
-      gemm_cached(Trans::No, Trans::No, 1.0, a.view(), PackTag{id, 1, true},
-                  b.view(), PackTag{}, 0.0, c.view(), &cache);
-    }
-    EXPECT_LE(cache.held_doubles(), cache.capacity());
-    EXPECT_EQ(cache.size(), 1u);
-  }
-  install_metrics(nullptr);
-  // All four calls miss: ids 1, 2, 3 are first touches and the second id 1
-  // was evicted by 2 and 3 before it came back around.
-  EXPECT_EQ(reg.counter("gemm.pack_misses").value(), 4u);
-  EXPECT_EQ(reg.counter("gemm.pack_hits").value(), 0u);
-  EXPECT_GE(reg.counter("gemm.pack_evictions").value(), 2u);
 }
 
 }  // namespace

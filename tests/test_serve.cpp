@@ -19,6 +19,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/solution_cache.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace hetgrid::serve {
@@ -223,6 +224,12 @@ TEST(Cache, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SolutionCache(1).shard_count(), 1u);
   EXPECT_EQ(SolutionCache(3).shard_count(), 4u);
   EXPECT_EQ(SolutionCache(16).shard_count(), 16u);
+}
+
+TEST(Cache, ShardCountPastTheIndexBitsIsRejected) {
+  // shard_for() reads 16 hash bits, so shards past 65,536 could never be
+  // addressed; the constructor refuses them before allocating anything.
+  EXPECT_THROW(SolutionCache(SolutionCache::kMaxShards + 1), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------

@@ -201,6 +201,18 @@ golden(error_query_port EXIT 1 STDERR "--port must be <= 65535, got 70000"
   ARGS query ${T4} --port=70000)
 golden(error_serve_port EXIT 1 STDERR "--port must be <= 65535, got 70000"
   ARGS serve --port=70000)
+# One past the --threads and --shards bounds: every thread is an OS thread
+# and the shard table is allocated up front, so both are refused before any
+# thread starts or any table is built.
+golden(error_solve_threads EXIT 1 STDERR "--threads must be <= 256, got 257"
+  ARGS solve ${T4} --threads=257)
+golden(error_trace_threads EXIT 1 STDERR "--threads must be <= 256, got 257"
+  ARGS trace ${T4} --backend=mp --threads=257)
+golden(error_serve_threads EXIT 1 STDERR "--threads must be <= 256, got 257"
+  ARGS serve --threads=257)
+golden(error_serve_shards EXIT 1
+  STDERR "--shards must be <= 65536, got 65537"
+  ARGS serve --shards=65537)
 
 # Retired surfaces: `profile` is no subcommand, and serve --smoke and
 # solve --csv are no flags.

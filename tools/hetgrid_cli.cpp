@@ -64,19 +64,23 @@
 
 namespace hetgrid::cli {
 
-// Reads integer flag --name as a T of at least `lo` (lo >= 0). The range is
-// checked before the cast, so a negative or oversized value is rejected
-// with the flag's name instead of wrapping into a huge size or another
-// port.
+// Reads integer flag --name as a T in [lo, hi] (lo >= 0, hi no more than
+// T's maximum). The range is checked before the cast, so a negative or
+// oversized value is rejected with the flag's name instead of wrapping into
+// a huge size or another port.
 template <typename T = std::size_t>
-T int_flag(const Cli& cli, const std::string& name, std::int64_t lo = 1) {
+T int_flag(const Cli& cli, const std::string& name, std::int64_t lo = 1,
+           std::uint64_t hi = std::numeric_limits<T>::max()) {
   const std::int64_t v = cli.get_int(name);
   HG_CHECK(v >= lo, "--" << name << " must be >= " << lo << ", got " << v);
-  HG_CHECK(static_cast<std::uint64_t>(v) <= std::numeric_limits<T>::max(),
-           "--" << name << " must be <= " << std::numeric_limits<T>::max()
-                << ", got " << v);
+  HG_CHECK(static_cast<std::uint64_t>(v) <= hi,
+           "--" << name << " must be <= " << hi << ", got " << v);
   return static_cast<T>(v);
 }
+
+// Most worker threads any --threads flag may ask for: each one is an OS
+// thread, so a mistyped count must fail instead of starting millions.
+constexpr std::uint64_t kMaxThreads = 256;
 
 // The --times pool and the --p x --q grid it must fill exactly.
 struct Shape {
@@ -149,14 +153,9 @@ struct ProfileSession {
       profiler.write_chrome(f);
       profiler.hotspot_table().print(os);
       // Footer: the run's machinery counters, so one glance links hotspot
-      // time to scheduler and cache behavior (doc/observability.md).
+      // time to scheduler and block-pool behavior (doc/observability.md).
       os << "run counters: pool.steals="
          << metrics.counter("pool.steals").value()
-         << " gemm.pack_hits=" << metrics.counter("gemm.pack_hits").value()
-         << " gemm.pack_misses="
-         << metrics.counter("gemm.pack_misses").value()
-         << " gemm.pack_evictions="
-         << metrics.counter("gemm.pack_evictions").value()
          << " block_store.pool_evictions="
          << metrics.counter("block_store.pool_evictions").value() << '\n';
       os << "wrote " << profiler.lanes() << "-lane profile to "
@@ -174,7 +173,7 @@ struct ProfileSession {
 int run_solve(const Cli& cli) {
   const auto [pool, p, q] = read_shape(cli);
   ExactSolverOptions exact_opts;
-  exact_opts.threads = int_flag<unsigned>(cli, "threads", 0);
+  exact_opts.threads = int_flag<unsigned>(cli, "threads", 0, kMaxThreads);
   exact_opts.max_trees = int_flag<std::uint64_t>(cli, "max-trees");
 
   const std::string solver = cli.get_string("solver");
@@ -423,7 +422,7 @@ KernelRun parse_kernel_run(const Cli& cli) {
   KernelRun run{kernel, strategy, network, p, q, nb, block,
                 Machine{std::move(grid), net}, std::move(dist), {}};
   if (cli.has("threads"))
-    run.opts.threads = int_flag<unsigned>(cli, "threads", 0);
+    run.opts.threads = int_flag<unsigned>(cli, "threads", 0, kMaxThreads);
   apply_rebalance_flags(cli, run.opts);
   return run;
 }
@@ -641,8 +640,9 @@ int cmd_serve(int argc, const char* const* argv) {
                 {{"port", "0"}, {"unix", ""}, {"threads", "2"},
                  {"shards", "16"}, {"no-refine", "0"}});
   serve::ServerOptions opts;
-  opts.threads = int_flag<unsigned>(cli, "threads", 0);
-  opts.cache_shards = int_flag(cli, "shards");
+  opts.threads = int_flag<unsigned>(cli, "threads", 0, kMaxThreads);
+  opts.cache_shards =
+      int_flag(cli, "shards", 1, serve::SolutionCache::kMaxShards);
   opts.async_refine = !cli.get_bool("no-refine");
   const auto port = int_flag<std::uint16_t>(cli, "port", 0);
 
