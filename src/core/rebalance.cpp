@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/exact_solver.hpp"
 #include "core/heuristic.hpp"
 #include "core/rounding.hpp"
 #include "util/check.hpp"
@@ -109,15 +108,7 @@ RebalanceDecision plan_rebalance(const CycleTimeGrid& rates,
   RebalanceDecision d;
   d.current_sweep = region_sweep(rates, row_map, col_map, region);
 
-  GridAllocation alloc = heuristic_allocation(rates);
-  if (opt.exact_budget > 0 &&
-      exact_solver_cost(rates.rows(), rates.cols()) <= opt.exact_budget) {
-    const ExactSolution ex = solve_exact(rates, ExactSolverOptions{});
-    if (obj2_value(ex.alloc) > obj2_value(alloc)) {
-      alloc = ex.alloc;
-      d.exact = true;
-    }
-  }
+  const GridAllocation alloc = heuristic_allocation(rates);
 
   const std::vector<std::size_t> want_r =
       round_to_sum_positive(alloc.r, row_map.size());

@@ -7,9 +7,7 @@
 // the actuation path (doc/rebalance.md):
 //
 //   1. re-solve the allocation for the estimated rate grid with the
-//      heuristic solver (optionally upgraded to the exact spanning-tree
-//      solver when the grid is small enough — the same budget rule the
-//      placement server uses);
+//      heuristic solver;
 //   2. round the shares to per-line slot counts of the existing panel
 //      period (largest remainder, every line keeps >= 1 slot);
 //   3. rewrite the current slot maps with *minimal churn*: lines losing
@@ -47,9 +45,6 @@ struct RebalanceOptions {
   double min_gain = 0.05;
   /// Required ratio of predicted total gain to migration cost.
   double cost_threshold = 1.0;
-  /// Upgrade the heuristic re-solve with the exact spanning-tree solver
-  /// when exact_solver_cost(p, q) <= exact_budget (0 disables).
-  std::uint64_t exact_budget = 0;
 };
 
 /// The trailing region the decision prices: block rows [row_lo, row_hi) x
@@ -80,7 +75,6 @@ struct RebalanceDecision {
   double migration_cost = 0.0;  // blocks_to_move * per_block_move_cost
   std::size_t blocks_to_move = 0;
   std::size_t row_slots_changed = 0, col_slots_changed = 0;
-  bool exact = false;  // allocation came from the exact solver
 };
 
 /// One applied rebalance, as recorded by the runtime / simulator and

@@ -67,6 +67,54 @@ TEST(ArrangementEnum, VisitedGridsAreValidAndNonDecreasing) {
       });
 }
 
+std::vector<std::vector<double>> nondecreasing_grids(
+    std::size_t p, std::size_t q, const std::vector<double>& pool) {
+  std::vector<std::vector<double>> out;
+  enumerate_nondecreasing_arrangements(p, q, pool,
+                                       [&](const CycleTimeGrid& g) {
+                                         out.push_back(g.row_major());
+                                         return true;
+                                       });
+  return out;
+}
+
+// Brute force: every distinct arrangement, kept if non-decreasing.
+std::vector<std::vector<double>> filtered_grids(
+    std::size_t p, std::size_t q, const std::vector<double>& pool) {
+  std::vector<std::vector<double>> out;
+  enumerate_all_arrangements(p, q, pool, [&](const CycleTimeGrid& g) {
+    if (g.is_non_decreasing()) out.push_back(g.row_major());
+    return true;
+  });
+  return out;
+}
+
+TEST(ArrangementEnum, YieldsExactlyTheFilteredGridsInOrder) {
+  // The enumerator skips prefixes that cannot complete; it must still
+  // visit exactly the non-decreasing grids, in the brute force's
+  // (lexicographic) order, on every shape of up to 9 cells, with distinct
+  // values and with repeated ones.
+  Rng rng(14);
+  for (std::size_t p = 1; p <= 9; ++p) {
+    for (std::size_t q = 1; p * q <= 9; ++q) {
+      const std::size_t n = p * q;
+      std::vector<double> distinct(n), repeated(n), pairs(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        distinct[k] = static_cast<double>(n - k);  // unsorted on purpose
+        repeated[k] = static_cast<double>(1 + rng.below(3));
+        pairs[k] = static_cast<double>(1 + k / 2);
+      }
+      for (const std::vector<double>* pool : {&distinct, &repeated, &pairs}) {
+        SCOPED_TRACE(testing::Message()
+                     << p << "x" << q << " pool "
+                     << testing::PrintToString(*pool));
+        EXPECT_EQ(nondecreasing_grids(p, q, *pool),
+                  filtered_grids(p, q, *pool));
+      }
+    }
+  }
+}
+
 TEST(ArrangementEnum, EarlyStopHonored) {
   std::uint64_t calls = 0;
   enumerate_all_arrangements(2, 2, {1, 2, 3, 4},

@@ -10,7 +10,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/exact_solver.hpp"
+#include "core/arrangement.hpp"
 #include "dist/panel_distribution.hpp"
 #include "matrix/lu.hpp"
 #include "matrix/matrix.hpp"
@@ -183,33 +183,45 @@ TEST(ProfilerTest, RestartsCleanlyAfterStop) {
 // ------------------------------------- observation changes no result
 
 TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeTheExactSolver) {
+  // 3x4 has 462 arrangements, so at 2 threads the blocks of arrangements
+  // run on pool workers.
   Rng rng(21);
-  const CycleTimeGrid grid(3, 3, rng.cycle_times(9, 0.25));
+  const std::vector<double> pool = rng.cycle_times(12, 0.25);
   ExactSolverOptions opts;
   opts.threads = 2;
-  const ExactSolution plain = solve_exact(grid, opts);
+  const OptimalArrangement plain = solve_optimal_arrangement(3, 4, pool, opts);
 
   Profiler prof;
   prof.start();
   ScopedMetrics scoped;
-  const ExactSolution observed = solve_exact(grid, opts);
+  const OptimalArrangement observed =
+      solve_optimal_arrangement(3, 4, pool, opts);
   install_metrics(nullptr);
   prof.stop();
 
-  EXPECT_EQ(bits(plain.obj2), bits(observed.obj2));
-  ASSERT_EQ(plain.alloc.r.size(), observed.alloc.r.size());
-  for (std::size_t i = 0; i < plain.alloc.r.size(); ++i)
-    EXPECT_EQ(bits(plain.alloc.r[i]), bits(observed.alloc.r[i]));
-  for (std::size_t j = 0; j < plain.alloc.c.size(); ++j)
-    EXPECT_EQ(bits(plain.alloc.c[j]), bits(observed.alloc.c[j]));
-  EXPECT_EQ(plain.nodes_visited, observed.nodes_visited);
-  EXPECT_EQ(plain.trees_enumerated, observed.trees_enumerated);
+  EXPECT_EQ(plain.grid.row_major(), observed.grid.row_major());
+  EXPECT_EQ(bits(plain.solution.obj2), bits(observed.solution.obj2));
+  ASSERT_EQ(plain.solution.alloc.r.size(), observed.solution.alloc.r.size());
+  for (std::size_t i = 0; i < plain.solution.alloc.r.size(); ++i)
+    EXPECT_EQ(bits(plain.solution.alloc.r[i]),
+              bits(observed.solution.alloc.r[i]));
+  for (std::size_t j = 0; j < plain.solution.alloc.c.size(); ++j)
+    EXPECT_EQ(bits(plain.solution.alloc.c[j]),
+              bits(observed.solution.alloc.c[j]));
+  EXPECT_EQ(plain.solution.tree, observed.solution.tree);
+  EXPECT_TRUE(plain.totals == observed.totals);
+  EXPECT_EQ(plain.arrangements_cut, observed.arrangements_cut);
 
-  // ... and the run showed up in both sinks.
+  // ... and the run showed up in both sinks, once per arrangement.
   EXPECT_GT(prof.span_seconds("exact.solve"), 0.0);
-  EXPECT_EQ(scoped.registry.counter("exact.solves").value(), 1u);
+  EXPECT_EQ(scoped.registry.counter("exact.solves").value(),
+            observed.arrangements_tried);
   EXPECT_EQ(scoped.registry.counter("exact.nodes_visited").value(),
-            observed.nodes_visited);
+            observed.totals.nodes_visited);
+  EXPECT_EQ(scoped.registry.counter("exact.subtrees_pruned").value(),
+            observed.totals.subtrees_pruned);
+  EXPECT_EQ(scoped.registry.counter("exact.arrangements_cut").value(),
+            observed.arrangements_cut);
 }
 
 TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeMpLu) {

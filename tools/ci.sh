@@ -2,7 +2,9 @@
 # Tier-1 verification: strict (-Werror) configure + build + full test run,
 # in an isolated build-ci/ tree so it never disturbs the dev build/. Then a
 # smoke run of the runtime-scaling bench (crosses the message-passing
-# runtime's serial/threaded seam and asserts bit-identity), the repository
+# runtime's serial/threaded seam and asserts bit-identity), the exact-solver
+# bench's 3x3 and 3x4 rows (asserts the arrangement search is identical at
+# every thread count), the repository
 # benchmark's self-test, the placement server's throughput smoke with its
 # regression gates, a documentation link check, and finally a
 # ThreadSanitizer pass over the concurrent pieces (the exact solver's
@@ -26,6 +28,13 @@ ctest --test-dir build-ci --output-on-failure -j "$NPROC"
 # that every thread count reproduces the serial MpReport and matrices
 # bit-for-bit, so this doubles as an end-to-end determinism check.
 build-ci/bench/bench_runtime_scaling --smoke=1 --json=build-ci/BENCH_runtime_smoke.json
+
+# Exact-solver bench smoke: the 3x3 and 3x4 rows, run for their assertions
+# only (the arrangement search returns the same winner and counters at 1,
+# 2 and 4 threads; exhaustive mode evaluates every spanning tree). Its
+# times are not gated.
+build-ci/bench/bench_exact_scaling --max-size=3 --reps=1 \
+      --json=build-ci/BENCH_exact_smoke.json
 
 # Regression gate: the bench output must match the committed schema, a
 # self-compare must pass, and an injected +50% slowdown must make the gate

@@ -4,9 +4,10 @@
 //   solve     --times=1,2,3,6 --p=2 --q=2 [--solver=heuristic|exact|auto]
 //             [--threads=1] [--max-trees=50000000]
 //             solve the 2D load-balancing problem, print the arrangement,
-//             shares, workload matrix, and objective. --threads parallelizes
-//             the exact branch-and-bound (0 = all hardware threads) without
-//             changing any output bit.
+//             shares, workload matrix, and objective. --threads runs the
+//             exact search's arrangements in blocks of 64 on that many
+//             threads (0 = all hardware threads) without changing any
+//             output bit.
 //   design    --times=... [--csv]
 //             sweep all grid shapes for the pool and recommend one.
 //   panel     --times=... --p=2 --q=2 --bp=8 --bq=6 [--order=lu|mmm]
@@ -783,8 +784,9 @@ int usage() {
       "<solve|design|panel|simulate|trace|observe|serve|query> [--flags]\n"
       "  solve    --times=1,2,3,6 --p=2 --q=2 [--solver=heuristic|exact|auto]\n"
       "           [--threads=1] [--max-trees=50000000]\n"
-      "           (--threads=0 uses all hardware threads; the exact result\n"
-      "            is identical for any thread count)\n"
+      "           (--threads splits the exact search's arrangements into\n"
+      "            blocks of 64 across threads, 0 = all hardware threads;\n"
+      "            the result is identical for any thread count)\n"
       "  design   --times=0.2,0.3,... [--csv]\n"
       "  panel    --times=... --p=2 --q=2 --bp=8 --bq=6 [--order=lu|mmm]\n"
       "  simulate --times=... --p=2 --q=2 --kernel=mmm|lu|qr|chol --nb=64\n"
