@@ -21,6 +21,7 @@
 // visits a tiny fraction of that.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -103,5 +104,18 @@ bool propagate_tree(const CycleTimeGrid& grid,
 
 /// Number of spanning trees solve_exact would search for a p x q grid.
 std::uint64_t exact_solver_cost(std::size_t p, std::size_t q);
+
+/// Budgets of the "auto" solver choice (`hetgrid solve --solver=auto` and
+/// the placement server's auto mode): the exact solver runs only on pools
+/// of at most kExactPoolBudget processors whose tree count fits
+/// kExactTreeBudget.
+inline constexpr std::size_t kExactPoolBudget = 10;
+inline constexpr std::uint64_t kExactTreeBudget = 100'000;
+
+/// True if the exact solver fits the auto budgets for a p x q grid.
+inline bool exact_affordable(std::size_t p, std::size_t q) {
+  return p * q <= kExactPoolBudget &&
+         exact_solver_cost(p, q) <= kExactTreeBudget;
+}
 
 }  // namespace hetgrid

@@ -45,10 +45,6 @@ class KalinovLastovetskyDistribution final : public Distribution2D {
   std::string name() const override { return "kalinov-lastovetsky"; }
 
   const std::vector<std::size_t>& col_map() const { return col_map_; }
-  const std::vector<std::size_t>& row_map_of_column(std::size_t gj) const {
-    HG_CHECK(gj < q_, "grid column out of range");
-    return row_maps_[gj];
-  }
 
   /// Row-slot counts per processor within grid column gj.
   std::vector<std::size_t> row_counts_of_column(std::size_t gj) const;

@@ -40,10 +40,4 @@ double max_abs_diff(const ConstMatrixView& a, const ConstMatrixView& b) {
   return best;
 }
 
-double relative_error(const ConstMatrixView& computed,
-                      const ConstMatrixView& reference) {
-  return max_abs_diff(computed, reference) /
-         std::max(1.0, norm_max(reference));
-}
-
 }  // namespace hetgrid

@@ -17,8 +17,4 @@ double norm_max(const ConstMatrixView& a);
 /// max_ij |a_ij - b_ij|; shapes must match.
 double max_abs_diff(const ConstMatrixView& a, const ConstMatrixView& b);
 
-/// Relative residual ||computed - reference||_max / max(1, ||reference||_max).
-double relative_error(const ConstMatrixView& computed,
-                      const ConstMatrixView& reference);
-
 }  // namespace hetgrid

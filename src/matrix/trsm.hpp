@@ -54,11 +54,4 @@ void trsm_right_upper_reference(const ConstMatrixView& u, MatrixView b);
 void trsm_right_lower_transposed_reference(const ConstMatrixView& l,
                                            MatrixView b);
 
-/// B := inv(L11) * B for the LU row-panel update: given the unit-lower factor
-/// L11 of the diagonal block, computes U12 = inv(L11) * A12. Alias of
-/// trsm_left_lower_unit, named for call-site clarity.
-inline void lu_row_panel_update(const ConstMatrixView& l11, MatrixView a12) {
-  trsm_left_lower_unit(l11, a12);
-}
-
 }  // namespace hetgrid

@@ -80,16 +80,6 @@ class BlockStore {
   std::size_t size() const { return blocks_.size(); }
   std::size_t pooled() const;
 
-  /// Shape-checked block copy: the write half of a block transfer (panel
-  /// broadcast or migration) into an already-resident destination slot.
-  /// Throws PreconditionError on a shape mismatch instead of reading out of
-  /// bounds — a migration that lands on the wrong slot fails loudly.
-  static void copy_block_into(MatrixView dst, ConstMatrixView src) {
-    HG_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols(),
-             "copy_block into a block of different shape");
-    dst.copy_from(src);
-  }
-
   /// Per-shape cap on pooled free buffers. erase() drops (frees) a payload
   /// instead of pooling it once its shape's pool is full, counting
   /// block_store.pool_evictions — the bound that keeps long runs from

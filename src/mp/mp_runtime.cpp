@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "sim/online_rebalancer.hpp"
 #include "util/task_graph.hpp"
 
 namespace hetgrid {
@@ -33,6 +34,7 @@ double MpReport::average_utilization() const {
 namespace {
 
 std::size_t block_count(std::size_t n, std::size_t block) {
+  HG_CHECK(block > 0, "block size must be positive");
   return (n + block - 1) / block;
 }
 std::size_t block_lo(std::size_t idx, std::size_t block) {
@@ -71,8 +73,6 @@ constexpr int kPrioComm = 3, kPrioPanel = 2, kPrioSolve = 1, kPrioUpdate = 0;
 // schedule — the MpReport and the trace stream are bitwise equal across
 // thread counts.
 struct MpContext {
-  const Machine& machine;
-  const Distribution2D& dist;
   std::size_t block;
   std::size_t p, q;
   VirtualNetwork net;
@@ -86,28 +86,18 @@ struct MpContext {
   // results changes either way.
   RunObservation* obs;
   std::size_t step = 0;
-  // Online rebalancer state (doc/rebalance.md). When `rebalance` is false
-  // none of it is touched: owner() falls through to the distribution,
-  // cycle_time() skips the trace multiply, and compute() takes no extra
-  // sample — runs are bit-identical to pre-rebalance builds.
-  bool rebalance;
-  RebalanceOptions reb_opts;
-  CycleTimeTrace trace;
-  // The rebalancer's own estimator: always fed (when rebalancing) on the
-  // host thread, independent of any installed RunObservation, so migration
-  // decisions never depend on whether the run is being observed.
-  CycleTimeEstimator reb_est;
-  // Live owner lines: block row bi belongs to grid row row_of[bi], block
-  // column bj to grid column col_of[bj] (factored exactly like an aligned
-  // distribution, which ring sources and reduction roots rely on). A
-  // rebalance rewrites only the trailing entries, so finished panels keep
-  // their owners.
-  std::vector<std::size_t> row_of, col_of;
-  // Physical location of every persistent block, per matrix tag (A/B/C) —
-  // what gather() and the migration source lookup use. owner() covers only
-  // live trailing blocks; loc also remembers where finished blocks stayed.
+  // The run's online rebalancer (doc/rebalance.md): live owner lines,
+  // traced cycle-times, estimator feed and boundary re-solve. Its lines
+  // factor exactly like an aligned distribution, which ring sources and
+  // reduction roots rely on, and a rebalance rewrites only the trailing
+  // ones, so finished panels keep their owners.
+  OnlineRebalancer reb;
+  // Physical location of every persistent block, per matrix tag (A/B/C),
+  // kept only while rebalancing — what gather() and the migration source
+  // lookup use. owner() covers only live trailing blocks; loc also
+  // remembers where finished blocks stayed.
   std::vector<std::vector<std::size_t>> loc;
-  std::size_t loc_rows = 0, loc_cols = 0;
+  std::size_t loc_rows, loc_cols;
   std::size_t reb_applied = 0, reb_blocks = 0;
   // Erases whose block still has in-flight readers/writers; applied once
   // those tasks drain (poll_erases / finish).
@@ -123,19 +113,25 @@ struct MpContext {
   // with the host's emission state (`fused` below).
   std::unique_ptr<TaskGraph> graph;
 
+  /// One run over an nbr x nbc block grid (`blk` elements per block side)
+  /// whose `tags` persistent matrices (A, or A/B/C for MMM) migrate when
+  /// a rebalance acts.
   MpContext(const Machine& m, const Distribution2D& d, std::size_t blk,
-            TraceSink* s, const RuntimeOptions& opts)
-      : machine(m), dist(d), block(blk), p(d.grid_rows()), q(d.grid_cols()),
+            std::size_t nbr, std::size_t nbc, std::size_t tags, TraceSink* s,
+            const RuntimeOptions& opts)
+      : block(blk), p(d.grid_rows()), q(d.grid_cols()),
         net(p * q, m.net, s), store(p * q), clock(p * q, 0.0),
         busy(p * q, 0.0), sink(s), obs(installed_observation()),
-        rebalance(opts.rebalance == RuntimeOptions::Rebalance::kPanel),
-        reb_opts(opts.rebalance_opts), trace(opts.trace),
-        reb_est(opts.estimator),
-        graph(std::make_unique<TaskGraph>(opts.threads)) {
+        reb(m, d, opts, nbr, nbc, obs), loc_rows(nbr), loc_cols(nbc) {
+    HG_CHECK(p * q <= kMaxProcs, "mp runtime supports at most "
+                                     << kMaxProcs << " processors, got "
+                                     << p << "x" << q);
     m.net.validate();
     HG_CHECK(m.grid.rows() == p && m.grid.cols() == q,
              "machine grid does not match distribution");
-    HG_CHECK(blk > 0, "block size must be positive");
+    if (reb.on())
+      loc.assign(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX));
+    graph = std::make_unique<TaskGraph>(opts.threads);
     if (obs != nullptr) graph->set_observe(true);
   }
 
@@ -143,10 +139,11 @@ struct MpContext {
     step = k;
     net.set_step(k);
     poll_erases();
-    if (obs != nullptr) obs->estimator.panel_boundary(k);
   }
 
-  /// Packs (processor, block) into a task-graph resource key.
+  /// Packs (processor, block) into a task-graph resource key: the
+  /// processor id takes the top 12 bits, each block coordinate 26.
+  static constexpr std::size_t kMaxProcs = std::size_t{1} << 12;
   TaskGraph::Key key_of(std::size_t id, BlockKey k) const {
     HG_DCHECK(k.row < (std::uint64_t{1} << 26) &&
                   k.col < (std::uint64_t{1} << 26),
@@ -200,7 +197,7 @@ struct MpContext {
       };
     }
     graph->add(fused.name, std::move(fused.reads), std::move(fused.writes),
-               std::move(body), fused.priority, {}, fused.weight, fused.tag);
+               std::move(body), fused.priority, fused.weight, fused.tag);
     fused = FusedOps{};
   }
 
@@ -315,13 +312,11 @@ struct MpContext {
   std::size_t pid(std::size_t gi, std::size_t gj) const {
     return gi * q + gj;
   }
-  /// Live owner of block (bi, bj): the distribution's owner until a
-  /// rebalance rewrites the trailing lines. Kernels only consult this for
-  /// blocks at or beyond the current step, where the live lines are always
+  /// Live owner of block (bi, bj). Kernels only consult this for blocks
+  /// at or beyond the current step, where the live lines are always
   /// current (finished panels are reached through loc, not owner()).
   ProcCoord owner(std::size_t bi, std::size_t bj) const {
-    if (!rebalance) return dist.owner(bi, bj);
-    return ProcCoord{row_of[bi], col_of[bj]};
+    return reb.owner(bi, bj);
   }
   std::size_t owner_pid(std::size_t bi, std::size_t bj) const {
     const ProcCoord o = owner(bi, bj);
@@ -333,33 +328,10 @@ struct MpContext {
   /// its blocks (and this entry) in place.
   std::size_t location(std::size_t which, std::size_t bi,
                        std::size_t bj) const {
-    if (!rebalance) return owner_pid(bi, bj);
+    if (!reb.on()) return owner_pid(bi, bj);
     return loc[which][bi * loc_cols + bj];
   }
-  double cycle_time(std::size_t id) const {
-    const double t = machine.grid(id / q, id % q);
-    // No multiply on the empty trace: drift-free runs stay bit-identical.
-    return trace.empty() ? t : t * trace.factor(id, step);
-  }
-
-  /// Arms the rebalancer for a kernel over an nbr x nbc block grid with
-  /// `tags` persistent matrices (A, or A/B/C for MMM). Must run before
-  /// scatter() so the location tables capture the initial placement.
-  void init_rebalance(std::size_t nbr, std::size_t nbc, std::size_t tags) {
-    if (!rebalance) return;
-    HG_CHECK(neighbor_census(dist).aligned,
-             "rebalance=panel requires an aligned (grid-pattern) "
-             "distribution");
-    loc_rows = nbr;
-    loc_cols = nbc;
-    row_of.resize(nbr);
-    col_of.resize(nbc);
-    for (std::size_t bi = 0; bi < nbr; ++bi)
-      row_of[bi] = dist.owner(bi, 0).row;
-    for (std::size_t bj = 0; bj < nbc; ++bj)
-      col_of[bj] = dist.owner(0, bj).col;
-    loc.assign(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX));
-  }
+  double cycle_time(std::size_t id) const { return reb.cycle_time(id, step); }
 
   /// One matrix's trailing sub-rectangle to migrate when a rebalance acts.
   struct MigrateSet {
@@ -368,52 +340,21 @@ struct MpContext {
     bool lower_only;
   };
 
-  /// The panel-boundary rebalance hook: re-solves the allocation from the
-  /// internal estimator's rates, and when the plan_rebalance thresholds
-  /// clear, rewrites the trailing owner lines and migrates the affected
-  /// blocks. Migrations are ordinary block copies — kPrioComm tasks that
-  /// overlap the previous step's trailing updates; in virtual time the
-  /// destination clock waits for the transfer. Everything here runs on the
-  /// host thread as a pure function of the boundary snapshot, so the
-  /// migration schedule is bit-identical across thread counts.
-  void maybe_rebalance(std::size_t k, RebalanceRegion region,
+  /// The panel-boundary rebalance hook: when the rebalancer's re-solve
+  /// acts, migrates every block of `sets` whose owner changed. Migrations
+  /// are ordinary block copies — kPrioComm tasks that overlap the previous
+  /// step's trailing updates; in virtual time the destination clock waits
+  /// for the transfer. Everything here runs on the host thread as a pure
+  /// function of the boundary snapshot, so the migration schedule is
+  /// bit-identical across thread counts.
+  void maybe_rebalance(std::size_t k, const RebalanceRegion& region,
                        const std::vector<MigrateSet>& sets) {
-    if (!rebalance || k == 0) return;
-    // Trailing region smaller than the grid: nothing left to balance (and
-    // the per-line >= 1 slot rounding would be infeasible).
-    if (region.row_hi - region.row_lo < p ||
-        region.col_hi - region.col_lo < q)
-      return;
+    const std::optional<RebalanceDecision> d = reb.replan(k, region);
+    if (!d) return;
     metric_count("rebalance.resolves", 1);
-    region.per_block_move_cost =
-        machine.net.latency + machine.net.block_transfer;
-    const CycleTimeGrid rates =
-        estimated_rate_grid(reb_est.estimates(), machine.grid,
-                            ObsOp::kUpdate, reb_est.options().min_samples);
-    // Plan over the trailing sub-maps only, so the slot rounding spends
-    // every slot on rows/columns that still have work (region indices
-    // shift to the sub-map origin; row_lo == col_lo keeps lower_only
-    // triangles aligned).
-    const std::vector<std::size_t> sub_r(row_of.begin() + region.row_lo,
-                                         row_of.begin() + region.row_hi);
-    const std::vector<std::size_t> sub_c(col_of.begin() + region.col_lo,
-                                         col_of.begin() + region.col_hi);
-    RebalanceRegion local = region;
-    local.row_hi -= local.row_lo;
-    local.col_hi -= local.col_lo;
-    local.row_lo = 0;
-    local.col_lo = 0;
-    const RebalanceDecision d =
-        plan_rebalance(rates, sub_r, sub_c, local, reb_opts);
-    if (!d.act) return;
+    if (!d->act) return;
 
-    for (std::size_t bi = region.row_lo; bi < region.row_hi; ++bi)
-      row_of[bi] = d.row_map[bi - region.row_lo];
-    for (std::size_t bj = region.col_lo; bj < region.col_hi; ++bj)
-      col_of[bj] = d.col_map[bj - region.col_lo];
-
-    // Migrate every set block whose owner changed: read at the old owner,
-    // write at the new one, erase the stale copy.
+    // Read at the old owner, write at the new one, erase the stale copy.
     std::vector<double> arrive(p * q, 0.0);
     std::size_t moved = 0;
     for (const MigrateSet& s : sets) {
@@ -421,7 +362,7 @@ struct MpContext {
         for (std::size_t bj = s.col_lo; bj < s.col_hi; ++bj) {
           if (s.lower_only && bj > bi) continue;
           std::size_t& cur = loc[s.which][bi * loc_cols + bj];
-          const std::size_t dst = pid(row_of[bi], col_of[bj]);
+          const std::size_t dst = owner_pid(bi, bj);
           if (cur == dst) continue;
           const BlockKey key{s.which * loc_rows + bi, bj};
           const double arrival = net.transfer(cur, dst, 1, clock[cur]);
@@ -443,9 +384,9 @@ struct MpContext {
     metric_count("rebalance.blocks_moved", moved);
     metric_count("rebalance.bytes_moved", moved * block * block * 8);
     if (obs != nullptr)
-      obs->rebalances.push_back(RebalanceEvent{k, d.current_sweep,
-                                               d.proposed_sweep,
-                                               d.migration_cost, moved});
+      obs->rebalances.push_back(RebalanceEvent{k, d->current_sweep,
+                                               d->proposed_sweep,
+                                               d->migration_cost, moved});
   }
 
   /// Lands a copy of `key` (present at `from`) in `to`'s store, recycling
@@ -531,8 +472,7 @@ struct MpContext {
     busy[id] += seconds;
     trace_span(sink, TraceEventKind::kComputeBlock, id, start, seconds, step,
                name);
-    if (rebalance) reb_est.sample(id, op, units, seconds, step);
-    if (obs != nullptr) obs->estimator.sample(id, op, units, seconds, step);
+    reb.sample(id, op, units, seconds, step);
   }
 
   /// Observation record for inline host math (panel factorizations): keeps
@@ -579,7 +519,7 @@ void scatter(MpContext& ctx, const ConstMatrixView& m, std::size_t which,
       Matrix blk(ilen, jlen);
       blk.view().copy_from(m.block(ilo, jlo, ilen, jlen));
       const std::size_t id = ctx.owner_pid(bi, bj);
-      if (ctx.rebalance && which < ctx.loc.size())
+      if (which < ctx.loc.size())
         ctx.loc[which][bi * ctx.loc_cols + bj] = id;
       ctx.store[id].put(BlockKey{which * nbr + bi, bj}, std::move(blk));
     }
@@ -782,11 +722,16 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   HG_CHECK(a.cols() == n && b.rows() == n && b.cols() == n &&
                c.rows() == n && c.cols() == n,
            "run_mp_mmm needs square same-size A, B, C");
-  MpContext ctx(machine, dist, block, sink, opts);
+  // The ring-source tables below hold one entry per grid line.
+  constexpr std::size_t kMaxLines = 64;
+  HG_CHECK(dist.grid_rows() <= kMaxLines && dist.grid_cols() <= kMaxLines,
+           "run_mp_mmm supports grids up to " << kMaxLines << "x" << kMaxLines
+                                              << ", got " << dist.grid_rows()
+                                              << "x" << dist.grid_cols());
   const std::size_t nb = block_count(n, block);
+  MpContext ctx(machine, dist, block, nb, nb, 3, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  ctx.init_rebalance(nb, nb, 3);
   scatter(ctx, a, kTagA, nb, nb);
   scatter(ctx, b, kTagB, nb, nb);
   c.fill(0.0);
@@ -824,8 +769,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     // — the extra messages Figure 3 of the paper warns about. Each line's
     // ring source is fixed to the home position of the line's first key;
     // all other keys are fed to it before the ring starts.
-    bool a_src_set_row[64] = {};  // p, q <= 64 enforced by practical grids
-    HG_CHECK(ctx.p <= 64 && ctx.q <= 64, "grid too large for mp runtime");
+    bool a_src_set_row[kMaxLines] = {};
     for (std::size_t bi = 0; bi < nb; ++bi) {
       const BlockKey key{kTagA * nb + bi, k};
       const ProcCoord home = ctx.owner(bi, k);
@@ -847,7 +791,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
         row_keys[gi].push_back(key);
       }
     }
-    bool b_src_set_col[64] = {};
+    bool b_src_set_col[kMaxLines] = {};
     for (std::size_t bj = 0; bj < nb; ++bj) {
       const BlockKey key{kTagB * nb + k, bj};
       const ProcCoord home = ctx.owner(k, bj);
@@ -949,11 +893,10 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
   // coordinates; a migration mid-run would move the owners under them.
   HG_CHECK(!pivoted || opts.rebalance == RuntimeOptions::Rebalance::kOff,
            fn << " does not support rebalance=panel");
-  MpContext ctx(machine, dist, block, sink, opts);
   const std::size_t nb = block_count(n, block);
+  MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  ctx.init_rebalance(nb, nb, 1);
   scatter(ctx, a, kTagA, nb, nb);
   MpLuReport rep;
   if (pivoted) rep.piv.resize(n);
@@ -1202,11 +1145,10 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
   HG_CHECK(a.cols() == n, "run_mp_cholesky needs a square matrix");
   HG_CHECK(neighbor_census(dist).aligned,
            "run_mp_cholesky requires an aligned distribution");
-  MpContext ctx(machine, dist, block, sink, opts);
   const std::size_t nb = block_count(n, block);
+  MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  ctx.init_rebalance(nb, nb, 1);
   scatter(ctx, a, kTagA, nb, nb);
 
   std::vector<double> diag_ready(procs), l_ready(procs), c_ready(procs);
@@ -1346,12 +1288,11 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
                                                               << cols);
   HG_CHECK(neighbor_census(dist).aligned,
            "run_mp_qr requires an aligned (grid-pattern) distribution");
-  MpContext ctx(machine, dist, block, sink, opts);
   const std::size_t nbr = block_count(rows, block);
   const std::size_t nbc = block_count(cols, block);
+  MpContext ctx(machine, dist, block, nbr, nbc, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  ctx.init_rebalance(nbr, nbc, 1);
   scatter(ctx, a, kTagA, nbr, nbc);
   MpQrReport rep;
   rep.tau.reserve(cols);

@@ -29,7 +29,6 @@ void CycleTimeEstimator::sample(std::size_t proc, ObsOp op, double units,
                   : opt_.alpha * rate + (1.0 - opt_.alpha) * lane.ewma;
   lane.units += units;
   lane.samples += 1;
-  ++total_samples_;
   if (!lane.armed) {
     if (lane.samples >= opt_.min_samples) {
       lane.baseline = lane.ewma;
@@ -42,24 +41,6 @@ void CycleTimeEstimator::sample(std::size_t proc, ObsOp op, double units,
     drift_.push_back(DriftEvent{proc, op, step, lane.baseline, lane.ewma});
     lane.baseline = lane.ewma;  // re-arm: a settled shift fires only once
   }
-}
-
-void CycleTimeEstimator::panel_boundary(std::size_t step) {
-  std::lock_guard<std::mutex> lock(mu_);
-  EstimatorSnapshot snap;
-  snap.step = step;
-  snap.estimates.reserve(lanes_.size());
-  for (const auto& [key, lane] : lanes_)
-    snap.estimates.push_back(CycleEstimate{key.first,
-                                           static_cast<ObsOp>(key.second),
-                                           lane.ewma, lane.units,
-                                           lane.samples});
-  snapshots_.push_back(std::move(snap));
-  if (snapshots_.size() > opt_.max_snapshots)
-    snapshots_.erase(snapshots_.begin(),
-                     snapshots_.begin() +
-                         static_cast<std::ptrdiff_t>(snapshots_.size() -
-                                                     opt_.max_snapshots));
 }
 
 std::vector<CycleEstimate> CycleTimeEstimator::estimates() const {
@@ -75,16 +56,6 @@ std::vector<CycleEstimate> CycleTimeEstimator::estimates() const {
 std::vector<DriftEvent> CycleTimeEstimator::drift_events() const {
   std::lock_guard<std::mutex> lock(mu_);
   return drift_;
-}
-
-std::vector<EstimatorSnapshot> CycleTimeEstimator::snapshots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return snapshots_;
-}
-
-std::uint64_t CycleTimeEstimator::total_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_samples_;
 }
 
 }  // namespace hetgrid

@@ -11,16 +11,12 @@
 // planted t_ij exactly, which is how estimator accuracy is tested; feeding
 // wall-clock task durations recovers the machine's real effective rates.
 //
-// Two auxiliary signals ride on the lanes:
-//   - panel-boundary snapshots: panel_boundary(k) freezes a copy of the
-//     current estimates, so a rebalancer (or the imbalance report) can see
-//     the estimate trajectory across kernel steps;
-//   - drift events: once a lane has `min_samples` samples its EWMA is
-//     "armed" as the baseline; whenever the EWMA later moves more than
-//     `drift_band` (relative) away from the baseline, one typed DriftEvent
-//     is emitted and the baseline re-arms at the new value. A planted 2x
-//     mid-run slowdown therefore fires exactly once (the EWMA converges to
-//     the new rate, which stays inside the re-armed band).
+// Drift events ride on the lanes: once a lane has `min_samples` samples
+// its EWMA is "armed" as the baseline; whenever the EWMA later moves more
+// than `drift_band` (relative) away from the baseline, one typed
+// DriftEvent is emitted and the baseline re-arms at the new value. A
+// planted 2x mid-run slowdown therefore fires exactly once (the EWMA
+// converges to the new rate, which stays inside the re-armed band).
 //
 // Null-sink contract (doc/observability.md): instrumentation sites fetch
 // the installed observation once (a single relaxed atomic load) and do
@@ -71,19 +67,12 @@ struct DriftEvent {
   double after = 0.0;
 };
 
-/// Estimates frozen at one panel boundary.
-struct EstimatorSnapshot {
-  std::size_t step = 0;
-  std::vector<CycleEstimate> estimates;  // sorted by (proc, op)
-};
-
 class CycleTimeEstimator {
  public:
   struct Options {
     double alpha = 0.25;        // EWMA weight of the newest sample
     double drift_band = 0.5;    // relative band around the armed baseline
     std::uint64_t min_samples = 2;  // samples before a lane arms
-    std::size_t max_snapshots = 64;  // oldest snapshots are dropped
   };
 
   CycleTimeEstimator() = default;
@@ -96,14 +85,9 @@ class CycleTimeEstimator {
   void sample(std::size_t proc, ObsOp op, double units, double seconds,
               std::size_t step);
 
-  /// Freezes the current estimates as the snapshot for `step`.
-  void panel_boundary(std::size_t step);
-
   /// Current estimates, sorted by (proc, op) — deterministic output order.
   std::vector<CycleEstimate> estimates() const;
   std::vector<DriftEvent> drift_events() const;
-  std::vector<EstimatorSnapshot> snapshots() const;
-  std::uint64_t total_samples() const;
 
   const Options& options() const { return opt_; }
 
@@ -122,8 +106,6 @@ class CycleTimeEstimator {
   Options opt_;
   std::map<std::pair<std::size_t, std::uint8_t>, Lane> lanes_;
   std::vector<DriftEvent> drift_;
-  std::vector<EstimatorSnapshot> snapshots_;
-  std::uint64_t total_samples_ = 0;
 };
 
 }  // namespace hetgrid

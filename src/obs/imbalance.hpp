@@ -25,8 +25,8 @@
 //     t_ij when the machine grid is known, plus any drift events.
 //
 // write_imbalance_json() is byte-stable (format_compact, fixed key order)
-// and deliberately excludes the wall-clock task fields — its bytes are
-// identical for every thread count, which CI asserts.
+// and carries no wall-clock value — its bytes are identical for every
+// thread count, which CI asserts.
 #pragma once
 
 #include <atomic>

@@ -15,6 +15,7 @@
 
 #include "core/arrangement.hpp"
 #include "core/cycle_time_grid.hpp"
+#include "core/exact_solver.hpp"
 #include "core/heuristic.hpp"
 #include "obs/imbalance.hpp"
 #include "obs/metrics.hpp"
@@ -101,11 +102,6 @@ PlacementServer::PlacementServer(ServerOptions opts)
 
 PlacementServer::~PlacementServer() { shutdown(); }
 
-bool PlacementServer::exact_affordable(std::size_t p, std::size_t q) const {
-  return p * q <= opts_.exact_pool_budget &&
-         exact_solver_cost(p, q) <= opts_.exact_tree_budget;
-}
-
 PlaceOutcome PlacementServer::place(const PlacementRequest& req) {
   return place_admitted(req, Clock::now());
 }
@@ -170,7 +166,7 @@ PlaceOutcome PlacementServer::solve_miss(const PlacementRequest& req,
     case Mode::kAuto:
       use_exact = affordable &&
                   (req.deadline_us == 0 ||
-                   req.deadline_us >= opts_.exact_deadline_floor_us);
+                   req.deadline_us >= kExactDeadlineFloorUs);
       break;
   }
 

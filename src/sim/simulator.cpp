@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/imbalance.hpp"
+#include "sim/online_rebalancer.hpp"
 
 namespace hetgrid {
 
@@ -66,35 +67,26 @@ void emit_broadcast_spans(TraceSink* sink, const NetworkModel& net,
 }
 
 // Per-run state shared by the four kernels: the report under construction,
-// the step origin of the trace timeline, the rebalancer's live slot maps and
-// internal estimator, and the traced-rate accessors. With rebalancing off
-// and an empty trace every hook reduces exactly to the paper's static
-// arithmetic — the distribution is consulted directly and no factor is
-// multiplied in — which the golden fingerprints in tests/test_sim.cpp pin.
+// the step origin of the trace timeline, and the run's OnlineRebalancer
+// (live owners, traced rates, estimator feed and boundary re-solve). With
+// rebalancing off and an empty trace every hook reduces exactly to the
+// paper's static arithmetic, which the golden fingerprints in
+// tests/test_sim.cpp pin.
 struct SimState {
-  const Machine& machine;
-  const Distribution2D& dist;
-  const RuntimeOptions& opts;
   TraceSink* sink;
   RunObservation* obs;  // installed observation, fetched once
-  bool on;              // opts.rebalance == kPanel
   std::size_t p, q;
-  std::vector<std::size_t> row_of, col_of;  // live slot maps (on only)
-  CycleTimeEstimator est;
+  OnlineRebalancer reb;
   SimReport rep;
   double now = 0.0;  // start of the current step on the trace timeline
 
   SimState(const Machine& m, const Distribution2D& d, std::size_t nb,
            const RuntimeOptions& o, TraceSink* s, const char* kernel)
-      : machine(m),
-        dist(d),
-        opts(o),
-        sink(s),
+      : sink(s),
         obs(installed_observation()),
-        on(o.rebalance == RuntimeOptions::Rebalance::kPanel),
         p(m.grid.rows()),
         q(m.grid.cols()),
-        est(o.estimator) {
+        reb(m, d, o, nb, nb, obs) {
     m.net.validate();
     HG_CHECK(p == d.grid_rows() && q == d.grid_cols(),
              "machine grid " << p << "x" << q
@@ -104,26 +96,15 @@ struct SimState {
     rep.kernel = kernel;
     rep.distribution = d.name();
     rep.busy.assign(p * q, 0.0);
-    if (!on) return;
-    HG_CHECK(
-        neighbor_census(d).aligned,
-        "rebalance=panel requires an aligned (grid-pattern) distribution");
-    row_of.resize(nb);
-    col_of.resize(nb);
-    for (std::size_t i = 0; i < nb; ++i) row_of[i] = d.owner(i, 0).row;
-    for (std::size_t j = 0; j < nb; ++j) col_of[j] = d.owner(0, j).col;
   }
 
   ProcCoord owner(std::size_t bi, std::size_t bj) const {
-    if (!on) return dist.owner(bi, bj);
-    return ProcCoord{row_of[bi], col_of[bj]};
+    return reb.owner(bi, bj);
   }
 
-  /// Effective cycle-time of processor (gi, gj) at step `k` under the
-  /// drift trace. An empty trace performs no multiply at all.
+  /// Effective cycle-time of processor (gi, gj) at step `k`.
   double rate(std::size_t gi, std::size_t gj, std::size_t k) const {
-    const double t = machine.grid(gi, gj);
-    return opts.trace.empty() ? t : t * opts.trace.factor(gi * q + gj, k);
+    return reb.cycle_time(gi * q + gj, k);
   }
 
   /// Aggregate speed sum_ij 1/rate at step `k` — the denominator of the
@@ -145,52 +126,25 @@ struct SimState {
     if (seconds <= 0.0) return;
     trace_span(sink, TraceEventKind::kComputeBlock, id, start, seconds, k,
                name);
-    if (on) est.sample(id, op, units, seconds, k);
-    if (obs != nullptr) obs->estimator.sample(id, op, units, seconds, k);
+    reb.sample(id, op, units, seconds, k);
   }
 
-  /// Plans one boundary rebalance over `region` (absolute block
-  /// coordinates) and applies it to the live maps when it acts, setting
+  /// One boundary rebalance over `region` (absolute block coordinates):
+  /// counts the re-solve and, when it acts, records the event and sets
   /// `migration` to the bill charged to this step's communication time.
-  /// Returns whether the maps changed.
-  bool boundary(std::size_t k, RebalanceRegion region, double& migration) {
-    if (!on || k == 0) return false;
-    // plan_rebalance keeps every line at >= 1 slot; a trailing region
-    // smaller than the grid cannot satisfy that, so the last boundaries
-    // simply hold.
-    if (region.row_hi - region.row_lo < p ||
-        region.col_hi - region.col_lo < q)
-      return false;
+  /// Returns whether the owners changed.
+  bool boundary(std::size_t k, const RebalanceRegion& region,
+                double& migration) {
+    const std::optional<RebalanceDecision> d = reb.replan(k, region);
+    if (!d) return false;
     rep.resolves += 1;
-    region.per_block_move_cost =
-        machine.net.latency + machine.net.block_transfer;
-    const CycleTimeGrid rates = estimated_rate_grid(
-        est.estimates(), machine.grid, ObsOp::kUpdate,
-        est.options().min_samples);
-    // Plan over the trailing sub-maps only (region shifted to the origin),
-    // so every rounded slot lands on a row/column that still has work.
-    std::vector<std::size_t> sub_rows(row_of.begin() + region.row_lo,
-                                      row_of.begin() + region.row_hi);
-    std::vector<std::size_t> sub_cols(col_of.begin() + region.col_lo,
-                                      col_of.begin() + region.col_hi);
-    RebalanceRegion local = region;
-    local.row_hi -= local.row_lo;
-    local.col_hi -= local.col_lo;
-    local.row_lo = 0;
-    local.col_lo = 0;
-    const RebalanceDecision d = plan_rebalance(rates, sub_rows, sub_cols,
-                                               local, opts.rebalance_opts);
-    if (!d.act) return false;
-    std::copy(d.row_map.begin(), d.row_map.end(),
-              row_of.begin() + static_cast<std::ptrdiff_t>(region.row_lo));
-    std::copy(d.col_map.begin(), d.col_map.end(),
-              col_of.begin() + static_cast<std::ptrdiff_t>(region.col_lo));
+    if (!d->act) return false;
     rep.migrations += 1;
-    rep.blocks_moved += d.blocks_to_move;
-    rep.events.push_back({k, d.current_sweep, d.proposed_sweep,
-                          d.migration_cost, d.blocks_to_move});
+    rep.blocks_moved += d->blocks_to_move;
+    rep.events.push_back({k, d->current_sweep, d->proposed_sweep,
+                          d->migration_cost, d->blocks_to_move});
     if (obs != nullptr) obs->rebalances.push_back(rep.events.back());
-    migration = d.migration_cost;
+    migration = d->migration_cost;
     return true;
   }
 
@@ -205,7 +159,6 @@ struct SimState {
     rep.perfect_compute_bound += perfect;
     trace_span(sink, TraceEventKind::kPhase, kMachineLane, now, s.total(),
                s.step, "step");
-    if (obs != nullptr) obs->estimator.panel_boundary(s.step);
     now += s.total();
   }
 

@@ -12,11 +12,12 @@
 // The same code prices the online-rebalancing study (doc/rebalance.md)
 // through `RuntimeOptions`: a drift trace scales every per-step charge, so
 // a straggler that slows down mid-run is priced step by step, and with
-// `rebalance = kPanel` an internal CycleTimeEstimator feeds plan_rebalance()
-// at every panel boundary. When it acts, the live row/column slot maps are
-// rewritten and the migration bill is charged to that step's communication
-// time. With the default options (no trace, rebalancing off) every charge
-// is the paper's static model, bit for bit.
+// `rebalance = kPanel` the run's OnlineRebalancer (sim/online_rebalancer.hpp,
+// the one both backends hold) re-solves the allocation at every panel
+// boundary. When it acts, its live owner lines are rewritten and the
+// migration bill is charged to that step's communication time. With the
+// default options (no trace, rebalancing off) every charge is the paper's
+// static model, bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -104,13 +105,13 @@ struct KernelCosts {
 /// dependencies alone order the work, so step k+1's panel chain overlaps
 /// step k's trailing updates.
 /// `rebalance` arms the online rebalancer (doc/rebalance.md): at every
-/// panel boundary the backend re-solves the allocation from its internal
-/// cycle-time estimator (configured by `estimator`) and, when the
-/// `rebalance_opts` thresholds clear, migrates trailing blocks to the new
-/// owners. Off by default and bit-identical to pre-rebalance builds when
-/// off; it requires an aligned (grid-pattern) distribution. `trace` plants
-/// time-varying cycle-times (drift scenarios); an empty trace is the static
-/// paper model.
+/// panel boundary the backend's OnlineRebalancer re-solves the allocation
+/// from its own cycle-time estimator (configured by `estimator`) and, when
+/// the `rebalance_opts` thresholds clear, the backend migrates trailing
+/// blocks to the new owners. Off by default and bit-identical to
+/// pre-rebalance builds when off; it requires an aligned (grid-pattern)
+/// distribution. `trace` plants time-varying cycle-times (drift
+/// scenarios); an empty trace is the static paper model.
 struct RuntimeOptions {
   enum class Scheduler { kDag };
   enum class Rebalance { kOff, kPanel };

@@ -31,8 +31,6 @@ class Table {
   /// Same data as CSV (header first), for downstream plotting.
   void print_csv(std::ostream& os) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -80,7 +80,6 @@ std::size_t TaskGraph::append_record(const char* name, std::uint64_t tag,
   rec.chain_pred = pred;
   rec.host = host;
   records_.push_back(rec);
-  record_task_.push_back(SIZE_MAX);
   return records_.size() - 1;
 }
 
@@ -92,43 +91,18 @@ void TaskGraph::note_host_work(const std::vector<Key>& writes, double weight,
   for (const Key k : writes) host_chain_[k] = rec;
 }
 
-std::vector<TaskRecord> TaskGraph::records() const {
-  std::vector<TaskRecord> out = records_;
-  for (std::size_t r = 0; r < out.size(); ++r) {
-    const std::size_t t = record_task_[r];
-    if (t != SIZE_MAX) {
-      out[r].wall_start = tasks_[t].wall_start;
-      out[r].wall_finish = tasks_[t].wall_finish;
-    }
-  }
-  return out;
-}
-
 TaskGraph::TaskId TaskGraph::add(const char* name, std::vector<Key> reads,
                                  std::vector<Key> writes,
                                  std::function<void()> fn, int priority,
-                                 const std::vector<TaskId>& after,
                                  double weight, std::uint64_t tag) {
   const TaskId id = tasks_.size();
-  // The only way to express a cycle is an `after` edge that does not point
-  // strictly backwards; inferred dependencies always reference earlier
-  // tasks, so rejecting these keeps the graph acyclic by construction.
-  for (const TaskId a : after)
-    HG_CHECK(a < id, "TaskGraph: `after` dependency " << a
-                         << " is not an earlier task than " << id
-                         << " (forward or self edges would form a cycle)");
-
   std::vector<TaskId> deps;
   collect_deps(reads, writes, id, deps);
-  deps.insert(deps.end(), after.begin(), after.end());
-  std::sort(deps.begin(), deps.end());
-  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
 
   const std::size_t rec =
       observe_ ? append_record(name, tag, weight, deps, reads, writes,
                                /*host=*/false)
                : SIZE_MAX;
-  if (rec != SIZE_MAX) record_task_[rec] = id;
 
   // Advance the key history: this task is now the reader-of-record for its
   // read keys and the writer-of-record for its write keys.
@@ -234,22 +208,14 @@ void TaskGraph::pump() {
           .set(static_cast<double>(ready_.size()));
   }
   while (t != nullptr) {
-    // observe_ is set once before the first add() and never flips during a
-    // run, so reading it off-lock here is race-free.
-    const double t0 = observe_ ? wall_now() : 0.0;
     {
       ProfScope span(t->name);
       t->fn();
     }
-    const double t1 = observe_ ? wall_now() : 0.0;
     std::size_t extra = 0;  // ready tasks beyond the one this worker keeps
     bool notify = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (observe_) {
-        t->wall_start = t0;
-        t->wall_finish = t1;
-      }
       t->done = true;
       t->fn = nullptr;  // release captured views/buffers promptly
       ++done_count_;

@@ -5,10 +5,8 @@
 // encodes (processor, block) pairs). Dependencies are inferred from the
 // key history exactly like a scoreboard: a task depends on the last writer
 // of every key it reads (RAW), and on the last writer *and* all readers
-// since that write of every key it writes (WAW / WAR). Because every
-// dependency points at an earlier task, the graph is acyclic by
-// construction — the explicit `after` list is checked for forward or self
-// references, which is the only way a cycle could ever be expressed.
+// since that write of every key it writes (WAW / WAR). Every dependency
+// points at an earlier task, so the graph is acyclic by construction.
 //
 // Determinism contract (doc/parallel_runtime.md): each task's arithmetic
 // is self-contained, and every read-modify-write chain on one key is
@@ -27,10 +25,10 @@
 // dag.ready_at_submit, dag.blocked_at_submit; gauges dag.ready_depth
 // (threaded only — wall-clock scheduling state) and dag.critical_path
 // (deterministic, set by wait_all); each task body runs inside a ProfScope
-// named after the task, so worker lanes show the real dataflow schedule.
+// named after the task, so worker lanes show the real dataflow schedule —
+// the profiler's spans are the tasks' wall-clock record.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -49,9 +47,7 @@ namespace hetgrid {
 /// Per-task observation record (set_observe). `chain_cost` is the weight of
 /// the heaviest dependency chain ending at this record (its own weight
 /// included), computed on the host at submission time from the declared
-/// weights — deterministic for any thread count, unlike the wall-clock
-/// fields, which are only filled by the threaded scheduler (seconds since
-/// the graph's construction; 0 in serial mode). `chain_pred` indexes the
+/// weights — deterministic for any thread count. `chain_pred` indexes the
 /// predecessor record on that chain (-1 for a chain head). Host-side work
 /// noted via note_host_work() appears as records too, so critical paths
 /// that pass through host panel factorizations stay connected.
@@ -61,8 +57,6 @@ struct TaskRecord {
   double weight = 0.0;
   double chain_cost = 0.0;
   std::ptrdiff_t chain_pred = -1;
-  double wall_start = 0.0;
-  double wall_finish = 0.0;
   bool host = false;  // true for note_host_work records
 };
 
@@ -99,20 +93,18 @@ class TaskGraph {
 
   /// Submits one task. `name` must have static storage duration (it labels
   /// profiler spans). Dependencies are inferred from `reads`/`writes` as
-  /// described above; `after` adds explicit edges to earlier tasks and
-  /// throws PreconditionError on a forward or self reference (the cycle
-  /// check). Ties in the ready queue break on (priority desc, id asc).
-  /// Tasks must not throw (ThreadPool's non-throwing contract).
+  /// described above. Ties in the ready queue break on (priority desc, id
+  /// asc). Tasks must not throw (ThreadPool's non-throwing contract).
   /// `weight` and `tag` only feed the observation records (set_observe);
   /// they never influence scheduling or results.
   TaskId add(const char* name, std::vector<Key> reads,
              std::vector<Key> writes, std::function<void()> fn,
-             int priority = 0, const std::vector<TaskId>& after = {},
-             double weight = 0.0, std::uint64_t tag = kNoTag);
+             int priority = 0, double weight = 0.0,
+             std::uint64_t tag = kNoTag);
 
-  /// Enables per-task observation records (weighted critical-path chains +
-  /// wall-clock spans). Must be called before the first add(); off by
-  /// default, in which case add() skips all record bookkeeping.
+  /// Enables per-task observation records (weighted critical-path chains).
+  /// Must be called before the first add(); off by default, in which case
+  /// add() skips all record bookkeeping.
   void set_observe(bool on) { observe_ = on; }
   bool observing() const { return observe_; }
 
@@ -124,10 +116,9 @@ class TaskGraph {
   void note_host_work(const std::vector<Key>& writes, double weight,
                       const char* name, std::uint64_t tag = kNoTag);
 
-  /// Copies the observation records (task records get their wall-clock
-  /// spans merged in). Host-thread only, after wait_all(). Empty unless
-  /// observing.
-  std::vector<TaskRecord> records() const;
+  /// The observation records in submission order. Host-thread only, after
+  /// wait_all(). Empty unless observing.
+  const std::vector<TaskRecord>& records() const { return records_; }
 
   /// Blocks the host thread until every task touching `reads` (last
   /// writer) or `writes` (last writer + readers since) has finished, then
@@ -162,8 +153,6 @@ class TaskGraph {
     bool done = false;
     bool host_waited = false;        // host_acquire is blocked on this task
     std::size_t rec = SIZE_MAX;      // observation record index (observe_)
-    double wall_start = 0.0;         // threaded + observe_ only
-    double wall_finish = 0.0;
   };
 
   struct ReadyEntry {
@@ -187,11 +176,6 @@ class TaskGraph {
                             double weight, const std::vector<TaskId>& deps,
                             const std::vector<Key>& reads,
                             const std::vector<Key>& writes, bool host);
-  double wall_now() const {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
 
   unsigned threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
@@ -202,18 +186,14 @@ class TaskGraph {
 
   Stats stats_;
 
-  // Observation state (set_observe). records_ / host_chain_ are touched
-  // only by the host thread; workers write wall times into their Task
-  // under mu_ and records() merges them afterwards. host_chain_ maps a key
-  // to the record index of the heaviest chain the host absorbed for it
-  // (host_acquire stashes the erased writers' chains there, note_host_work
-  // extends them), so chains survive the key-history erasure at host syncs.
+  // Observation state (set_observe), touched only by the host thread.
+  // host_chain_ maps a key to the record index of the heaviest chain the
+  // host absorbed for it (host_acquire stashes the erased writers' chains
+  // there, note_host_work extends them), so chains survive the key-history
+  // erasure at host syncs.
   bool observe_ = false;
   std::vector<TaskRecord> records_;
-  std::vector<std::size_t> record_task_;  // record -> task id (SIZE_MAX: host)
   std::unordered_map<Key, std::size_t> host_chain_;  // key -> record index
-  std::chrono::steady_clock::time_point epoch_ =
-      std::chrono::steady_clock::now();
 
   // Task state shared with workers. cv_done_ is only signalled when the
   // single host thread is actually blocked on the completing task

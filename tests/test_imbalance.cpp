@@ -1,10 +1,10 @@
 // Tests for the load-imbalance observatory (src/obs/cycle_estimator,
 // src/obs/imbalance): EWMA cycle-time estimation and its exact recovery of
 // planted t_ij from virtual-time charges, the drift detector's
-// fires-exactly-once contract, panel-boundary snapshots, the imbalance
-// report (lower bound, lanes, critical-path attribution through the MP
-// task graph's records), the null-sink contract (observing a run
-// changes no computed result), and byte-stable JSON across thread counts.
+// fires-exactly-once contract, the imbalance report (lower bound, lanes,
+// critical-path attribution through the MP task graph's records), the
+// null-sink contract (observing a run changes no computed result), and
+// byte-stable JSON across thread counts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -59,7 +59,6 @@ TEST(CycleEstimator, NonPositiveSamplesAreIgnored) {
   est.sample(0, ObsOp::kUpdate, 1.0, 0.0, 0);
   est.sample(0, ObsOp::kUpdate, -1.0, 1.0, 0);
   EXPECT_TRUE(est.estimates().empty());
-  EXPECT_EQ(est.total_samples(), 0u);
 }
 
 TEST(CycleEstimator, LanesAreKeyedByProcessorAndOpClass) {
@@ -115,20 +114,6 @@ TEST(CycleEstimator, SecondShiftPastTheReArmedBandFiresASecondEvent) {
   EXPECT_LT(events[1].after, events[1].before);  // a speed-up, not a slowdown
 }
 
-TEST(CycleEstimator, SnapshotRingIsCapped) {
-  CycleTimeEstimator::Options opt;
-  opt.max_snapshots = 3;
-  CycleTimeEstimator est(opt);
-  est.sample(0, ObsOp::kUpdate, 1.0, 1.0, 0);
-  for (std::size_t k = 0; k < 10; ++k) est.panel_boundary(k);
-  const std::vector<EstimatorSnapshot> snaps = est.snapshots();
-  ASSERT_EQ(snaps.size(), 3u);
-  EXPECT_EQ(snaps.front().step, 7u);  // oldest dropped
-  EXPECT_EQ(snaps.back().step, 9u);
-  ASSERT_EQ(snaps.back().estimates.size(), 1u);
-  EXPECT_EQ(snaps.back().estimates[0].seconds_per_unit, 1.0);
-}
-
 TEST(Observation, InstallReturnsPrevious) {
   RunObservation a, b;
   RunObservation* prev = install_observation(&a);
@@ -147,8 +132,7 @@ Machine planted_machine(std::size_t p, std::size_t q,
 
 // The acceptance case: on a simulator run over planted heterogeneous
 // cycle-times, the virtual charges are seconds = t_ij * units, so the
-// estimator must recover every per-(processor, op-class) t_ij exactly —
-// and already in the first panel-boundary snapshot (one panel sweep).
+// estimator must recover every per-(processor, op-class) t_ij exactly.
 TEST(SimObservation, EstimatorRecoversPlantedRatesAfterOnePanelSweep) {
   const std::size_t p = 2, q = 2, nb = 6;
   const Machine machine = planted_machine(p, q, {1.0, 1.5, 2.0, 3.0});
@@ -175,17 +159,6 @@ TEST(SimObservation, EstimatorRecoversPlantedRatesAfterOnePanelSweep) {
   std::vector<bool> seen(p * q, false);
   for (const EstimateRow& e : report.estimates) seen[e.proc] = true;
   for (std::size_t id = 0; id < p * q; ++id) EXPECT_TRUE(seen[id]);
-
-  // One panel sweep was enough: the first snapshot's lanes are already on
-  // the planted values.
-  const std::vector<EstimatorSnapshot> snaps = obs.estimator.snapshots();
-  ASSERT_FALSE(snaps.empty());
-  EXPECT_EQ(snaps.front().step, 0u);
-  ASSERT_FALSE(snaps.front().estimates.empty());
-  for (const CycleEstimate& e : snaps.front().estimates) {
-    const double truth = machine.grid(e.proc / q, e.proc % q);
-    EXPECT_EQ(e.seconds_per_unit, truth);
-  }
 
   // With exact rates the paper's bound is a true lower bound.
   EXPECT_GT(report.lower_bound, 0.0);

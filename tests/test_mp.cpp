@@ -239,6 +239,50 @@ TEST(BlockStore, EraseRemovesCopy) {
   EXPECT_EQ(s.size(), 0u);
 }
 
+// ----------------------------------------------------- grid bound
+
+TEST(MpGridBound, EveryKernelRejectsA65x65GridBeforeDoingAnyWork) {
+  // The task graph packs the processor id into 12 bits of its key, so a
+  // grid of more than 4096 processors would alias two processors' blocks.
+  // Every entry point rejects one up front: no trace event is emitted and
+  // no output is written.
+  const std::size_t p = 65, q = 65, n = 2, block = 1;
+  const Machine m{CycleTimeGrid(p, q, std::vector<double>(p * q, 1.0)),
+                  NetworkModel::free()};
+  const PanelDistribution d = PanelDistribution::block_cyclic(p, q);
+  const Matrix a(n, n, 1.0), b(n, n, 1.0);
+  const auto untouched = [](const Matrix& x) {
+    for (std::size_t j = 0; j < x.cols(); ++j)
+      for (std::size_t i = 0; i < x.rows(); ++i)
+        if (x(i, j) != 7.0) return false;
+    return true;
+  };
+  MemoryTraceSink sink;
+
+  Matrix c(n, n, 7.0);
+  EXPECT_THROW(
+      run_mp_mmm(m, d, a.view(), b.view(), c.view(), block, {}, &sink),
+      PreconditionError);
+  EXPECT_TRUE(untouched(c));
+  Matrix lu(n, n, 7.0);
+  EXPECT_THROW(run_mp_lu(m, d, lu.view(), block, {}, false, &sink),
+               PreconditionError);
+  EXPECT_TRUE(untouched(lu));
+  Matrix piv(n, n, 7.0);
+  EXPECT_THROW(run_mp_lu_pivoted(m, d, piv.view(), block, {}, &sink),
+               PreconditionError);
+  EXPECT_TRUE(untouched(piv));
+  Matrix chol(n, n, 7.0);
+  EXPECT_THROW(run_mp_cholesky(m, d, chol.view(), block, {}, &sink),
+               PreconditionError);
+  EXPECT_TRUE(untouched(chol));
+  Matrix qr(n, n, 7.0);
+  EXPECT_THROW(run_mp_qr(m, d, qr.view(), block, {}, &sink),
+               PreconditionError);
+  EXPECT_TRUE(untouched(qr));
+  EXPECT_TRUE(sink.events().empty());
+}
+
 // ----------------------------------------------------- MP MMM
 
 TEST(MpMmm, MatchesSequentialProduct) {

@@ -185,9 +185,7 @@ int run_solve(const Cli& cli) {
     print_allocation(res.final().grid, res.final().alloc, std::cout);
     return 0;
   }
-  if (solver == "exact" ||
-      (solver == "auto" && exact_solver_cost(p, q) <= 100000 &&
-       pool.size() <= 10)) {
+  if (solver == "exact" || (solver == "auto" && exact_affordable(p, q))) {
     const OptimalArrangement opt =
         solve_optimal_arrangement(p, q, pool, exact_opts);
     std::cout << "solver: exact (" << opt.arrangements_tried
