@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -143,8 +145,12 @@ int main(int argc, char** argv) {
   HG_CHECK(clients >= 1 && requests >= clients,
            "--clients must be >= 1 and --requests >= --clients");
 
+  const std::int64_t threads = cli.get_int("threads");
+  HG_CHECK(threads >= 0 && threads <= ThreadPool::kMaxThreads,
+           "--threads must be in [0, " << ThreadPool::kMaxThreads
+                                       << "], got " << threads);
   serve::ServerOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads"));
+  opts.threads = static_cast<unsigned>(threads);
 
   Table table;
   table.header({"shape", "phase", "requests", "qps", "p50_us", "p95_us",

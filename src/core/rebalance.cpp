@@ -98,8 +98,7 @@ std::size_t moved_blocks(const std::vector<std::size_t>& cur_r,
 RebalanceDecision plan_rebalance(const CycleTimeGrid& rates,
                                  const std::vector<std::size_t>& row_map,
                                  const std::vector<std::size_t>& col_map,
-                                 const RebalanceRegion& region,
-                                 const RebalanceOptions& opt) {
+                                 const RebalanceRegion& region) {
   HG_CHECK(!row_map.empty() && !col_map.empty(),
            "plan_rebalance needs non-empty slot maps");
   HG_CHECK(region.row_hi >= region.row_lo && region.col_hi >= region.col_lo,
@@ -128,8 +127,8 @@ RebalanceDecision plan_rebalance(const CycleTimeGrid& rates,
       (d.current_sweep - d.proposed_sweep) * region.remaining_sweeps;
 
   d.act = (d.row_slots_changed + d.col_slots_changed) > 0 &&
-          d.proposed_sweep < (1.0 - opt.min_gain) * d.current_sweep &&
-          d.predicted_gain > opt.cost_threshold * d.migration_cost;
+          d.proposed_sweep < (1.0 - kRebalanceMinGain) * d.current_sweep &&
+          d.predicted_gain > kRebalanceCostThreshold * d.migration_cost;
   return d;
 }
 

@@ -19,7 +19,7 @@
 //      current vs the proposed maps, and the migration bill (blocks whose
 //      owner changes x per-block transfer cost). Act only when the
 //      predicted gain over the remaining sweeps clears both the relative
-//      min_gain band and cost_threshold x migration cost.
+//      min-gain band and the cost threshold x migration cost.
 //
 // Everything here is a pure function of its inputs — no clocks, no
 // randomness — which is what makes the runtime's migration schedule
@@ -35,17 +35,15 @@
 
 namespace hetgrid {
 
-/// Thresholds of the act/hold decision. Defaults are deliberately
-/// conservative: a re-solve that predicts less than 5% per-sweep gain, or
-/// whose gain over the remaining sweeps does not repay the migration bill,
-/// changes nothing.
-struct RebalanceOptions {
-  /// Required relative per-sweep improvement: act only when
-  /// proposed_sweep < (1 - min_gain) * current_sweep.
-  double min_gain = 0.05;
-  /// Required ratio of predicted total gain to migration cost.
-  double cost_threshold = 1.0;
-};
+// Thresholds of the act/hold decision, deliberately conservative: a
+// re-solve that predicts less than 5% per-sweep gain, or whose gain over
+// the remaining sweeps does not repay the migration bill, changes nothing.
+
+/// Required relative per-sweep improvement: act only when
+/// proposed_sweep < (1 - kRebalanceMinGain) * current_sweep.
+inline constexpr double kRebalanceMinGain = 0.05;
+/// Required ratio of predicted total gain to migration cost.
+inline constexpr double kRebalanceCostThreshold = 1.0;
 
 /// The trailing region the decision prices: block rows [row_lo, row_hi) x
 /// block columns [col_lo, col_hi), optionally restricted to the lower
@@ -94,8 +92,7 @@ struct RebalanceEvent {
 RebalanceDecision plan_rebalance(const CycleTimeGrid& rates,
                                  const std::vector<std::size_t>& row_map,
                                  const std::vector<std::size_t>& col_map,
-                                 const RebalanceRegion& region,
-                                 const RebalanceOptions& opt = {});
+                                 const RebalanceRegion& region);
 
 /// Assembles the estimated rate grid a re-solve runs on: lane (proc, op)
 /// of `estimates` supplies seconds-per-unit once it has >= min_samples

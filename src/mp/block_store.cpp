@@ -39,7 +39,7 @@ void BlockStore::erase(BlockKey key) {
   Matrix& m = it->second;
   if (!m.empty()) {
     auto& shelf = pool_[shape_key(m.rows(), m.cols())];
-    if (shelf.size() < pool_cap_) {
+    if (shelf.size() < kPoolCapPerShape) {
       shelf.push_back(std::move(m));
     } else {
       metric_count("block_store.pool_evictions");

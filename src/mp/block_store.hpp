@@ -84,15 +84,13 @@ class BlockStore {
   /// instead of pooling it once its shape's pool is full, counting
   /// block_store.pool_evictions — the bound that keeps long runs from
   /// accumulating every transient shape they ever saw.
-  static constexpr std::size_t kDefaultPoolCapPerShape = 8;
-  void set_pool_capacity(std::size_t per_shape) { pool_cap_ = per_shape; }
-  std::size_t pool_capacity() const { return pool_cap_; }
+  static constexpr std::size_t kPoolCapPerShape = 8;
 
  private:
   std::unordered_map<BlockKey, Matrix, BlockKeyHash> blocks_;
-  // Freed payloads keyed by (rows << 32) ^ cols, at most pool_cap_ each.
+  // Freed payloads keyed by (rows << 32) ^ cols, at most kPoolCapPerShape
+  // each.
   std::unordered_map<std::uint64_t, std::vector<Matrix>> pool_;
-  std::size_t pool_cap_ = kDefaultPoolCapPerShape;
 };
 
 }  // namespace hetgrid

@@ -8,10 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <functional>
-#include <mutex>
 
 #include "core/arrangement.hpp"
 #include "core/cycle_time_grid.hpp"
@@ -296,35 +293,6 @@ StatsReply PlacementServer::stats() const {
 std::vector<std::uint8_t> PlacementServer::handle_payload(
     const std::vector<std::uint8_t>& payload) {
   return process_payload(payload, Clock::now());
-}
-
-std::vector<std::vector<std::uint8_t>> PlacementServer::handle_batch(
-    const std::vector<std::vector<std::uint8_t>>& payloads) {
-  const auto admitted = Clock::now();
-  metric_record("serve.batch.frames", static_cast<double>(payloads.size()));
-  std::vector<std::vector<std::uint8_t>> out(payloads.size());
-  if (payloads.empty()) return out;
-
-  // Private completion latch: waiting on the pool's global idle state
-  // would also wait for unrelated refinements and other batches.
-  std::mutex mu;
-  std::condition_variable done;
-  std::size_t remaining = payloads.size();
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    tasks.push_back([this, &payloads, &out, &mu, &done, &remaining, admitted,
-                     i]() {
-      std::vector<std::uint8_t> result = process_payload(payloads[i], admitted);
-      std::lock_guard<std::mutex> lock(mu);
-      out[i] = std::move(result);
-      if (--remaining == 0) done.notify_one();
-    });
-  }
-  pool_.submit_batch(std::move(tasks));
-  std::unique_lock<std::mutex> lock(mu);
-  done.wait(lock, [&] { return remaining == 0; });
-  return out;
 }
 
 void PlacementServer::serve_connection(int fd) {

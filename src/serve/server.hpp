@@ -29,8 +29,6 @@
 // Front ends, thinnest first:
 //   * handle_payload(): the serial loopback — one encoded payload in, one
 //     encoded payload out, no sockets anywhere (tests, benches);
-//   * handle_batch(): batch admission — decodes a vector of payloads and
-//     fans the solves out across the pool, responses in request order;
 //   * serve_fd(): a blocking accept loop on a listening TCP/unix socket;
 //     each connection becomes a pool task streaming length-prefixed
 //     frames (tools/hetgrid_cli.cpp `hetgrid serve`).
@@ -62,8 +60,8 @@ namespace hetgrid::serve {
 inline constexpr std::uint64_t kExactDeadlineFloorUs = 20'000;
 
 struct ServerOptions {
-  /// Worker threads shared by socket connections, batch admission, and
-  /// async refinement (0 = all hardware threads).
+  /// Worker threads shared by socket connections and async refinement
+  /// (0 = all hardware threads, at most ThreadPool::kMaxThreads).
   unsigned threads = 1;
   /// Power-of-two shard count for the solution cache, at most
   /// SolutionCache::kMaxShards.
@@ -101,12 +99,6 @@ class PlacementServer {
   std::vector<std::uint8_t> handle_payload(
       const std::vector<std::uint8_t>& payload);
 
-  /// Batch admission: decodes every payload, fans the valid requests out
-  /// across the worker pool, and returns the encoded outcomes in request
-  /// order once all have finished.
-  std::vector<std::vector<std::uint8_t>> handle_batch(
-      const std::vector<std::vector<std::uint8_t>>& payloads);
-
   /// Accept loop on a listening socket fd (see listen_tcp / listen_unix).
   /// Blocks until shutdown(); each accepted connection is served as a pool
   /// task that answers frames until the peer closes. Takes ownership of
@@ -118,8 +110,8 @@ class PlacementServer {
   /// work (including refinements) drains. Idempotent, thread-safe.
   void shutdown();
 
-  /// Blocks until every queued pool task (connections, batch members,
-  /// async refinements) has finished — how tests await refinement.
+  /// Blocks until every queued pool task (connections, async
+  /// refinements) has finished — how tests await refinement.
   void drain();
 
   /// Introspection snapshot served to kStatsRequest frames: cache

@@ -60,8 +60,7 @@ std::optional<RebalanceDecision> OnlineRebalancer::replan(
   local.col_hi -= local.col_lo;
   local.row_lo = 0;
   local.col_lo = 0;
-  RebalanceDecision d =
-      plan_rebalance(rates, rows, cols, local, opts_.rebalance_opts);
+  RebalanceDecision d = plan_rebalance(rates, rows, cols, local);
   if (d.act) {
     std::copy(d.row_map.begin(), d.row_map.end(), row_of_.begin() + row_lo);
     std::copy(d.col_map.begin(), d.col_map.end(), col_of_.begin() + col_lo);

@@ -107,8 +107,8 @@ struct KernelCosts {
 /// `rebalance` arms the online rebalancer (doc/rebalance.md): at every
 /// panel boundary the backend's OnlineRebalancer re-solves the allocation
 /// from its own cycle-time estimator (configured by `estimator`) and, when
-/// the `rebalance_opts` thresholds clear, the backend migrates trailing
-/// blocks to the new owners. Off by default and bit-identical to
+/// plan_rebalance's thresholds clear, the backend migrates trailing blocks
+/// to the new owners. Off by default and bit-identical to
 /// pre-rebalance builds when off; it requires an aligned (grid-pattern)
 /// distribution. `trace` plants time-varying cycle-times (drift
 /// scenarios); an empty trace is the static paper model.
@@ -119,7 +119,6 @@ struct RuntimeOptions {
   unsigned threads = 1;
   Scheduler scheduler = Scheduler::kDag;
   Rebalance rebalance = Rebalance::kOff;
-  RebalanceOptions rebalance_opts;
   CycleTimeEstimator::Options estimator;
   CycleTimeTrace trace;
 };

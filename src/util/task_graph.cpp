@@ -192,10 +192,10 @@ void TaskGraph::pump() {
   // completion readies several tasks this worker keeps one and offers only
   // the rest to the pool — per-task scheduling cost is one lock
   // acquisition in the steady state, with no wakeup syscalls unless the
-  // host is blocked on the completing task. The extra pumps land on the
-  // completing worker's own deque (LIFO local push), where idle siblings
-  // steal them from the FIFO end — a fused task of uneven cost keeps this
-  // worker busy while the stolen pumps drain the rest of the wavefront.
+  // host is blocked on the completing task. The extra pumps go to the
+  // pool's queue, where idle workers take them — a fused task of uneven
+  // cost keeps this worker busy while their pumps drain the rest of the
+  // wavefront.
   Task* t = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);

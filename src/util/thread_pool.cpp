@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -18,19 +19,20 @@ double us_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-// Identifies the current thread as worker `tls_index` of `tls_pool`, so
-// submit() can route a worker-produced task onto that worker's own deque
-// (the LIFO local push). Any other thread sees tls_pool == nullptr.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local unsigned tls_index = 0;
+void record_submit(MetricsRegistry* metrics, std::size_t count,
+                   std::size_t depth) {
+  if (metrics == nullptr) return;
+  metrics->counter("pool.tasks_submitted").add(static_cast<double>(count));
+  metrics->gauge("pool.queue_depth").set(static_cast<double>(depth));
+}
 
 }  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   HG_CHECK(threads >= 1, "ThreadPool needs at least one worker");
-  deques_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    deques_.emplace_back(std::make_unique<Deque>());
+  HG_CHECK(threads <= kMaxThreads, "ThreadPool supports at most "
+                                       << kMaxThreads << " workers, got "
+                                       << threads);
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -38,128 +40,57 @@ ThreadPool::ThreadPool(unsigned threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    stop_.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
   cv_work_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::push_item(Item&& item, std::size_t target) {
-  {
-    std::lock_guard<std::mutex> lock(deques_[target]->mu);
-    deques_[target]->items.push_back(std::move(item));
-  }
-  // pending_ rises only after the item is visible in its deque, so a
-  // worker woken by the pending count can always find the work by
-  // rescanning (at worst it loops once while the push completes).
-  pending_.fetch_add(1);
-}
-
-void ThreadPool::maybe_wake(std::size_t count) {
-  std::size_t wake = 0;
-  {
-    // Only wake workers that are actually parked. A worker that failed its
-    // scan re-checks pending_ under sleep_mu_ before sleeping, so skipping
-    // the notify here can never strand a task.
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    wake = std::min(waiting_, count);
-  }
-  for (std::size_t i = 0; i < wake; ++i) cv_work_.notify_one();
-}
-
 void ThreadPool::submit(std::function<void()> task) {
-  HG_CHECK(!stop_.load(std::memory_order_relaxed),
-           "submit on a stopping ThreadPool");
   MetricsRegistry* metrics = installed_metrics();
-  Item item;
-  item.fn = std::move(task);
-  if (metrics != nullptr) {
-    item.enqueued = std::chrono::steady_clock::now();
-    item.timed = true;
+  Item item{std::move(task), {}, metrics != nullptr};
+  if (item.timed) item.enqueued = std::chrono::steady_clock::now();
+  std::size_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    HG_CHECK(!stop_, "submit on a stopping ThreadPool");
+    queue_.push_back(std::move(item));
+    depth = queue_.size() + running_;
   }
-  outstanding_.fetch_add(1);
-  // A worker submits to itself (LIFO locality: the freshest task reuses
-  // the producer's hot data, and siblings steal from the cold FIFO end);
-  // everyone else spreads round-robin.
-  const std::size_t target = tls_pool == this
-                                 ? tls_index
-                                 : next_.fetch_add(1) % deques_.size();
-  push_item(std::move(item), target);
-  maybe_wake(1);
-  if (metrics != nullptr) {
-    metrics->counter("pool.tasks_submitted").add(1);
-    metrics->gauge("pool.queue_depth")
-        .set(static_cast<double>(outstanding_.load()));
-  }
+  cv_work_.notify_one();
+  record_submit(metrics, 1, depth);
 }
 
 void ThreadPool::submit_batch(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
-  HG_CHECK(!stop_.load(std::memory_order_relaxed),
-           "submit_batch on a stopping ThreadPool");
   MetricsRegistry* metrics = installed_metrics();
   std::chrono::steady_clock::time_point now;
   if (metrics != nullptr) now = std::chrono::steady_clock::now();
-  outstanding_.fetch_add(tasks.size());
-  const bool local = tls_pool == this;
-  for (std::function<void()>& task : tasks) {
-    Item item;
-    item.fn = std::move(task);
-    if (metrics != nullptr) {
-      item.enqueued = now;
-      item.timed = true;
-    }
-    const std::size_t target =
-        local ? tls_index : next_.fetch_add(1) % deques_.size();
-    push_item(std::move(item), target);
+  std::size_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    HG_CHECK(!stop_, "submit_batch on a stopping ThreadPool");
+    for (std::function<void()>& task : tasks)
+      queue_.push_back(Item{std::move(task), now, metrics != nullptr});
+    depth = queue_.size() + running_;
   }
-  maybe_wake(tasks.size());
-  if (metrics != nullptr) {
-    metrics->counter("pool.tasks_submitted")
-        .add(static_cast<double>(tasks.size()));
-    metrics->gauge("pool.queue_depth")
-        .set(static_cast<double>(outstanding_.load()));
-  }
+  const std::size_t wake = std::min(tasks.size(), workers_.size());
+  for (std::size_t i = 0; i < wake; ++i) cv_work_.notify_one();
+  record_submit(metrics, tasks.size(), depth);
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(sleep_mu_);
-  cv_idle_.wait(lock, [this] { return outstanding_.load() == 0; });
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 unsigned ThreadPool::resolve_threads(unsigned requested) {
+  HG_CHECK(requested <= kMaxThreads, "at most " << kMaxThreads
+                                                << " worker threads, got "
+                                                << requested);
   if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-bool ThreadPool::try_pop_local(unsigned self, Item& out) {
-  Deque& d = *deques_[self];
-  std::lock_guard<std::mutex> lock(d.mu);
-  if (d.items.empty()) return false;
-  out = std::move(d.items.back());  // LIFO end
-  d.items.pop_back();
-  // Decremented under the deque mutex, so "every deque scanned empty"
-  // implies pending_ has already dropped for every claimed item — the
-  // shutdown drain cannot spin on a phantom count.
-  pending_.fetch_sub(1);
-  return true;
-}
-
-bool ThreadPool::try_steal(unsigned self, Item& out) {
-  const std::size_t n = deques_.size();
-  for (std::size_t hop = 1; hop < n; ++hop) {
-    Deque& d = *deques_[(self + hop) % n];
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.items.empty()) continue;
-    out = std::move(d.items.front());  // FIFO end: the oldest task migrates
-    d.items.pop_front();
-    pending_.fetch_sub(1);
-    metric_count("pool.steals");
-    return true;
-  }
-  return false;
+  return std::clamp(std::thread::hardware_concurrency(), 1u, kMaxThreads);
 }
 
 void ThreadPool::run_item(Item& item) {
@@ -197,30 +128,18 @@ void ThreadPool::run_item(Item& item) {
 
 void ThreadPool::worker_loop(unsigned index) {
   prof_set_thread_name("worker-" + std::to_string(index));
-  tls_pool = this;
-  tls_index = index;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Item item;
-    if (try_pop_local(index, item) || try_steal(index, item)) {
-      run_item(item);
-      item.fn = nullptr;  // release captures before the idle signal
-      if (outstanding_.fetch_sub(1) == 1) {
-        // wait_idle's predicate can only turn true at this transition;
-        // taking sleep_mu_ orders the notify after the host's predicate
-        // check, so the host can never sleep through it.
-        std::lock_guard<std::mutex> lock(sleep_mu_);
-        cv_idle_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    ++waiting_;
-    cv_work_.wait(lock, [this] {
-      return stop_.load(std::memory_order_relaxed) || pending_.load() > 0;
-    });
-    --waiting_;
-    if (stop_.load(std::memory_order_relaxed) && pending_.load() == 0)
-      return;  // stop requested and every deque drained
+    cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop requested and the queue drained
+    Item item = std::move(queue_.front());
+    queue_.pop_front();
+    ++running_;
+    lock.unlock();
+    run_item(item);
+    item.fn = nullptr;  // release captures before the idle signal
+    lock.lock();
+    if (--running_ == 0 && queue_.empty()) cv_idle_.notify_all();
   }
 }
 

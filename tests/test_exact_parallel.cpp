@@ -14,7 +14,9 @@
 #include "core/arrangement.hpp"
 #include "core/exact_solver.hpp"
 #include "graph/spanning_tree.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetgrid {
 namespace {
@@ -335,6 +337,16 @@ TEST(ExactParallel, FourByFourSolvesUnderDefaultCap) {
   EXPECT_EQ(full.trees_enumerated, 4096u);
   EXPECT_NEAR(pruned.obj2, full.obj2, 1e-9 * full.obj2);
   EXPECT_LT(pruned.nodes_visited, full.nodes_visited);
+}
+
+TEST(ExactParallel, ThreadCountAboveThePoolBoundIsRejected) {
+  // 3x3 is one block of arrangements and never starts a worker, so the
+  // bound must be checked on the request itself.
+  ExactSolverOptions opts;
+  opts.threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(
+      solve_optimal_arrangement(3, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9}, opts),
+      PreconditionError);
 }
 
 TEST(PropagateTree, RejectsNonSpanningEdgeSets) {

@@ -19,6 +19,7 @@
 #include "mp/virtual_network.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetgrid {
 namespace {
@@ -281,6 +282,19 @@ TEST(MpGridBound, EveryKernelRejectsA65x65GridBeforeDoingAnyWork) {
                PreconditionError);
   EXPECT_TRUE(untouched(qr));
   EXPECT_TRUE(sink.events().empty());
+}
+
+TEST(MpGridBound, ThreadCountAboveThePoolBoundIsRejectedBeforeAnyWork) {
+  const Machine m{CycleTimeGrid(1, 1, {1.0}), NetworkModel::free()};
+  const PanelDistribution d = PanelDistribution::block_cyclic(1, 1);
+  const Matrix a(4, 4, 1.0), b(4, 4, 1.0);
+  Matrix c(4, 4, 7.0);
+  RuntimeOptions opts;
+  opts.threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW(
+      run_mp_mmm(m, d, a.view(), b.view(), c.view(), 2, {}, nullptr, opts),
+      PreconditionError);
+  EXPECT_EQ(c(0, 0), 7.0);
 }
 
 // ----------------------------------------------------- MP MMM

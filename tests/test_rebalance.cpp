@@ -11,6 +11,7 @@
 // across thread counts, a rebalanced LU bit-identical to the static one).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -143,6 +144,28 @@ TEST(PlanRebalance, MinGainBandAbsorbsSmallDrift) {
   EXPECT_EQ(d.blocks_to_move, 0u);
   EXPECT_EQ(d.row_map, rows);
   EXPECT_EQ(d.col_map, cols);
+}
+
+TEST(PlanRebalance, MinGainBandHoldsAPayingMoveUnderFivePercent) {
+  // A 10% slowdown on grid row 0 of 40 row slots: the re-solve moves one
+  // slot (20/20 -> 19/21) and the move is free, so it pays, but the region
+  // sweep only drops from 22 to 21 (4.5%). The min-gain band alone holds it.
+  const CycleTimeGrid rates(2, 1, {1.1, 1.0});
+  std::vector<std::size_t> rows(40, 1);
+  std::fill(rows.begin(), rows.begin() + 20, 0);
+  const std::vector<std::size_t> cols{0};
+  const RebalanceDecision d = plan_rebalance(
+      rates, rows, cols, RebalanceRegion{0, 40, 0, 1, false, 10.0, 0.0, 1.0});
+  EXPECT_EQ(d.row_slots_changed, 1u);
+  EXPECT_EQ(d.col_slots_changed, 0u);
+  EXPECT_EQ(std::count(d.row_map.begin(), d.row_map.end(), 0u), 19);
+  EXPECT_NEAR(d.current_sweep, 22.0, 1e-12);
+  EXPECT_NEAR(d.proposed_sweep, 21.0, 1e-12);
+  EXPECT_NEAR(d.predicted_gain, 10.0, 1e-12);
+  EXPECT_EQ(d.migration_cost, 0.0);
+  EXPECT_GT(d.predicted_gain, kRebalanceCostThreshold * d.migration_cost);
+  EXPECT_GE(d.proposed_sweep, (1.0 - kRebalanceMinGain) * d.current_sweep);
+  EXPECT_FALSE(d.act);
 }
 
 TEST(PlanRebalance, LowerOnlyRegionPricesOnlyLowerBlocks) {

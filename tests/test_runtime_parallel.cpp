@@ -155,22 +155,20 @@ TEST(BlockStore, PoolBoundedPerShapeWithEvictionCounter) {
   // erase() frees the payload instead of pooling it and counts
   // block_store.pool_evictions — long runs cannot accumulate every
   // transient shape they ever saw.
+  constexpr std::size_t kCap = BlockStore::kPoolCapPerShape;
   MetricsRegistry reg;
   install_metrics(&reg);
   {
     BlockStore s;
-    EXPECT_EQ(s.pool_capacity(), BlockStore::kDefaultPoolCapPerShape);
-    s.set_pool_capacity(2);
-    EXPECT_EQ(s.pool_capacity(), 2u);
-    for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t i = 0; i < kCap + 3; ++i) {
       s.put({i, 0}, Matrix(4, 6, 1.0));
       s.erase({i, 0});
     }
-    EXPECT_EQ(s.pooled(), 2u);  // shelf capped, not 5
+    EXPECT_EQ(s.pooled(), kCap);  // shelf capped, not kCap + 3
     // A different shape gets its own shelf under the same cap.
-    s.put({9, 0}, Matrix(6, 4, 1.0));
-    s.erase({9, 0});
-    EXPECT_EQ(s.pooled(), 3u);
+    s.put({kCap + 9, 0}, Matrix(6, 4, 1.0));
+    s.erase({kCap + 9, 0});
+    EXPECT_EQ(s.pooled(), kCap + 1);
   }
   install_metrics(nullptr);
   EXPECT_EQ(reg.counter("block_store.pool_evictions").value(), 3u);

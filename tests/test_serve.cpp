@@ -2,8 +2,8 @@
 // round-trips and typed decode errors, Theorem-1 canonicalization
 // properties (permutation and power-of-two scale equivalence), the
 // monotone cache-upgrade guarantee, deadline fallback with async exact
-// refinement, batch admission, concurrent loopback bit-identity, and the
-// TCP / unix-domain socket round trips.
+// refinement, concurrent loopback bit-identity, and the TCP / unix-domain
+// socket round trips.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -264,26 +264,42 @@ TEST(Server, ValidationErrorsAreTyped) {
 
 TEST(Server, OverflowingCycleTimesAnswerTypedErrorOnTheWire) {
   // A pool whose sum overflows must come back as kBadCycleTime through the
-  // serial loopback and through batch admission — never as an exception
-  // that drops the connection or escapes a pool worker.
+  // serial loopback and over a socket connection, which a pool worker
+  // serves — never as an exception that drops the connection or escapes
+  // the worker. The same connection then answers a valid request.
+  const PlacementRequest overflowing =
+      make_request(2, 2, {1e308, 1e308, 1e308, 1e308});
   PlacementServer server;
-  const std::vector<std::uint8_t> bad =
-      encode_request(make_request(2, 2, {1e308, 1e308, 1e308, 1e308}));
-  const Decoded single = decode_payload(server.handle_payload(bad));
+  const Decoded single =
+      decode_payload(server.handle_payload(encode_request(overflowing)));
   ASSERT_TRUE(single.ok());
   ASSERT_EQ(single.type, MsgType::kError);
   EXPECT_EQ(single.error.code, WireError::kBadCycleTime);
 
-  const std::vector<std::vector<std::uint8_t>> replies = server.handle_batch(
-      {bad, encode_request(make_request(2, 2, {1, 2, 3, 6}))});
-  ASSERT_EQ(replies.size(), 2u);
-  const Decoded first = decode_payload(replies[0]);
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first.type, MsgType::kError);
-  EXPECT_EQ(first.error.code, WireError::kBadCycleTime);
-  const Decoded second = decode_payload(replies[1]);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.type, MsgType::kResponse);
+  std::uint16_t port = 0;
+  const int listen_fd = listen_tcp(0, &port);
+  ASSERT_GT(port, 0);
+  std::thread acceptor([&] { server.serve_fd(listen_fd); });
+  Endpoint ep;
+  ep.port = port;
+  const int fd = connect_endpoint(ep);
+  const Decoded bad = query_fd(fd, overflowing);
+  EXPECT_TRUE(bad.ok());
+  EXPECT_EQ(bad.type, MsgType::kError);
+  EXPECT_EQ(bad.error.code, WireError::kBadCycleTime);
+  const Decoded good = query_fd(fd, make_request(2, 2, {1, 2, 3, 6}));
+  EXPECT_TRUE(good.ok());
+  EXPECT_EQ(good.type, MsgType::kResponse);
+  ::close(fd);
+
+  server.shutdown();
+  acceptor.join();
+}
+
+TEST(Server, ThreadCountAboveThePoolBoundIsRejected) {
+  ServerOptions opts;
+  opts.threads = ThreadPool::kMaxThreads + 1;
+  EXPECT_THROW({ PlacementServer server(opts); }, PreconditionError);
 }
 
 TEST(Server, UnsupportedVersionAnswersBadVersion) {
@@ -418,43 +434,6 @@ TEST(Server, HeuristicModeNeverRunsExactInline) {
   ASSERT_TRUE(again.ok);
   EXPECT_EQ(again.response.cache_state, CacheState::kHit);
   EXPECT_EQ(again.response.solver, SolverKind::kHeuristic);
-}
-
-TEST(Server, BatchAnswersInRequestOrderWithTypedErrors) {
-  Rng rng(26);
-  const std::vector<double> a = rng.cycle_times(4);
-  const std::vector<double> b = rng.cycle_times(6);
-  const OptimalArrangement direct_a = solve_optimal_arrangement(2, 2, a);
-  const OptimalArrangement direct_b = solve_optimal_arrangement(2, 3, b);
-
-  ServerOptions opts;
-  opts.threads = 2;
-  PlacementServer server(opts);
-  std::vector<std::vector<std::uint8_t>> payloads;
-  payloads.push_back(encode_request(make_request(2, 2, a)));
-  payloads.push_back({0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0});  // bad magic
-  payloads.push_back(encode_request(make_request(2, 3, b)));
-
-  const std::vector<std::vector<std::uint8_t>> replies =
-      server.handle_batch(payloads);
-  ASSERT_EQ(replies.size(), 3u);
-
-  const Decoded d0 = decode_payload(replies[0]);
-  ASSERT_TRUE(d0.ok());
-  ASSERT_EQ(d0.type, MsgType::kResponse);
-  EXPECT_EQ(d0.response.r, direct_a.solution.alloc.r);
-  EXPECT_EQ(d0.response.objective, direct_a.solution.obj2);
-
-  const Decoded d1 = decode_payload(replies[1]);
-  ASSERT_TRUE(d1.ok());
-  ASSERT_EQ(d1.type, MsgType::kError);
-  EXPECT_EQ(d1.error.code, WireError::kBadMagic);
-
-  const Decoded d2 = decode_payload(replies[2]);
-  ASSERT_TRUE(d2.ok());
-  ASSERT_EQ(d2.type, MsgType::kResponse);
-  EXPECT_EQ(d2.response.c, direct_b.solution.alloc.c);
-  EXPECT_EQ(d2.response.objective, direct_b.solution.obj2);
 }
 
 // Client threads hammer one in-process server in two phases. Cold: an

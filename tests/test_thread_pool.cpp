@@ -1,4 +1,5 @@
-// Tests for the fixed-size worker pool behind the parallel exact solver.
+// Tests for the fixed-size worker pool behind the parallel exact solver,
+// the MP task graph and the placement server.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,7 +56,17 @@ TEST(ThreadPool, SizeMatchesRequest) {
 TEST(ThreadPool, ResolveThreadsZeroMeansHardware) {
   const unsigned n = ThreadPool::resolve_threads(0);
   EXPECT_GE(n, 1u);
+  EXPECT_LE(n, ThreadPool::kMaxThreads);
   EXPECT_EQ(ThreadPool::resolve_threads(7), 7u);
+}
+
+TEST(ThreadPool, RejectsMoreThanMaxThreadsBeforeStartingAny) {
+  EXPECT_EQ(ThreadPool::resolve_threads(ThreadPool::kMaxThreads),
+            ThreadPool::kMaxThreads);
+  EXPECT_THROW(ThreadPool::resolve_threads(ThreadPool::kMaxThreads + 1),
+               PreconditionError);
+  EXPECT_THROW({ ThreadPool pool(ThreadPool::kMaxThreads + 1); },
+               PreconditionError);
 }
 
 TEST(ThreadPool, TasksRunOnWorkerThreads) {
@@ -150,56 +161,50 @@ TEST(ThreadPool, RecordsWaitLatencyHistogram) {
   EXPECT_EQ(metrics.histogram("pool.task_run_us").count(), 16u);
 }
 
-TEST(ThreadPool, WorkerLocalSubmitRunsNewestFirst) {
-  // A task submitted from a pool worker lands on that worker's own deque
-  // and is popped LIFO. With a single worker there is nobody to steal, so
-  // three subtasks enqueued by a running task must execute newest-first —
-  // the locality property the work-stealing design trades FIFO order for.
+TEST(ThreadPool, QueuedTasksStartInSubmissionOrder) {
+  // One worker, held by a gate task while the rest queue up behind it:
+  // once the gate opens, the queued tasks start in the order they were
+  // submitted, singly or batched.
   ThreadPool pool(1);
-  std::mutex mu;
-  std::vector<int> order;
-  pool.submit([&] {
-    for (int i = 0; i < 3; ++i)
-      pool.submit([&, i] {
-        std::lock_guard<std::mutex> lock(mu);
-        order.push_back(i);
-      });
+  std::atomic<bool> release{false};
+  std::vector<int> order;  // touched by the single worker only
+  pool.submit([&release] {
+    while (!release.load()) std::this_thread::yield();
   });
+  for (int i = 0; i < 3; ++i)
+    pool.submit([&order, i] { order.push_back(i); });
+  std::vector<std::function<void()>> tasks;
+  for (int i = 3; i < 6; ++i)
+    tasks.emplace_back([&order, i] { order.push_back(i); });
+  pool.submit_batch(std::move(tasks));
+  release.store(true);
   pool.wait_idle();
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 0}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
-TEST(ThreadPool, IdleWorkerStealsFromBusySibling) {
-  // Force a steal deterministically: a task running on one worker submits
-  // a subtask (which lands on its own deque) and then refuses to finish
-  // until the subtask has started — which only the other worker can make
-  // happen, by stealing it. The steal must land on a different thread and
-  // be recorded in the pool.steals counter.
-  MetricsRegistry metrics;
-  install_metrics(&metrics);
-  {
-    ThreadPool pool(2);
-    std::atomic<bool> stolen_started{false};
-    std::thread::id owner_id, thief_id;
+TEST(ThreadPool, IdleWorkerRunsTaskSubmittedByBusySibling) {
+  // A task running on one worker submits a subtask and then refuses to
+  // finish until the subtask has started — which only the other worker
+  // can make happen. The subtask must run on a different thread.
+  ThreadPool pool(2);
+  std::atomic<bool> sub_started{false};
+  std::thread::id owner_id, sub_id;
+  pool.submit([&] {
+    owner_id = std::this_thread::get_id();
     pool.submit([&] {
-      owner_id = std::this_thread::get_id();
-      pool.submit([&] {
-        thief_id = std::this_thread::get_id();
-        stolen_started.store(true);
-      });
-      while (!stolen_started.load()) std::this_thread::yield();
+      sub_id = std::this_thread::get_id();
+      sub_started.store(true);
     });
-    pool.wait_idle();
-    EXPECT_NE(owner_id, thief_id);
-  }
-  install_metrics(nullptr);
-  EXPECT_GE(metrics.counter("pool.steals").value(), 1u);
+    while (!sub_started.load()) std::this_thread::yield();
+  });
+  pool.wait_idle();
+  EXPECT_NE(owner_id, sub_id);
 }
 
 TEST(ThreadPool, UnevenBatchRebalancesAcrossWorkers) {
   // One long task and many short ones submitted as a single batch: the
-  // round-robin spread plus stealing must let the short tasks finish on
-  // the unblocked worker instead of serializing behind the long one.
+  // short tasks must finish on the unblocked worker instead of
+  // serializing behind the long one.
   ThreadPool pool(2);
   std::atomic<bool> release{false};
   std::atomic<int> short_done{0};

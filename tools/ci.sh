@@ -9,8 +9,8 @@
 # regression gates, a documentation link check, and finally a
 # ThreadSanitizer pass over the concurrent pieces (the exact solver's
 # thread pool, the message-passing runtime's task graph, and the placement
-# server) in build-tsan/. The CLI's transcripts are a ctest entry
-# (cli_golden).
+# server) in build-tsan/, with the thread pool and task graph tests
+# repeated 20 times. The CLI's transcripts are a ctest entry (cli_golden).
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -186,3 +186,9 @@ cmake --build build-tsan -j "$NPROC" \
       --target test_thread_pool test_exact_parallel test_mp test_runtime_parallel test_profiler test_task_graph test_serve test_imbalance test_rebalance
 ctest --test-dir build-tsan --output-on-failure -j "$NPROC" \
       -R '^(test_thread_pool|test_exact_parallel|test_mp|test_runtime_parallel|test_profiler|test_task_graph|test_serve|test_imbalance|test_rebalance)$'
+
+# The pool's wake/idle protocol and the task graph's pumps on it, 20 times
+# over, so a lost wakeup or an idle-signal race that a single run hits
+# only rarely still fails CI.
+build-tsan/tests/test_thread_pool --gtest_repeat=20
+build-tsan/tests/test_task_graph --gtest_repeat=20

@@ -62,6 +62,7 @@
 
 #include "hetgrid.hpp"
 #include "util/cli.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetgrid::cli {
 
@@ -78,10 +79,6 @@ T int_flag(const Cli& cli, const std::string& name, std::int64_t lo = 1,
            "--" << name << " must be <= " << hi << ", got " << v);
   return static_cast<T>(v);
 }
-
-// Most worker threads any --threads flag may ask for: each one is an OS
-// thread, so a mistyped count must fail instead of starting millions.
-constexpr std::uint64_t kMaxThreads = 256;
 
 // The --times pool and the --p x --q grid it must fill exactly.
 struct Shape {
@@ -154,10 +151,8 @@ struct ProfileSession {
       profiler.write_chrome(f);
       profiler.hotspot_table().print(os);
       // Footer: the run's machinery counters, so one glance links hotspot
-      // time to scheduler and block-pool behavior (doc/observability.md).
-      os << "run counters: pool.steals="
-         << metrics.counter("pool.steals").value()
-         << " block_store.pool_evictions="
+      // time to block-pool behavior (doc/observability.md).
+      os << "run counters: block_store.pool_evictions="
          << metrics.counter("block_store.pool_evictions").value() << '\n';
       os << "wrote " << profiler.lanes() << "-lane profile to "
          << profile_path << '\n';
@@ -174,7 +169,8 @@ struct ProfileSession {
 int run_solve(const Cli& cli) {
   const auto [pool, p, q] = read_shape(cli);
   ExactSolverOptions exact_opts;
-  exact_opts.threads = int_flag<unsigned>(cli, "threads", 0, kMaxThreads);
+  exact_opts.threads =
+      int_flag<unsigned>(cli, "threads", 0, ThreadPool::kMaxThreads);
   exact_opts.max_trees = int_flag<std::uint64_t>(cli, "max-trees");
 
   const std::string solver = cli.get_string("solver");
@@ -421,7 +417,8 @@ KernelRun parse_kernel_run(const Cli& cli) {
   KernelRun run{kernel, strategy, network, p, q, nb, block,
                 Machine{std::move(grid), net}, std::move(dist), {}};
   if (cli.has("threads"))
-    run.opts.threads = int_flag<unsigned>(cli, "threads", 0, kMaxThreads);
+    run.opts.threads =
+        int_flag<unsigned>(cli, "threads", 0, ThreadPool::kMaxThreads);
   apply_rebalance_flags(cli, run.opts);
   return run;
 }
@@ -639,7 +636,8 @@ int cmd_serve(int argc, const char* const* argv) {
                 {{"port", "0"}, {"unix", ""}, {"threads", "2"},
                  {"shards", "16"}, {"no-refine", "0"}});
   serve::ServerOptions opts;
-  opts.threads = int_flag<unsigned>(cli, "threads", 0, kMaxThreads);
+  opts.threads =
+      int_flag<unsigned>(cli, "threads", 0, ThreadPool::kMaxThreads);
   opts.cache_shards =
       int_flag(cli, "shards", 1, serve::SolutionCache::kMaxShards);
   opts.async_refine = !cli.get_bool("no-refine");
