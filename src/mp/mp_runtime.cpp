@@ -1421,7 +1421,12 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
             const ConstMatrixView cv = ctx.store[id].at(c_key);
             const double op_units = 0.5 * costs.qr_update *
                                     vol_frac(ilen, jlen, klen, block);
-            ctx.add_op(id, "mp.gemm", kPrioUpdate, {v_key, c_key}, {w_key},
+            // Column k + 1 feeds the next panel: it runs at panel priority
+            // (pass 2 below too) so the host's factorization of panel k + 1
+            // overlaps the rest of this step's update, as in LU and
+            // Cholesky.
+            const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
+            ctx.add_op(id, "mp.gemm", prio, {v_key, c_key}, {w_key},
                        [vv, cv, wv] {
                          gemm(Trans::Yes, Trans::No, 1.0, vv, cv, 1.0, wv);
                        },
@@ -1509,7 +1514,11 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
             const MatrixView cv = ctx.store[id].at(c_key);
             const double op_units = 0.5 * costs.qr_update *
                                     vol_frac(ilen, jlen, klen, block);
-            ctx.add_op(id, "mp.gemm", kPrioUpdate, {v_key, y_key}, {c_key},
+            // Next-panel column at panel priority (see pass 1); the
+            // priority change also splits it out of the owner's fused
+            // update task, so the host waits only for column k + 1.
+            const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
+            ctx.add_op(id, "mp.gemm", prio, {v_key, y_key}, {c_key},
                        [vv, yv, cv] {
                          gemm(Trans::No, Trans::No, -1.0, vv, yv, 1.0, cv);
                        },

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/arrangement.hpp"
@@ -37,6 +39,32 @@ PlacementRequest make_request(std::size_t p, std::size_t q,
   req.times = std::move(times);
   return req;
 }
+
+// Runs serve_fd on its own thread for the life of a test. The destructor
+// shuts the server down, joins the thread and removes the unix socket path
+// (if any), so a failing ASSERT_* that returns early reports one failure
+// instead of destroying a joinable std::thread (std::terminate). Declare
+// it after the server it serves.
+class ServingThread {
+ public:
+  ServingThread(PlacementServer& server, int listen_fd,
+                std::string unix_path = {})
+      : server_(server),
+        unix_path_(std::move(unix_path)),
+        thread_([this, listen_fd] { server_.serve_fd(listen_fd); }) {}
+  ~ServingThread() {
+    server_.shutdown();
+    thread_.join();
+    if (!unix_path_.empty()) std::remove(unix_path_.c_str());
+  }
+  ServingThread(const ServingThread&) = delete;
+  ServingThread& operator=(const ServingThread&) = delete;
+
+ private:
+  PlacementServer& server_;
+  std::string unix_path_;
+  std::thread thread_;
+};
 
 // ---------------------------------------------------------------------------
 // Wire protocol.
@@ -279,7 +307,7 @@ TEST(Server, OverflowingCycleTimesAnswerTypedErrorOnTheWire) {
   std::uint16_t port = 0;
   const int listen_fd = listen_tcp(0, &port);
   ASSERT_GT(port, 0);
-  std::thread acceptor([&] { server.serve_fd(listen_fd); });
+  const ServingThread serving(server, listen_fd);
   Endpoint ep;
   ep.port = port;
   const int fd = connect_endpoint(ep);
@@ -291,9 +319,6 @@ TEST(Server, OverflowingCycleTimesAnswerTypedErrorOnTheWire) {
   EXPECT_TRUE(good.ok());
   EXPECT_EQ(good.type, MsgType::kResponse);
   ::close(fd);
-
-  server.shutdown();
-  acceptor.join();
 }
 
 TEST(Server, ThreadCountAboveThePoolBoundIsRejected) {
@@ -561,7 +586,7 @@ TEST(Server, TcpRoundTripMatchesLoopback) {
   std::uint16_t port = 0;
   const int listen_fd = listen_tcp(0, &port);
   ASSERT_GT(port, 0);
-  std::thread acceptor([&] { server.serve_fd(listen_fd); });
+  const ServingThread serving(server, listen_fd);
 
   Endpoint ep;
   ep.port = port;
@@ -585,9 +610,6 @@ TEST(Server, TcpRoundTripMatchesLoopback) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third.type, MsgType::kResponse);
   ::close(fd);
-
-  server.shutdown();
-  acceptor.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -749,8 +771,7 @@ TEST(Server, StatsVersionNegotiationStaysTyped) {
 TEST(Server, StatsSocketRoundTrip) {
   const std::string path = "test_serve_stats.sock";
   PlacementServer server;
-  const int listen_fd = listen_unix(path);
-  std::thread acceptor([&] { server.serve_fd(listen_fd); });
+  const ServingThread serving(server, listen_unix(path), path);
 
   Endpoint ep;
   ep.unix_path = path;
@@ -771,17 +792,12 @@ TEST(Server, StatsSocketRoundTrip) {
   ASSERT_TRUE(again.ok());
   ASSERT_EQ(again.type, MsgType::kStatsResponse);
   EXPECT_EQ(again.stats.cache_entries, 1u);
-
-  server.shutdown();
-  acceptor.join();
-  std::remove(path.c_str());
 }
 
 TEST(Server, UnixSocketRoundTrip) {
   const std::string path = "test_serve_unix.sock";
   PlacementServer server;
-  const int listen_fd = listen_unix(path);
-  std::thread acceptor([&] { server.serve_fd(listen_fd); });
+  const ServingThread serving(server, listen_unix(path), path);
 
   Endpoint ep;
   ep.unix_path = path;
@@ -789,10 +805,6 @@ TEST(Server, UnixSocketRoundTrip) {
   ASSERT_TRUE(d.ok());
   ASSERT_EQ(d.type, MsgType::kResponse);
   EXPECT_EQ(d.response.solver, SolverKind::kExact);
-
-  server.shutdown();
-  acceptor.join();
-  std::remove(path.c_str());
 }
 
 }  // namespace
