@@ -25,6 +25,14 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
+Matrix Matrix::uninitialized(std::size_t rows, std::size_t cols) {
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_.resize(rows * cols);  // DefaultInitAllocator: no element writes
+  return m;
+}
+
 bool approx_equal(const ConstMatrixView& a, const ConstMatrixView& b,
                   double tol) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;

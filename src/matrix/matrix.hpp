@@ -10,11 +10,32 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "util/check.hpp"
 
 namespace hetgrid {
+
+namespace detail {
+
+/// std::allocator whose value-initialization (vector::resize) leaves the
+/// elements default-initialized — for doubles, unwritten. Matrix's
+/// constructors still fill explicitly; only Matrix::uninitialized skips it.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+}  // namespace detail
 
 class ConstMatrixView;
 
@@ -99,6 +120,11 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
+  /// A rows x cols matrix whose elements are left unwritten, for buffers
+  /// the caller overwrites in full (block copies, beta = 0 gemm outputs):
+  /// skipping the zero fill saves a pass over the memory.
+  static Matrix uninitialized(std::size_t rows, std::size_t cols);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t ld() const { return rows_; }
@@ -133,7 +159,7 @@ class Matrix {
 
  private:
   std::size_t rows_ = 0, cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, detail::DefaultInitAllocator<double>> data_;
 };
 
 /// Deep equality within absolute tolerance `tol` (and equal shapes).

@@ -57,7 +57,7 @@ Matrix BlockStore::acquire(std::size_t rows, std::size_t cols) {
     return m;
   }
   metric_count("block_store.pool_misses");
-  return Matrix(rows, cols);
+  return Matrix::uninitialized(rows, cols);
 }
 
 void BlockStore::reserve(std::size_t blocks) { blocks_.reserve(blocks); }

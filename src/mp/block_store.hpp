@@ -69,8 +69,9 @@ class BlockStore {
   void erase(BlockKey key);
 
   /// Returns an uninitialized rows x cols block, recycling a pooled buffer
-  /// of that exact shape when one is available (contents are stale — the
-  /// caller must overwrite them, typically via copy_from).
+  /// of that exact shape when one is available (contents are stale, or
+  /// never written on a miss — the caller must overwrite them, typically
+  /// via copy_from or a beta = 0 gemm).
   Matrix acquire(std::size_t rows, std::size_t cols);
 
   /// Pre-sizes the hash table for `blocks` resident blocks so scatter and

@@ -257,7 +257,8 @@ struct MpContext {
   }
 
   /// Final synchronization: every queued op completes and all deferred
-  /// transient erases are applied. Must precede gather().
+  /// transient erases are applied. gather() calls it once the copy-out
+  /// tasks are queued.
   void finish() {
     flush_fused();
     metric_count("mp.barriers", 1);
@@ -500,45 +501,106 @@ struct MpContext {
   }
 };
 
-// Scatters the global matrix `m` (tagged by `which` to disambiguate A/B/C
-// in the stores: block keys get a row offset of which * nbr_total) to the
-// owners. Returns nothing; timing-free setup, as in ScaLAPACK where data
-// is assumed distributed from the start.
-void scatter(MpContext& ctx, const ConstMatrixView& m, std::size_t which,
+// One global matrix to distribute. Its blocks are tagged `which` in the
+// stores (block keys get a row offset of which * nbr) to tell A/B/C
+// apart. `zero` starts every block at 0.0 instead of copying `src`, which
+// then gives only the shape (MMM's C accumulator).
+struct Scattered {
+  std::size_t which;
+  ConstMatrixView src;
+  bool zero = false;
+};
+
+// One block moved between a store and a caller's matrix by a scatter or
+// gather task; `zero` (scatter only) fills dst with 0.0 instead.
+struct BlockCopy {
+  ConstMatrixView src;
+  MatrixView dst;
+  bool zero = false;
+};
+
+// Distributes `mats` to their owners, timing-free as in ScaLAPACK, where
+// data is assumed distributed from the start: no clock, message or trace
+// event moves. The host only allocates each owned block, unwritten; one
+// fused zero-weight mp.scatter task per owner, at communication priority,
+// fills them on the owner's lane, so the owners fill in parallel and step
+// 0's ops start as soon as their own blocks land.
+void scatter(MpContext& ctx, std::initializer_list<Scattered> mats,
              std::size_t nbr, std::size_t nbc) {
-  // Owned blocks plus one row and one column panel of transient copies.
   const std::size_t procs = ctx.p * ctx.q;
+  // Every matrix's owned blocks plus one row and one column panel of
+  // transient copies.
+  std::vector<std::size_t> owned(procs, 0);
+  for (std::size_t bi = 0; bi < nbr; ++bi)
+    for (std::size_t bj = 0; bj < nbc; ++bj)
+      owned[ctx.owner_pid(bi, bj)] += mats.size();
   for (std::size_t id = 0; id < procs; ++id)
-    ctx.store[id].reserve(nbr * nbc / procs + nbr + nbc + 8);
-  for (std::size_t bi = 0; bi < nbr; ++bi) {
-    const std::size_t ilo = block_lo(bi, ctx.block);
-    const std::size_t ilen = block_len(bi, ctx.block, m.rows());
-    for (std::size_t bj = 0; bj < nbc; ++bj) {
-      const std::size_t jlo = block_lo(bj, ctx.block);
-      const std::size_t jlen = block_len(bj, ctx.block, m.cols());
-      Matrix blk(ilen, jlen);
-      blk.view().copy_from(m.block(ilo, jlo, ilen, jlen));
-      const std::size_t id = ctx.owner_pid(bi, bj);
-      if (which < ctx.loc.size())
-        ctx.loc[which][bi * ctx.loc_cols + bj] = id;
-      ctx.store[id].put(BlockKey{which * nbr + bi, bj}, std::move(blk));
+    ctx.store[id].reserve(owned[id] + nbr + nbc);
+
+  std::vector<std::vector<BlockKey>> keys(procs);
+  std::vector<std::vector<BlockCopy>> copies(procs);
+  for (const Scattered& s : mats) {
+    for (std::size_t bi = 0; bi < nbr; ++bi) {
+      const std::size_t ilo = block_lo(bi, ctx.block);
+      const std::size_t ilen = block_len(bi, ctx.block, s.src.rows());
+      for (std::size_t bj = 0; bj < nbc; ++bj) {
+        const std::size_t jlo = block_lo(bj, ctx.block);
+        const std::size_t jlen = block_len(bj, ctx.block, s.src.cols());
+        const std::size_t id = ctx.owner_pid(bi, bj);
+        const BlockKey key{s.which * nbr + bi, bj};
+        if (s.which < ctx.loc.size())
+          ctx.loc[s.which][bi * ctx.loc_cols + bj] = id;
+        ctx.store[id].put(key, Matrix::uninitialized(ilen, jlen));
+        keys[id].push_back(key);
+        copies[id].push_back(BlockCopy{s.src.block(ilo, jlo, ilen, jlen),
+                                       ctx.store[id].at(key), s.zero});
+      }
     }
+  }
+  for (std::size_t id = 0; id < procs; ++id) {
+    if (copies[id].empty()) continue;
+    ctx.add_op(id, "mp.scatter", kPrioComm, std::initializer_list<BlockKey>{},
+               keys[id], [copies = std::move(copies[id])] {
+                 for (const BlockCopy& c : copies) {
+                   if (c.zero)
+                     c.dst.fill(0.0);
+                   else
+                     c.dst.copy_from(c.src);
+                 }
+               });
   }
 }
 
+// Copies matrix `which` back into `m` from wherever its blocks finally
+// live: one mp.gather task per holder at communication priority, then
+// finish(), so every write to `m` lands before the run returns.
 void gather(MpContext& ctx, MatrixView m, std::size_t which,
             std::size_t nbr, std::size_t nbc) {
+  const std::size_t procs = ctx.p * ctx.q;
+  std::vector<std::vector<BlockKey>> keys(procs);
+  std::vector<std::vector<BlockCopy>> copies(procs);
   for (std::size_t bi = 0; bi < nbr; ++bi) {
     const std::size_t ilo = block_lo(bi, ctx.block);
     const std::size_t ilen = block_len(bi, ctx.block, m.rows());
     for (std::size_t bj = 0; bj < nbc; ++bj) {
       const std::size_t jlo = block_lo(bj, ctx.block);
       const std::size_t jlen = block_len(bj, ctx.block, m.cols());
-      m.block(ilo, jlo, ilen, jlen)
-          .copy_from(ctx.store[ctx.location(which, bi, bj)].at(
-              BlockKey{which * nbr + bi, bj}));
+      const std::size_t id = ctx.location(which, bi, bj);
+      const BlockKey key{which * nbr + bi, bj};
+      keys[id].push_back(key);
+      copies[id].push_back(
+          BlockCopy{ctx.store[id].at(key), m.block(ilo, jlo, ilen, jlen)});
     }
   }
+  for (std::size_t id = 0; id < procs; ++id) {
+    if (copies[id].empty()) continue;
+    ctx.add_op(id, "mp.gather", kPrioComm, keys[id],
+               std::initializer_list<BlockKey>{},
+               [copies = std::move(copies[id])] {
+                 for (const BlockCopy& c : copies) c.dst.copy_from(c.src);
+               });
+  }
+  ctx.finish();
 }
 
 constexpr std::size_t kTagA = 0, kTagB = 1, kTagC = 2;
@@ -584,7 +646,7 @@ void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
   }
 
   ctx.host_sync(diag_id, keys);
-  Matrix panel(rows - klo, klen);
+  Matrix panel = Matrix::uninitialized(rows - klo, klen);
   for (std::size_t bi = k; bi < nbr; ++bi) {
     const std::size_t ilen = block_len(bi, block, rows);
     panel.view()
@@ -732,10 +794,8 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nb, nb, 3, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, a, kTagA, nb, nb);
-  scatter(ctx, b, kTagB, nb, nb);
-  c.fill(0.0);
-  scatter(ctx, c, kTagC, nb, nb);
+  // C's blocks start at zero; the caller's C is never read.
+  scatter(ctx, {{kTagA, a}, {kTagB, b}, {kTagC, c, true}}, nb, nb);
 
   std::vector<double> a_ready(procs), b_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p), col_keys(ctx.q);
@@ -865,7 +925,6 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     }
   }
 
-  ctx.finish();
   gather(ctx, c, kTagC, nb, nb);
   return ctx.report();
 }
@@ -897,7 +956,7 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, a, kTagA, nb, nb);
+  scatter(ctx, {{kTagA, a}}, nb, nb);
   MpLuReport rep;
   if (pivoted) rep.piv.resize(n);
   bool singular = false;
@@ -958,10 +1017,9 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
       // overlap.
       ctx.host_sync(diag_id, {diag_key});
       if (!lu_factor_nopivot(ctx.store[diag_id].at(diag_key))) {
-        ctx.finish();
+        gather(ctx, a, kTagA, nb, nb);
         static_cast<MpReport&>(rep) = ctx.report();
         rep.factorized = false;
-        gather(ctx, a, kTagA, nb, nb);
         return rep;
       }
       const double panel_units =
@@ -1112,7 +1170,6 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
     }
   }
 
-  ctx.finish();
   gather(ctx, a, kTagA, nb, nb);
   static_cast<MpReport&>(rep) = ctx.report();
   rep.factorized = !singular;
@@ -1149,7 +1206,7 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, a, kTagA, nb, nb);
+  scatter(ctx, {{kTagA, a}}, nb, nb);
 
   std::vector<double> diag_ready(procs), l_ready(procs), c_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p);
@@ -1173,10 +1230,9 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
     // trailing update).
     ctx.host_sync(diag_id, {diag_key});
     if (!cholesky_factor_unblocked(ctx.store[diag_id].at(diag_key))) {
-      ctx.finish();
+      gather(ctx, a, kTagA, nb, nb);
       MpReport rep = ctx.report();
       rep.factorized = false;
-      gather(ctx, a, kTagA, nb, nb);
       return rep;
     }
     const double panel_units =
@@ -1273,7 +1329,6 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
           ctx.erase_block(id, BlockKey{kTagA * nb + bi, k});
   }
 
-  ctx.finish();
   gather(ctx, a, kTagA, nb, nb);
   return ctx.report();
 }
@@ -1293,7 +1348,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nbr, nbc, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, a, kTagA, nbr, nbc);
+  scatter(ctx, {{kTagA, a}}, nbr, nbc);
   MpQrReport rep;
   rep.tau.reserve(cols);
 
@@ -1395,9 +1450,10 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       }
 
       // --- Pass 1: partial W = V^T * C per (processor, trailing column),
-      // ascending block row on each owner's lane. W keys carry the step in
-      // their column so a deferred erase of step k's partials can never
-      // collide with step k + 1 re-creating them.
+      // ascending block row on each owner's lane; the first gemm into a
+      // partial runs with beta = 0, which overwrites the recycled buffer.
+      // W keys carry the step in their column so a deferred erase of step
+      // k's partials can never collide with step k + 1 re-creating them.
       std::fill(work_acc.begin(), work_acc.end(), 0.0);
       std::fill(units_acc.begin(), units_acc.end(), 0.0);
       for (std::size_t bj = k + 1; bj < nbc; ++bj) {
@@ -1406,11 +1462,10 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         for (std::size_t gi = 0; gi < ctx.p; ++gi) {
           if (!contrib[gi]) continue;
           const std::size_t id = ctx.pid(gi, gj);
-          Matrix wbuf = ctx.store[id].acquire(klen, jlen);
-          wbuf.view().fill(0.0);
           const BlockKey w_key{kTagW * nbr + bj, k * ctx.p + gi};
-          ctx.store[id].put(w_key, std::move(wbuf));
+          ctx.store[id].put(w_key, ctx.store[id].acquire(klen, jlen));
           const MatrixView wv = ctx.store[id].at(w_key);
+          double beta = 0.0;
           for (std::size_t bi = k; bi < nbr; ++bi) {
             if (ctx.owner(bi, k).row != gi) continue;
             const std::size_t ilen = block_len(bi, block, rows);
@@ -1427,13 +1482,16 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
             // Cholesky.
             const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
             ctx.add_op(id, "mp.gemm", prio, {v_key, c_key}, {w_key},
-                       [vv, cv, wv] {
-                         gemm(Trans::Yes, Trans::No, 1.0, vv, cv, 1.0, wv);
+                       [vv, cv, wv, beta] {
+                         gemm(Trans::Yes, Trans::No, 1.0, vv, cv, beta, wv);
                        },
                        ctx.cycle_time(id) * op_units);
+            beta = 1.0;
             units_acc[id] += op_units;
             work_acc[id] += ctx.cycle_time(id) * op_units;
           }
+          HG_INTERNAL_CHECK(beta == 1.0,
+                            "QR W partial has no contributing block row");
         }
       }
       for (std::size_t id = 0; id < procs; ++id)
@@ -1548,7 +1606,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     }
   }
 
-  ctx.finish();
   gather(ctx, a, kTagA, nbr, nbc);
   static_cast<MpReport&>(rep) = ctx.report();
   return rep;

@@ -55,7 +55,8 @@ struct MpLuReport : MpReport {
 /// Distributed-memory C = A * B (outer-product algorithm) with square
 /// blocks of `block` elements. A and B are scattered to their owners, the
 /// per-step panels travel by ring broadcasts, and the owned C blocks are
-/// gathered into `c` at the end.
+/// gathered into `c` at the end. C's blocks start at zero on their owners,
+/// so the prior contents of `c` are never read.
 ///
 /// All run_mp_* entry points execute their real block math through one
 /// util/task_graph keyed by (processor, block): the block-versioned

@@ -2,10 +2,13 @@
 // dependency rules (RAW / WAR / WAW), deterministic execution across
 // thread counts, and the bit-identity of all four MP kernels at threads
 // {1, 2, 7} against the graph's serial inline mode — including LU with the
-// lookahead virtual-time model and pivoted LU.
+// lookahead virtual-time model, pivoted LU, MMM with a NaN-filled C, and
+// the LU and Cholesky failure returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -254,9 +257,9 @@ RuntimeOptions make_opts(unsigned threads) {
 }
 
 MpRun run_mmm(const Machine& machine, const Distribution2D& dist,
-              unsigned threads) {
+              unsigned threads, double c_init = 0.0) {
   Rng rng(11);
-  Matrix a(28, 28), b(28, 28), c(28, 28);
+  Matrix a(28, 28), b(28, 28), c(28, 28, c_init);
   fill_random(a.view(), rng);
   fill_random(b.view(), rng);
   MemoryTraceSink sink;
@@ -268,11 +271,15 @@ MpRun run_mmm(const Machine& machine, const Distribution2D& dist,
   return run;
 }
 
-MpRun run_lu(const Machine& machine, const Distribution2D& dist,
-             bool lookahead, unsigned threads) {
+Matrix lu_input() {
   Rng rng(13);
   Matrix a(28, 28);
   fill_diagonally_dominant(a.view(), rng);
+  return a;
+}
+
+MpRun run_lu(const Machine& machine, const Distribution2D& dist,
+             bool lookahead, unsigned threads, Matrix a = lu_input()) {
   MemoryTraceSink sink;
   MpRun run;
   run.report = run_mp_lu(machine, dist, a.view(), 6, {}, lookahead, &sink,
@@ -298,11 +305,15 @@ MpRun run_lu_pivoted(const Machine& machine, const Distribution2D& dist,
   return run;
 }
 
-MpRun run_chol(const Machine& machine, const Distribution2D& dist,
-               unsigned threads) {
+Matrix chol_input() {
   Rng rng(17);
   Matrix a(28, 28);
   fill_spd(a.view(), rng);
+  return a;
+}
+
+MpRun run_chol(const Machine& machine, const Distribution2D& dist,
+               unsigned threads, Matrix a = chol_input()) {
   MemoryTraceSink sink;
   MpRun run;
   run.report = run_mp_cholesky(machine, dist, a.view(), 6, {}, &sink,
@@ -347,7 +358,18 @@ TEST(MpDag, MmmBitIdenticalAcrossThreads) {
   for (unsigned t : kThreadCounts) {
     SCOPED_TRACE(testing::Message() << "threads=" << t);
     expect_same_run(serial, run_mmm(machine, dist, t));
+    // C's blocks start at zero on their owners: the caller's C, here all
+    // NaN, is never read, so it cannot leak into the product.
+    expect_same_run(serial, run_mmm(machine, dist, t, std::nan("")));
   }
+}
+
+// Steps that traced anything: the failure inputs below stop at step 3's
+// panel, after steps 0-2 ran in full.
+std::size_t last_step(const std::vector<TraceEvent>& events) {
+  std::size_t k = 0;
+  for (const TraceEvent& e : events) k = std::max(k, e.step);
+  return k;
 }
 
 TEST(MpDag, LuBitIdenticalAcrossThreads) {
@@ -356,6 +378,20 @@ TEST(MpDag, LuBitIdenticalAcrossThreads) {
   const MpRun serial = run_lu(machine, dist, false, 1);
   for (unsigned t : kThreadCounts)
     expect_same_run(serial, run_lu(machine, dist, false, t));
+
+  // A zero pivot returns early, gathering while earlier steps' updates may
+  // still be in flight. Row 18, the first of block step 3, repeats row 0
+  // through column 18: the leading 19 x 19 minor is singular, and
+  // elimination leaves an exact zero pivot at (18, 18).
+  Matrix singular = lu_input();
+  for (std::size_t j = 0; j <= 18; ++j) singular(18, j) = singular(0, j);
+  const MpRun failed = run_lu(machine, dist, false, 1, singular);
+  EXPECT_FALSE(failed.report.factorized);
+  EXPECT_EQ(last_step(failed.events), 2u);
+  for (unsigned t : kThreadCounts) {
+    SCOPED_TRACE(testing::Message() << "zero pivot, threads=" << t);
+    expect_same_run(failed, run_lu(machine, dist, false, t, singular));
+  }
 }
 
 TEST(MpDag, LuLookaheadBitIdenticalAcrossThreads) {
@@ -389,6 +425,20 @@ TEST(MpDag, CholeskyBitIdenticalAcrossThreads) {
   const MpRun serial = run_chol(machine, dist, 1);
   for (unsigned t : kThreadCounts)
     expect_same_run(serial, run_chol(machine, dist, t));
+
+  // A non-SPD input returns early like LU's zero pivot, here on the 2x3
+  // machine: the (18, 18) entry of step 3's Schur complement is negative.
+  Matrix indefinite = chol_input();
+  indefinite(18, 18) = -1.0;
+  const Machine het23 = het_machine(31, 2, 3);
+  const PanelDistribution dist23 = PanelDistribution::block_cyclic(2, 3);
+  const MpRun failed = run_chol(het23, dist23, 1, indefinite);
+  EXPECT_FALSE(failed.report.factorized);
+  EXPECT_EQ(last_step(failed.events), 2u);
+  for (unsigned t : kThreadCounts) {
+    SCOPED_TRACE(testing::Message() << "non-SPD, threads=" << t);
+    expect_same_run(failed, run_chol(het23, dist23, t, indefinite));
+  }
 }
 
 TEST(MpDag, QrBitIdenticalAcrossThreads) {

@@ -3,8 +3,9 @@
 # in an isolated build-ci/ tree so it never disturbs the dev build/. Then a
 # smoke run of the runtime-scaling bench (crosses the message-passing
 # runtime's serial/threaded seam and asserts bit-identity), the same bench's
-# QR at n = 2048 on 1 and 4 threads (bit-identity with recursive panels and
-# the next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
+# four kernels at n = 2048 on 1 and 4 threads (bit-identity at block 128,
+# with scatter and gather on the workers, recursive QR panels and the
+# next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
 # rows (asserts the arrangement search is identical at every thread count),
 # the repository benchmark's self-test, the placement server's throughput
 # smoke with its regression gates, a documentation link check, and finally
@@ -30,13 +31,15 @@ ctest --test-dir build-ci --output-on-failure -j "$NPROC"
 # bit-for-bit, so this doubles as an end-to-end determinism check.
 build-ci/bench/bench_runtime_scaling --smoke=1 --json=build-ci/BENCH_runtime_smoke.json
 
-# QR identity at real size: the smoke's n = 32, block 8 only reaches
-# base-case panels, so QR runs at n = 2048, block 128 as well (recursive
+# Identity at real size: the smoke's n = 32, block 8 only reaches QR's
+# base-case panels and small blocks, so every kernel runs at n = 2048,
+# block 128 as well (the owners' scatter and gather tasks, recursive QR
 # host panels, next-panel columns split out of the fused trailing update).
 # Its times are not gated; the harness throws unless 4 threads reproduce
 # the serial MpReport, tau and matrix bits.
 build-ci/bench/bench_runtime_scaling --nb=16 --block=128 --threads=1,4 \
-      --kernels=qr --reps=1 --json=build-ci/BENCH_runtime_qr.json
+      --kernels=mmm,lu,chol,qr --reps=1 \
+      --json=build-ci/BENCH_runtime_n2048.json
 
 # Exact-solver bench smoke: the 3x3 and 3x4 rows, run for their assertions
 # only (the arrangement search returns the same winner and counters at 1,
