@@ -20,12 +20,12 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "core/drift.hpp"
 #include "dist/panel_distribution.hpp"
 #include "matrix/cholesky.hpp"
 #include "matrix/lu.hpp"
 #include "mp/mp_runtime.hpp"
 #include "obs/imbalance.hpp"
-#include "sim/drift.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 

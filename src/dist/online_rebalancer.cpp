@@ -1,4 +1,4 @@
-#include "sim/online_rebalancer.hpp"
+#include "dist/online_rebalancer.hpp"
 
 #include <algorithm>
 
@@ -17,6 +17,13 @@ OnlineRebalancer::OnlineRebalancer(const Machine& machine,
       obs_(obs),
       on_(opts.rebalance == RuntimeOptions::Rebalance::kPanel),
       est_(opts.estimator) {
+  machine.net.validate();
+  HG_CHECK(machine.grid.rows() == dist.grid_rows() &&
+               machine.grid.cols() == dist.grid_cols(),
+           "machine grid " << machine.grid.rows() << "x"
+                           << machine.grid.cols()
+                           << " does not match distribution grid "
+                           << dist.grid_rows() << "x" << dist.grid_cols());
   if (!on_) return;
   HG_CHECK(
       neighbor_census(dist).aligned,

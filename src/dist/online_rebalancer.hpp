@@ -19,10 +19,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/machine.hpp"
 #include "core/rebalance.hpp"
 #include "dist/distribution.hpp"
 #include "obs/cycle_estimator.hpp"
-#include "sim/simulator.hpp"
 
 namespace hetgrid {
 
@@ -31,7 +31,9 @@ struct RunObservation;
 class OnlineRebalancer {
  public:
   /// Sets up one run over an nbr x nbc block grid; `obs` is the run's
-  /// installed observation (null when unobserved). With rebalancing on,
+  /// installed observation (null when unobserved). These are both
+  /// backends' entry checks: the network costs must be valid and the
+  /// machine grid must match the distribution's. With rebalancing on,
   /// `dist` must be aligned: its owners factor into one grid row per block
   /// row and one grid column per block column, which become the live lines.
   OnlineRebalancer(const Machine& machine, const Distribution2D& dist,

@@ -23,10 +23,12 @@
 #include "core/allocation.hpp"        // IWYU pragma: export
 #include "core/arrangement.hpp"       // IWYU pragma: export
 #include "core/cycle_time_grid.hpp"   // IWYU pragma: export
+#include "core/drift.hpp"             // IWYU pragma: export
 #include "core/exact2x2.hpp"          // IWYU pragma: export
 #include "core/exact_solver.hpp"      // IWYU pragma: export
 #include "core/heuristic.hpp"         // IWYU pragma: export
 #include "core/local_search.hpp"      // IWYU pragma: export
+#include "core/machine.hpp"           // IWYU pragma: export
 #include "core/rank1_solver.hpp"      // IWYU pragma: export
 #include "core/rebalance.hpp"         // IWYU pragma: export
 #include "core/rounding.hpp"          // IWYU pragma: export
@@ -52,8 +54,6 @@
 #include "serve/protocol.hpp"         // IWYU pragma: export
 #include "serve/server.hpp"           // IWYU pragma: export
 #include "serve/solution_cache.hpp"   // IWYU pragma: export
-#include "sim/drift.hpp"              // IWYU pragma: export
-#include "sim/network.hpp"            // IWYU pragma: export
 #include "sim/simulator.hpp"          // IWYU pragma: export
 #include "svd/svd.hpp"                // IWYU pragma: export
 #include "util/rng.hpp"               // IWYU pragma: export

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/rebalance.hpp"
+#include "dist/online_rebalancer.hpp"
 #include "matrix/cholesky.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/lu.hpp"
@@ -19,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
-#include "sim/online_rebalancer.hpp"
 #include "util/task_graph.hpp"
 
 namespace hetgrid {
@@ -99,6 +99,11 @@ struct MpContext {
   std::vector<std::vector<std::size_t>> loc;
   std::size_t loc_rows, loc_cols;
   std::size_t reb_applied = 0, reb_blocks = 0;
+  // Every block the current step landed or created outside the persistent
+  // layout (panel copies, feeder and row-swap copies, QR's T/V0/W/Y), as
+  // (processor, key); drop_transients erases them when the next step
+  // starts or the run gathers.
+  std::vector<std::pair<std::size_t, BlockKey>> transients;
   // Erases whose block still has in-flight readers/writers; applied once
   // those tasks drain (poll_erases / finish).
   struct PendingErase {
@@ -126,9 +131,6 @@ struct MpContext {
     HG_CHECK(p * q <= kMaxProcs, "mp runtime supports at most "
                                      << kMaxProcs << " processors, got "
                                      << p << "x" << q);
-    m.net.validate();
-    HG_CHECK(m.grid.rows() == p && m.grid.cols() == q,
-             "machine grid does not match distribution");
     if (reb.on())
       loc.assign(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX));
     graph = std::make_unique<TaskGraph>(opts.threads);
@@ -138,6 +140,7 @@ struct MpContext {
   void set_step(std::size_t k) {
     step = k;
     net.set_step(k);
+    drop_transients();
     poll_erases();
   }
 
@@ -269,13 +272,12 @@ struct MpContext {
     pending_erases.clear();
   }
 
-  /// Drops a transient block copy. The erase is deferred while any queued
-  /// op still reads or writes the block, so its buffer cannot be recycled
-  /// under a running task. Transient keys are step-unique, so a deferred
-  /// erase cannot race a re-put of the same key — except through
-  /// migration, where a persistent block can leave a processor and land
-  /// there again later; copy_block cancels the stale deferral for that
-  /// case.
+  /// Drops a block copy: a transient, or a migrated block's stale source.
+  /// The erase is deferred while any queued op still reads or writes the
+  /// block, so its buffer cannot be recycled under a running task. A
+  /// block can land again on a processor whose deferred erase of it has
+  /// not drained yet (a migration back, a row-swap copy in the next
+  /// step); copy_block cancels the stale deferral for that case.
   void erase_block(std::size_t id, BlockKey key) {
     flush_fused();  // pending_on must see every queued op
     std::vector<TaskGraph::TaskId> waits = graph->pending_on(key_of(id, key));
@@ -284,6 +286,17 @@ struct MpContext {
       return;
     }
     store[id].erase(key);
+  }
+
+  void drop_transients() {
+    for (const auto& [id, key] : transients) erase_block(id, key);
+    transients.clear();
+  }
+
+  /// Puts a block the current step creates outside the persistent layout.
+  void put_transient(std::size_t id, BlockKey key, Matrix m) {
+    store[id].put(key, std::move(m));
+    transients.emplace_back(id, key);
   }
 
   void poll_erases() {
@@ -367,7 +380,7 @@ struct MpContext {
           if (cur == dst) continue;
           const BlockKey key{s.which * loc_rows + bi, bj};
           const double arrival = net.transfer(cur, dst, 1, clock[cur]);
-          copy_block(cur, dst, key);
+          copy_block(cur, dst, key, /*persistent=*/true);
           erase_block(cur, key);
           cur = dst;
           arrive[dst] = std::max(arrive[dst], arrival);
@@ -396,23 +409,29 @@ struct MpContext {
   /// already holds the block (a broadcast restoring an owner's blocks), the
   /// existing buffer is written in place — a put would free a buffer that
   /// pending readers may still be using, and the write dependency already
-  /// orders the copy after them.
-  void copy_block(std::size_t from, std::size_t to, BlockKey key) {
+  /// orders the copy after them. A copy that lands the block afresh is a
+  /// transient of the current step unless `persistent` (a migration).
+  void copy_block(std::size_t from, std::size_t to, BlockKey key,
+                  bool persistent = false) {
     const ConstMatrixView src = store[from].at(key);
+    const bool absent = !store[to].contains(key);
+    bool lands = absent;
     // A landing copy re-establishes (to, key) as live: cancel any deferred
-    // erase left from an earlier migration away from `to`, or it would
-    // drain later (poll_erases is worker-timing dependent) and delete the
-    // re-landed block. The stale buffer's readers still order the in-place
-    // write below through the (to, key) write dependency.
-    if (!pending_erases.empty())
-      pending_erases.erase(
+    // erase of it, or it would drain later (poll_erases is worker-timing
+    // dependent) and delete the re-landed block. The stale buffer's
+    // readers still order the in-place write below through the (to, key)
+    // write dependency.
+    if (!pending_erases.empty()) {
+      const auto stale =
           std::remove_if(pending_erases.begin(), pending_erases.end(),
                          [&](const PendingErase& pe) {
                            return pe.id == to && pe.key == key;
-                         }),
-          pending_erases.end());
-    if (!store[to].contains(key))
-      store[to].put(key, store[to].acquire(src.rows(), src.cols()));
+                         });
+      lands = lands || stale != pending_erases.end();
+      pending_erases.erase(stale, pending_erases.end());
+    }
+    if (absent) store[to].put(key, store[to].acquire(src.rows(), src.cols()));
+    if (lands && !persistent) transients.emplace_back(to, key);
     const MatrixView dst = store[to].at(key);
     HG_INTERNAL_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols(),
                       "copy_block into a block of different shape");
@@ -572,10 +591,12 @@ void scatter(MpContext& ctx, std::initializer_list<Scattered> mats,
 }
 
 // Copies matrix `which` back into `m` from wherever its blocks finally
-// live: one mp.gather task per holder at communication priority, then
-// finish(), so every write to `m` lands before the run returns.
+// live: the last step's transients are dropped, then one mp.gather task
+// per holder at communication priority, then finish(), so every write to
+// `m` lands before the run returns.
 void gather(MpContext& ctx, MatrixView m, std::size_t which,
             std::size_t nbr, std::size_t nbc) {
+  ctx.drop_transients();
   const std::size_t procs = ctx.p * ctx.q;
   std::vector<std::vector<BlockKey>> keys(procs);
   std::vector<std::vector<BlockCopy>> copies(procs);
@@ -670,6 +691,50 @@ void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
   ctx.note_host_work(diag_id, keys, panel_work, "panel");
 }
 
+// The diagonal phase shared by LU and Cholesky at step k. The host waits
+// only for the ops touching the diagonal block — the rest of the previous
+// step's trailing update keeps running underneath, the wall-clock
+// lookahead overlap — factors it at its owner with `factor`, charges and
+// records that at `weight` per block, and ring-broadcasts it down its grid
+// column. Then every owner of a block (I, k), I > k, solves it against its
+// diagonal copy with `solve` on its own task lane, charged at `weight`
+// too. Returns false, with nothing broadcast or queued, when `factor`
+// fails.
+bool diagonal_phase(MpContext& ctx, std::size_t k, std::size_t nb,
+                    std::size_t n, bool (*factor)(MatrixView),
+                    void (*solve)(const ConstMatrixView&, MatrixView),
+                    double weight) {
+  const std::size_t block = ctx.block;
+  const std::size_t klen = block_len(k, block, n);
+  const ProcCoord diag = ctx.owner(k, k);
+  const std::size_t diag_id = ctx.pid(diag.row, diag.col);
+  const BlockKey diag_key{kTagA * nb + k, k};
+  ctx.host_sync(diag_id, {diag_key});
+  if (!factor(ctx.store[diag_id].at(diag_key))) return false;
+  const double units = weight * vol_frac(klen, klen, klen, block);
+  const double seconds = ctx.cycle_time(diag_id) * units;
+  ctx.compute(diag_id, 0.0, seconds, "panel", ObsOp::kPanel, units);
+  ctx.note_host_work(diag_id, {diag_key}, seconds, "panel");
+
+  std::vector<double> ready(ctx.p * ctx.q, 0.0);
+  ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
+                     ctx.clock[diag_id], ready);
+  for (std::size_t bi = k + 1; bi < nb; ++bi) {
+    const std::size_t id = ctx.owner_pid(bi, k);
+    const BlockKey l_key{kTagA * nb + bi, k};
+    const ConstMatrixView dv = ctx.store[id].at(diag_key);
+    const MatrixView lv = ctx.store[id].at(l_key);
+    const double op_units =
+        weight * vol_frac(block_len(bi, block, n), klen, klen, block);
+    ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {l_key},
+               [dv, lv, solve] { solve(dv, lv); },
+               ctx.cycle_time(id) * op_units);
+    ctx.compute(id, ready[id], ctx.cycle_time(id) * op_units, "l-solve",
+                ObsOp::kSolve, op_units);
+  }
+  return true;
+}
+
 // Pivoted LU's row interchanges for step k, applied to every block column
 // but k (whose rows the panel factorization already swapped). `src` maps
 // each row r in [klo, n) to the row whose pre-step contents it receives —
@@ -718,7 +783,7 @@ void apply_row_swaps(MpContext& ctx, std::size_t k, std::size_t nb,
     MatrixView to;
     std::size_t to_row;
   };
-  std::vector<std::pair<std::size_t, BlockKey>> transients;
+  std::vector<std::pair<std::size_t, BlockKey>> copied;
   for (std::size_t bj = 0; bj < nb; ++bj) {
     if (bj == k) continue;
     const auto key_of_row = [&](std::size_t row) {
@@ -730,11 +795,11 @@ void apply_row_swaps(MpContext& ctx, std::size_t k, std::size_t nb,
       const std::size_t from = where(src[r - klo], bj), to = where(r, bj);
       const BlockKey key = key_of_row(src[r - klo]);
       const std::pair<std::size_t, BlockKey> copy{to, key};
-      if (from == to || std::find(transients.begin(), transients.end(),
-                                  copy) != transients.end())
+      if (from == to ||
+          std::find(copied.begin(), copied.end(), copy) != copied.end())
         continue;
       ctx.copy_block(from, to, key);
-      transients.push_back(copy);
+      copied.push_back(copy);
     }
     for (std::size_t id = 0; id < ctx.p * ctx.q; ++id) {
       std::vector<BlockKey> reads, writes;
@@ -767,7 +832,6 @@ void apply_row_swaps(MpContext& ctx, std::size_t k, std::size_t nb,
                  });
     }
   }
-  for (const auto& [id, key] : transients) ctx.erase_block(id, key);
   for (std::size_t id = 0; id < ctx.p * ctx.q; ++id)
     ctx.clock[id] = std::max(ctx.clock[id], arrive[id]);
 }
@@ -784,12 +848,6 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   HG_CHECK(a.cols() == n && b.rows() == n && b.cols() == n &&
                c.rows() == n && c.cols() == n,
            "run_mp_mmm needs square same-size A, B, C");
-  // The ring-source tables below hold one entry per grid line.
-  constexpr std::size_t kMaxLines = 64;
-  HG_CHECK(dist.grid_rows() <= kMaxLines && dist.grid_cols() <= kMaxLines,
-           "run_mp_mmm supports grids up to " << kMaxLines << "x" << kMaxLines
-                                              << ", got " << dist.grid_rows()
-                                              << "x" << dist.grid_cols());
   const std::size_t nb = block_count(n, block);
   MpContext ctx(machine, dist, block, nb, nb, 3, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
@@ -802,6 +860,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   std::vector<double> row_start(ctx.p), col_start(ctx.q);
   std::vector<std::size_t> a_src(ctx.p, 0), b_src(ctx.q, 0);
   std::vector<char> need_rows(ctx.p), need_cols(ctx.q);
+  std::vector<char> a_src_set(ctx.p), b_src_set(ctx.q);
 
   for (std::size_t k = 0; k < nb; ++k) {
     ctx.set_step(k);
@@ -829,7 +888,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     // — the extra messages Figure 3 of the paper warns about. Each line's
     // ring source is fixed to the home position of the line's first key;
     // all other keys are fed to it before the ring starts.
-    bool a_src_set_row[kMaxLines] = {};
+    std::fill(a_src_set.begin(), a_src_set.end(), 0);
     for (std::size_t bi = 0; bi < nb; ++bi) {
       const BlockKey key{kTagA * nb + bi, k};
       const ProcCoord home = ctx.owner(bi, k);
@@ -838,9 +897,9 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
         need_rows[ctx.owner(bi, bj).row] = 1;
       for (std::size_t gi = 0; gi < ctx.p; ++gi) {
         if (!need_rows[gi]) continue;
-        if (!a_src_set_row[gi]) {
+        if (!a_src_set[gi]) {
           a_src[gi] = home.col;
-          a_src_set_row[gi] = true;
+          a_src_set[gi] = 1;
         }
         if (ctx.pid(home.row, home.col) != ctx.pid(gi, a_src[gi])) {
           const double arrival =
@@ -851,7 +910,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
         row_keys[gi].push_back(key);
       }
     }
-    bool b_src_set_col[kMaxLines] = {};
+    std::fill(b_src_set.begin(), b_src_set.end(), 0);
     for (std::size_t bj = 0; bj < nb; ++bj) {
       const BlockKey key{kTagB * nb + k, bj};
       const ProcCoord home = ctx.owner(k, bj);
@@ -860,9 +919,9 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
         need_cols[ctx.owner(bi, bj).col] = 1;
       for (std::size_t gj = 0; gj < ctx.q; ++gj) {
         if (!need_cols[gj]) continue;
-        if (!b_src_set_col[gj]) {
+        if (!b_src_set[gj]) {
           b_src[gj] = home.row;
-          b_src_set_col[gj] = true;
+          b_src_set[gj] = 1;
         }
         if (ctx.pid(home.row, home.col) != ctx.pid(b_src[gj], gj)) {
           const double arrival =
@@ -912,16 +971,6 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
       }
       if (work > 0.0)
         ctx.compute(id, ready, work, "update", ObsOp::kUpdate, units);
-    }
-
-    // Drop transient panel copies (keep owned originals).
-    for (std::size_t id = 0; id < procs; ++id) {
-      for (std::size_t bi = 0; bi < nb; ++bi)
-        if (ctx.owner_pid(bi, k) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nb + bi, k});
-      for (std::size_t bj = 0; bj < nb; ++bj)
-        if (ctx.owner_pid(k, bj) != id)
-          ctx.erase_block(id, BlockKey{kTagB * nb + k, bj});
     }
   }
 
@@ -1009,48 +1058,14 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
       // the factored blocks.
       for (std::size_t id = 0; id < procs; ++id)
         ctx.clock[id] = std::max(ctx.clock[id], diag_ready[id]);
-    } else {
-      // --- Factor the diagonal block at its owner (host thread: its result
-      // gates everything below). The host waits only for the ops touching
-      // this one block — the previous step's other trailing updates keep
-      // running underneath the factorization, the wall-clock lookahead
-      // overlap.
-      ctx.host_sync(diag_id, {diag_key});
-      if (!lu_factor_nopivot(ctx.store[diag_id].at(diag_key))) {
-        gather(ctx, a, kTagA, nb, nb);
-        static_cast<MpReport&>(rep) = ctx.report();
-        rep.factorized = false;
-        return rep;
-      }
-      const double panel_units =
-          costs.panel_factor * vol_frac(klen, klen, klen, block);
-      ctx.compute(diag_id, 0.0, ctx.cycle_time(diag_id) * panel_units, "panel",
-                  ObsOp::kPanel, panel_units);
-      ctx.note_host_work(diag_id, {diag_key},
-                         ctx.cycle_time(diag_id) * panel_units, "panel");
-
-      // --- Broadcast the diagonal block down its grid column (for the L21
-      // solves) and note its availability.
-      std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
-      ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
-                         ctx.clock[diag_id], diag_ready);
-
-      // --- L21 solves: owners of blocks (I, k), I > k. One task lane per
-      // owner; every lane reads its own diag copy and writes its own blocks.
-      for (std::size_t bi = k + 1; bi < nb; ++bi) {
-        const std::size_t id = ctx.owner_pid(bi, k);
-        const std::size_t ilen = block_len(bi, block, n);
-        const BlockKey l_key{kTagA * nb + bi, k};
-        const ConstMatrixView dv = ctx.store[id].at(diag_key);
-        const MatrixView lv = ctx.store[id].at(l_key);
-        const double op_units =
-            costs.panel_factor * vol_frac(ilen, klen, klen, block);
-        ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {l_key},
-                   [dv, lv] { trsm_right_upper(dv, lv); },
-                   ctx.cycle_time(id) * op_units);
-        ctx.compute(id, diag_ready[id], ctx.cycle_time(id) * op_units,
-                    "l-solve", ObsOp::kSolve, op_units);
-      }
+    } else if (!diagonal_phase(ctx, k, nb, n, lu_factor_nopivot,
+                               trsm_right_upper, costs.panel_factor)) {
+      // --- Unpivoted panel phase (the diagonal block, then the L21
+      // solves) hit a zero pivot.
+      gather(ctx, a, kTagA, nb, nb);
+      static_cast<MpReport&>(rep) = ctx.report();
+      rep.factorized = false;
+      return rep;
     }
 
     // --- Horizontal broadcast of the L panel (diag + L21) per grid row.
@@ -1158,16 +1173,6 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
         deferred_ready[id] = std::max(deferred_ready[id], ready);
       }
     }
-
-    // --- Drop transient copies of this step's panels.
-    for (std::size_t id = 0; id < procs; ++id) {
-      for (std::size_t bi = k; bi < nb; ++bi)
-        if (ctx.owner_pid(bi, k) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nb + bi, k});
-      for (std::size_t bj = k + 1; bj < nb; ++bj)
-        if (ctx.owner_pid(k, bj) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nb + k, bj});
-    }
   }
 
   gather(ctx, a, kTagA, nb, nb);
@@ -1208,7 +1213,7 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
 
   scatter(ctx, {{kTagA, a}}, nb, nb);
 
-  std::vector<double> diag_ready(procs), l_ready(procs), c_ready(procs);
+  std::vector<double> l_ready(procs), c_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p);
 
   for (std::size_t k = 0; k < nb; ++k) {
@@ -1222,45 +1227,15 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
         {{kTagA, k, nb, k, nb, true}});
     const std::size_t klen = block_len(k, block, n);
     const ProcCoord diag = ctx.owner(k, k);
-    const std::size_t diag_id = ctx.pid(diag.row, diag.col);
-    const BlockKey diag_key{kTagA * nb + k, k};
 
-    // --- Factor the diagonal block (host thread; it waits only for the
-    // ops touching this block, overlapping the rest of the previous step's
-    // trailing update).
-    ctx.host_sync(diag_id, {diag_key});
-    if (!cholesky_factor_unblocked(ctx.store[diag_id].at(diag_key))) {
+    // --- Factor the diagonal block, then the L21 solves
+    // A_Ik := A_Ik * inv(L11)^T.
+    if (!diagonal_phase(ctx, k, nb, n, cholesky_factor_unblocked,
+                        trsm_right_lower_transposed, costs.chol_factor)) {
       gather(ctx, a, kTagA, nb, nb);
       MpReport rep = ctx.report();
       rep.factorized = false;
       return rep;
-    }
-    const double panel_units =
-        costs.chol_factor * vol_frac(klen, klen, klen, block);
-    ctx.compute(diag_id, 0.0, ctx.cycle_time(diag_id) * panel_units, "panel",
-                ObsOp::kPanel, panel_units);
-    ctx.note_host_work(diag_id, {diag_key},
-                       ctx.cycle_time(diag_id) * panel_units, "panel");
-
-    // --- Diagonal block down its grid column for the L21 solves.
-    std::fill(diag_ready.begin(), diag_ready.end(), 0.0);
-    ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
-                       ctx.clock[diag_id], diag_ready);
-
-    // --- L21 solves: A_Ik := A_Ik * inv(L11)^T, one task lane per owner.
-    for (std::size_t bi = k + 1; bi < nb; ++bi) {
-      const std::size_t id = ctx.owner_pid(bi, k);
-      const std::size_t ilen = block_len(bi, block, n);
-      const BlockKey l_key{kTagA * nb + bi, k};
-      const ConstMatrixView dv = ctx.store[id].at(diag_key);
-      const MatrixView lv = ctx.store[id].at(l_key);
-      const double op_units =
-          costs.chol_factor * vol_frac(ilen, klen, klen, block);
-      ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {l_key},
-                 [dv, lv] { trsm_right_lower_transposed(dv, lv); },
-                 ctx.cycle_time(id) * op_units);
-      ctx.compute(id, diag_ready[id], ctx.cycle_time(id) * op_units,
-                  "l-solve", ObsOp::kSolve, op_units);
     }
 
     // --- Phase 1: L panel along each grid row.
@@ -1321,12 +1296,6 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
       if (work > 0.0)
         ctx.compute(id, ready, work, "update", ObsOp::kUpdate, units);
     }
-
-    // --- Drop transient copies of the panel.
-    for (std::size_t id = 0; id < procs; ++id)
-      for (std::size_t bi = k; bi < nb; ++bi)
-        if (ctx.owner_pid(bi, k) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nb + bi, k});
   }
 
   gather(ctx, a, kTagA, nb, nb);
@@ -1398,7 +1367,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     if (has_trailing) {
       // T, kept at the diagonal owner and shipped along grid row diag.row
       // with the V panel below.
-      ctx.store[diag_id].put(t_key, std::move(t));
+      ctx.put_transient(diag_id, t_key, std::move(t));
       const double t_units =
           costs.qr_update * vol_frac(klen, klen, klen, block);
       ctx.compute(diag_id, 0.0, ctx.cycle_time(diag_id) * t_units, "t-form",
@@ -1438,7 +1407,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       for (std::size_t gj = 0; gj < ctx.q; ++gj) {
         const std::size_t id = ctx.pid(diag.row, gj);
         const ConstMatrixView dv = ctx.store[id].at(diag_key);
-        ctx.store[id].put(v0_key, ctx.store[id].acquire(dv.rows(), klen));
+        ctx.put_transient(id, v0_key, ctx.store[id].acquire(dv.rows(), klen));
         const MatrixView v0v = ctx.store[id].at(v0_key);
         ctx.add_op(id, "mp.v0", kPrioSolve, {diag_key}, {v0_key},
                    [dv, v0v] {
@@ -1463,7 +1432,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
           if (!contrib[gi]) continue;
           const std::size_t id = ctx.pid(gi, gj);
           const BlockKey w_key{kTagW * nbr + bj, k * ctx.p + gi};
-          ctx.store[id].put(w_key, ctx.store[id].acquire(klen, jlen));
+          ctx.put_transient(id, w_key, ctx.store[id].acquire(klen, jlen));
           const MatrixView wv = ctx.store[id].at(w_key);
           double beta = 0.0;
           for (std::size_t bi = k; bi < nbr; ++bi) {
@@ -1524,8 +1493,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         // Y keys carry the step in their column for the same
         // erase-vs-reuse reason as the W partials.
         const BlockKey y_key{kTagY * nbr + bj, k};
-        Matrix ybuf = ctx.store[root].acquire(klen, jlen);
-        ctx.store[root].put(y_key, std::move(ybuf));
+        ctx.put_transient(root, y_key, ctx.store[root].acquire(klen, jlen));
         const MatrixView yv = ctx.store[root].at(y_key);
         const ConstMatrixView tv = ctx.store[root].at(t_key);
         const ConstMatrixView wcv = ctx.store[root].at(w_root_key);
@@ -1588,20 +1556,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         if (work_acc[id] > 0.0)
           ctx.compute(id, std::max(v_ready[id], y_ready[id]), work_acc[id],
                       "update", ObsOp::kUpdate, units_acc[id]);
-      }
-    }
-
-    // --- Drop this step's transients (erase is a no-op on absent keys).
-    for (std::size_t id = 0; id < procs; ++id) {
-      for (std::size_t bi = k; bi < nbr; ++bi)
-        if (ctx.owner_pid(bi, k) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nbr + bi, k});
-      ctx.erase_block(id, t_key);
-      ctx.erase_block(id, v0_key);
-      for (std::size_t bj = k + 1; bj < nbc; ++bj) {
-        for (std::size_t gi = 0; gi < ctx.p; ++gi)
-          ctx.erase_block(id, BlockKey{kTagW * nbr + bj, k * ctx.p + gi});
-        ctx.erase_block(id, BlockKey{kTagY * nbr + bj, k});
       }
     }
   }

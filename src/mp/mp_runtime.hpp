@@ -21,9 +21,10 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/machine.hpp"
 #include "dist/distribution.hpp"
 #include "matrix/matrix.hpp"
-#include "sim/simulator.hpp"
+#include "obs/trace.hpp"
 
 namespace hetgrid {
 

@@ -11,8 +11,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/machine.hpp"
 #include "obs/trace.hpp"
-#include "sim/network.hpp"
 #include "util/check.hpp"
 
 namespace hetgrid {

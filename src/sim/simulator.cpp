@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "dist/online_rebalancer.hpp"
 #include "obs/imbalance.hpp"
-#include "sim/online_rebalancer.hpp"
 
 namespace hetgrid {
 
@@ -87,11 +87,6 @@ struct SimState {
         p(m.grid.rows()),
         q(m.grid.cols()),
         reb(m, d, o, nb, nb, obs) {
-    m.net.validate();
-    HG_CHECK(p == d.grid_rows() && q == d.grid_cols(),
-             "machine grid " << p << "x" << q
-                             << " does not match distribution grid "
-                             << d.grid_rows() << "x" << d.grid_cols());
     HG_CHECK(nb > 0, "matrix must have at least one block");
     rep.kernel = kernel;
     rep.distribution = d.name();

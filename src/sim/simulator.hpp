@@ -12,7 +12,7 @@
 // The same code prices the online-rebalancing study (doc/rebalance.md)
 // through `RuntimeOptions`: a drift trace scales every per-step charge, so
 // a straggler that slows down mid-run is priced step by step, and with
-// `rebalance = kPanel` the run's OnlineRebalancer (sim/online_rebalancer.hpp,
+// `rebalance = kPanel` the run's OnlineRebalancer (dist/online_rebalancer.hpp,
 // the one both backends hold) re-solves the allocation at every panel
 // boundary. When it acts, its live owner lines are rewritten and the
 // migration bill is charged to that step's communication time. With the
@@ -24,21 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "core/cycle_time_grid.hpp"
+#include "core/machine.hpp"
 #include "core/rebalance.hpp"
 #include "dist/distribution.hpp"
-#include "obs/cycle_estimator.hpp"
 #include "obs/trace.hpp"
-#include "sim/drift.hpp"
-#include "sim/network.hpp"
 
 namespace hetgrid {
-
-/// A simulated machine: cycle-times are seconds per r x r block update.
-struct Machine {
-  CycleTimeGrid grid;
-  NetworkModel net;
-};
 
 /// Timeline record for one bulk-synchronous step of a simulated kernel.
 struct StepRecord {
@@ -78,49 +69,6 @@ struct SimReport {
   double average_utilization() const;
   /// total_time relative to the perfect bound (>= 1; 1 means optimal).
   double slowdown_vs_perfect() const;
-};
-
-/// Relative flop weights of the kernels' phases, in units of one block
-/// update (= one r x r GEMM accumulation, the paper's cycle-time unit).
-struct KernelCosts {
-  double panel_factor = 0.5;  // LU panel: half the flops of a full update
-  double trsm = 0.5;          // triangular solve on one block
-  double update = 1.0;        // rank-r GEMM update of one block
-  double qr_factor = 2.0;     // Householder panel on one block
-  double qr_update = 2.0;     // apply block reflector to one block
-  double chol_factor = 0.5;   // Cholesky panel work per block (half of LU's
-                              // GEMM update, like the LU panel)
-};
-
-/// Execution options shared by the simulator and the message-passing
-/// runtime in src/mp, the numerics-executing backend. `threads` fans the
-/// runtime's real block math across a util/thread_pool worker pool; 0
-/// means all hardware threads, 1 (the default) runs serially inline.
-/// Virtual clocks, message counters, and trace spans are always computed
-/// on the host thread, and the floating-point results are bit-identical
-/// for every thread count (see doc/parallel_runtime.md for the contract).
-///
-/// `scheduler` names the MP runtime's executor. kDag, its only value, emits
-/// every block op into a util/task_graph whose block-versioned read/write
-/// dependencies alone order the work, so step k+1's panel chain overlaps
-/// step k's trailing updates.
-/// `rebalance` arms the online rebalancer (doc/rebalance.md): at every
-/// panel boundary the backend's OnlineRebalancer re-solves the allocation
-/// from its own cycle-time estimator (configured by `estimator`) and, when
-/// plan_rebalance's thresholds clear, the backend migrates trailing blocks
-/// to the new owners. Off by default and bit-identical to
-/// pre-rebalance builds when off; it requires an aligned (grid-pattern)
-/// distribution. `trace` plants time-varying cycle-times (drift
-/// scenarios); an empty trace is the static paper model.
-struct RuntimeOptions {
-  enum class Scheduler { kDag };
-  enum class Rebalance { kOff, kPanel };
-
-  unsigned threads = 1;
-  Scheduler scheduler = Scheduler::kDag;
-  Rebalance rebalance = Rebalance::kOff;
-  CycleTimeEstimator::Options estimator;
-  CycleTimeTrace trace;
 };
 
 /// Simulates C = A * B on nb x nb blocks (outer-product algorithm,

@@ -18,6 +18,7 @@
 #include "mp/mp_runtime.hpp"
 #include "mp/virtual_network.hpp"
 #include "obs/trace.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -300,26 +301,32 @@ TEST(MpGridBound, ThreadCountAboveThePoolBoundIsRejectedBeforeAnyWork) {
 // ----------------------------------------------------- MP MMM
 
 TEST(MpMmm, MatchesSequentialProduct) {
-  // 25 = 4*6 + 1 adds ragged edge blocks.
-  for (const std::size_t n : {24u, 25u}) {
-    const std::size_t block = 6;
+  const auto check = [](std::size_t n, std::size_t block,
+                        const CycleTimeGrid& g, const Distribution2D& d) {
     Rng rng(31);
     Matrix a(n, n), b(n, n), c(n, n), ref(n, n, 0.0);
     fill_random(a.view(), rng);
     fill_random(b.view(), rng);
-    const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
-    const PanelDistribution d = PanelDistribution::from_counts(
-        {3, 1}, {2, 1}, g, PanelOrder::kContiguous, PanelOrder::kContiguous,
-        "het");
     const Machine m{g, {Topology::kSwitched, 1e-4, 2e-4, true}};
     const MpReport rep =
         run_mp_mmm(m, d, a.view(), b.view(), c.view(), block);
     gemm_reference(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0,
                    ref.view());
-    EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-11) << "n=" << n;
+    EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-11)
+        << "n=" << n << " on " << g.rows() << "x" << g.cols();
     EXPECT_GT(rep.messages, 0u);
     EXPECT_GT(rep.makespan, 0.0);
-  }
+  };
+  // 25 = 4*6 + 1 adds ragged edge blocks.
+  const CycleTimeGrid het(2, 2, {1, 2, 3, 6});
+  for (const std::size_t n : {24u, 25u})
+    check(n, 6, het,
+          PanelDistribution::from_counts({3, 1}, {2, 1}, het,
+                                         PanelOrder::kContiguous,
+                                         PanelOrder::kContiguous, "het"));
+  // More grid rows than 64: the ring sources are kept per grid line.
+  const CycleTimeGrid tall(65, 1, std::vector<double>(65, 1.0));
+  check(70, 1, tall, PanelDistribution::block_cyclic(65, 1));
 }
 
 TEST(MpMmm, RejectsNonSquareInput) {

@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "core/drift.hpp"
 #include "core/rebalance.hpp"
+#include "dist/online_rebalancer.hpp"
 #include "dist/panel_distribution.hpp"
 #include "matrix/cholesky.hpp"
 #include "matrix/gemm.hpp"
@@ -26,8 +28,6 @@
 #include "mp/mp_runtime.hpp"
 #include "obs/cycle_estimator.hpp"
 #include "obs/imbalance.hpp"
-#include "sim/drift.hpp"
-#include "sim/online_rebalancer.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 

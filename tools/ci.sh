@@ -8,8 +8,9 @@
 # next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
 # rows (asserts the arrangement search is identical at every thread count),
 # the repository benchmark's self-test, the placement server's throughput
-# smoke with its regression gates, a documentation link check, and finally
-# a ThreadSanitizer pass over the concurrent pieces (the exact solver's
+# smoke with its regression gates, a documentation link check, a layering
+# check (src/mp must not build on the simulator), and finally a
+# ThreadSanitizer pass over the concurrent pieces (the exact solver's
 # thread pool, the message-passing runtime's task graph, and the placement
 # server) in build-tsan/, with the thread pool and task graph tests
 # repeated 20 times. The CLI's transcripts are a ctest entry (cli_golden).
@@ -188,6 +189,15 @@ for src in README.md EXPERIMENTS.md doc/*.md; do
     fi
   done
 done
+
+# Layering check: both backends price a run on the machine model in core/
+# and dist/, so the message-passing runtime must not build on the
+# simulator. No file under src/mp may include a sim/ header or link
+# hetgrid_sim.
+if grep -rnE '"sim/|hetgrid_sim' src/mp; then
+  echo "src/mp depends on the simulator (sim/)" >&2
+  exit 1
+fi
 
 # TSan pass: only the tests that actually exercise threads (mirrors the
 # "tsan" preset in CMakePresets.json).
