@@ -7,12 +7,15 @@
 // counters), the QR tau vector, and every gathered matrix entry must match
 // the serial run (the graph's inline mode) exactly — only the ms column may
 // move. The host-synchronization count ("mp.barriers": one per host_sync
-// and finish) is a property of the kernel, so it must match too.
+// and finish) is a property of the kernel, so it must match too, and so
+// must the block-pool counters: the host alone acquires and erases block
+// buffers, at points the step window fixes in emission order.
 //
 // --smoke shrinks the problem to a CI-sized instance (seconds, not
 // minutes) while still crossing the serial/parallel seam at threads
 // {1, 2, 7}.
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -53,6 +56,8 @@ struct RunResult {
   std::vector<double> tau;  // QR only
   double ms = 0.0;
   double barriers = 0.0;  // host synchronization points ("mp.barriers")
+  // block_store.pool_{hits,misses,evictions}: the transient lifecycle
+  std::vector<std::uint64_t> pool;
 };
 
 bool same_run(const RunResult& x, const RunResult& y) {
@@ -65,8 +70,9 @@ bool same_run(const RunResult& x, const RunResult& y) {
 // timed reps run with no metrics registry installed (metric sites are
 // per-task, and by-name registry lookups there would tax the thread counts
 // unevenly); one extra untimed, instrumented rep then captures the
-// "mp.barriers" host-synchronization count and must reproduce the timed
-// result exactly (it is computed on the host thread).
+// "mp.barriers" host-synchronization count and the block-pool counters,
+// and must reproduce the timed result exactly (it is computed on the host
+// thread).
 RunResult run_kernel(const std::string& kernel, const Machine& machine,
                      const Distribution2D& dist, std::size_t n,
                      std::size_t block, unsigned threads, int reps,
@@ -127,16 +133,22 @@ RunResult run_kernel(const std::string& kernel, const Machine& machine,
       install_metrics(prev);
       rep.barriers =
           static_cast<double>(metrics.counter("mp.barriers").value());
+      for (const char* name :
+           {"block_store.pool_hits", "block_store.pool_misses",
+            "block_store.pool_evictions"})
+        rep.pool.push_back(metrics.counter(name).value());
     }
     if (r == 0) {
       res = std::move(rep);
     } else {
       HG_INTERNAL_CHECK(same_run(rep, res),
                         kernel << " run is not deterministic across reps");
-      if (instrument)
+      if (instrument) {
         res.barriers = rep.barriers;
-      else
+        res.pool = rep.pool;
+      } else {
         res.ms = std::min(res.ms, rep.ms);
+      }
     }
   }
   return res;
@@ -217,8 +229,9 @@ int main(int argc, char** argv) {
         run = &fresh;
       }
       const RunResult& res = *run;
-      const bool identical =
-          same_run(res, serial) && res.barriers == serial.barriers;
+      const bool identical = same_run(res, serial) &&
+                             res.barriers == serial.barriers &&
+                             res.pool == serial.pool;
       HG_INTERNAL_CHECK(identical, kernel << " (" << threads
                                           << " threads) diverged from the "
                                              "serial run");

@@ -48,9 +48,9 @@ struct BlockKeyHash {
 
 /// One processor's local memory: a map from global block coordinates to
 /// locally stored block contents. Freed payloads (transient panel copies
-/// erased at step boundaries) are pooled per shape and recycled by
-/// acquire(), so the steady state of a kernel run performs no heap
-/// allocation for block traffic after the first step.
+/// erased at step boundaries) are pooled per shape, up to
+/// kPoolCapPerShape each, for acquire(); a step that needs more buffers of
+/// a shape than the pool holds allocates (block_store.pool_misses).
 class BlockStore {
  public:
   /// Inserts (or overwrites) a block copy; the payload is moved in.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <unordered_map>
 
 #include "core/rebalance.hpp"
 #include "dist/online_rebalancer.hpp"
@@ -66,7 +68,8 @@ constexpr int kPrioComm = 3, kPrioPanel = 2, kPrioSolve = 1, kPrioUpdate = 0;
 // block serializes in emission order (WAW), so the arithmetic is
 // bit-identical to the graph's serial inline mode (one thread) for any
 // thread count. The host synchronizes only where it does inline math
-// (host_sync) and at finish().
+// (host_sync), at finish(), and to keep emission within kStepWindow steps
+// of the workers (set_step).
 //
 // Clocks, busy times, message counters, and trace spans are computed
 // exclusively on the host thread and never depend on the execution
@@ -99,19 +102,21 @@ struct MpContext {
   std::vector<std::vector<std::size_t>> loc;
   std::size_t loc_rows, loc_cols;
   std::size_t reb_applied = 0, reb_blocks = 0;
-  // Every block the current step landed or created outside the persistent
-  // layout (panel copies, feeder and row-swap copies, QR's T/V0/W/Y), as
-  // (processor, key); drop_transients erases them when the next step
-  // starts or the run gathers.
-  std::vector<std::pair<std::size_t, BlockKey>> transients;
-  // Erases whose block still has in-flight readers/writers; applied once
-  // those tasks drain (poll_erases / finish).
-  struct PendingErase {
-    std::size_t id;
+  // The step window: when step k starts, the host waits for every task
+  // emitted before step k - kStepWindow + 1 and erases the transients step
+  // k - kStepWindow landed, so at most kStepWindow steps of copies are
+  // live at any thread count. A transient is a block a step lands or
+  // creates outside the persistent layout (panel copies, feeder and
+  // row-swap copies, QR's T/V0/W/Y, a migrated block's stale source).
+  static constexpr std::size_t kStepWindow = 2;
+  struct Transient {
+    std::size_t step, id;
     BlockKey key;
-    std::vector<TaskGraph::TaskId> waits;
   };
-  std::vector<PendingErase> pending_erases;
+  std::deque<Transient> transients;  // in landing order, so by step
+  // Last step that landed each live transient, by key_of(processor, key).
+  std::unordered_map<TaskGraph::Key, std::size_t> live;
+  std::vector<TaskGraph::TaskId> step_mark;  // first task id of each step
   // Declared last: its destructor waits for in-flight tasks, so on unwind
   // it runs before the stores those tasks' closures reference. Heap-held so
   // the lock and ready queue that workers hammer never share a cache line
@@ -138,10 +143,28 @@ struct MpContext {
   }
 
   void set_step(std::size_t k) {
+    HG_INTERNAL_CHECK(k == step_mark.size(), "mp steps must run in order");
+    // The window waits on task ids, so the ops touching the previous
+    // step's transients must be tasks below this step's mark.
+    if (!transients.empty() && transients.back().step + 1 == k)
+      flush_fused();
     step = k;
     net.set_step(k);
-    drop_transients();
-    poll_erases();
+    step_mark.push_back(graph->stats().tasks);
+    if (k < kStepWindow) return;
+    // Not an mp.barriers tick: the host takes no key ownership here.
+    metric_count("mp.window_waits", 1);
+    graph->wait_below(step_mark[k - kStepWindow + 1]);
+    const std::size_t retired = k - kStepWindow;
+    while (!transients.empty() && transients.front().step == retired) {
+      const Transient t = transients.front();
+      transients.pop_front();
+      const auto it = live.find(key_of(t.id, t.key));
+      // Landed again by a later step, or made persistent by a migration.
+      if (it == live.end() || it->second != retired) continue;
+      live.erase(it);
+      store[t.id].erase(t.key);
+    }
   }
 
   /// Packs (processor, block) into a task-graph resource key: the
@@ -167,8 +190,8 @@ struct MpContext {
   // update is one task per processor instead of one per block, which
   // keeps a worker inside one store's blocks (cache locality) and pays
   // the scheduler's lock once per processor-step instead of once per
-  // block. Any host-side dependency query must flush first — host_sync,
-  // finish, and erase_block do.
+  // block. Any host-side wait must flush first — host_sync and finish do,
+  // and set_step does before the window waits on a step's tasks.
   static constexpr std::uint64_t kGroupProc = std::uint64_t{1} << 62;
   static constexpr std::uint64_t kGroupCopy = std::uint64_t{1} << 61;
   struct FusedOps {
@@ -259,68 +282,29 @@ struct MpContext {
     graph->host_acquire({}, w);
   }
 
-  /// Final synchronization: every queued op completes and all deferred
-  /// transient erases are applied. gather() calls it once the copy-out
-  /// tasks are queued.
+  /// Final synchronization: every queued op completes. gather() calls it
+  /// once the copy-out tasks are queued; the last steps' transients die
+  /// with the stores.
   void finish() {
     flush_fused();
     metric_count("mp.barriers", 1);
     graph->wait_all();
     if (obs != nullptr) obs->tasks = graph->records();
-    for (const PendingErase& pe : pending_erases)
-      store[pe.id].erase(pe.key);
-    pending_erases.clear();
   }
 
-  /// Drops a block copy: a transient, or a migrated block's stale source.
-  /// The erase is deferred while any queued op still reads or writes the
-  /// block, so its buffer cannot be recycled under a running task. A
-  /// block can land again on a processor whose deferred erase of it has
-  /// not drained yet (a migration back, a row-swap copy in the next
-  /// step); copy_block cancels the stale deferral for that case.
-  void erase_block(std::size_t id, BlockKey key) {
-    flush_fused();  // pending_on must see every queued op
-    std::vector<TaskGraph::TaskId> waits = graph->pending_on(key_of(id, key));
-    if (!waits.empty()) {
-      pending_erases.push_back(PendingErase{id, key, std::move(waits)});
-      return;
-    }
-    store[id].erase(key);
-  }
-
-  void drop_transients() {
-    for (const auto& [id, key] : transients) erase_block(id, key);
-    transients.clear();
+  /// Makes (id, key) a transient of the current step: set_step erases it
+  /// kStepWindow steps from now unless a later step lands it again.
+  void land(std::size_t id, BlockKey key) {
+    const auto [it, fresh] = live.try_emplace(key_of(id, key), step);
+    if (!fresh && it->second == step) return;
+    it->second = step;
+    transients.push_back(Transient{step, id, key});
   }
 
   /// Puts a block the current step creates outside the persistent layout.
   void put_transient(std::size_t id, BlockKey key, Matrix m) {
     store[id].put(key, std::move(m));
-    transients.emplace_back(id, key);
-  }
-
-  void poll_erases() {
-    if (pending_erases.empty()) return;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending_erases.size(); ++i) {
-      PendingErase& pe = pending_erases[i];
-      bool drained = true;
-      for (const TaskGraph::TaskId t : pe.waits)
-        if (!graph->done(t)) {
-          drained = false;
-          break;
-        }
-      if (drained) {
-        store[pe.id].erase(pe.key);
-      } else {
-        // Guard against self-move: moving an element onto itself would
-        // empty its waits vector, and an empty waits list reads as
-        // "drained" on the next poll — freeing a buffer under live tasks.
-        if (kept != i) pending_erases[kept] = std::move(pe);
-        ++kept;
-      }
-    }
-    pending_erases.resize(kept);
+    land(id, key);
   }
 
   std::size_t pid(std::size_t gi, std::size_t gj) const {
@@ -381,7 +365,10 @@ struct MpContext {
           const BlockKey key{s.which * loc_rows + bi, bj};
           const double arrival = net.transfer(cur, dst, 1, clock[cur]);
           copy_block(cur, dst, key, /*persistent=*/true);
-          erase_block(cur, key);
+          land(cur, key);  // the stale source
+          // One task per migrated block, so a large migration spreads over
+          // the workers instead of queueing on one copy lane.
+          flush_fused();
           cur = dst;
           arrive[dst] = std::max(arrive[dst], arrival);
           ++moved;
@@ -406,32 +393,21 @@ struct MpContext {
   /// Lands a copy of `key` (present at `from`) in `to`'s store, recycling
   /// a pooled buffer when one matches the shape: the copy is queued as a
   /// task reading (from, key) and writing (to, key). When the destination
-  /// already holds the block (a broadcast restoring an owner's blocks), the
-  /// existing buffer is written in place — a put would free a buffer that
-  /// pending readers may still be using, and the write dependency already
-  /// orders the copy after them. A copy that lands the block afresh is a
-  /// transient of the current step unless `persistent` (a migration).
+  /// already holds the block (a broadcast restoring an owner's blocks, a
+  /// copy onto a live transient), the existing buffer is written in place
+  /// — a put would free a buffer that pending readers may still be using,
+  /// and the write dependency already orders the copy after them. A copy
+  /// that lands the block afresh or on a live transient makes it a
+  /// transient of the current step, or persistent (a migration).
   void copy_block(std::size_t from, std::size_t to, BlockKey key,
                   bool persistent = false) {
     const ConstMatrixView src = store[from].at(key);
     const bool absent = !store[to].contains(key);
-    bool lands = absent;
-    // A landing copy re-establishes (to, key) as live: cancel any deferred
-    // erase of it, or it would drain later (poll_erases is worker-timing
-    // dependent) and delete the re-landed block. The stale buffer's
-    // readers still order the in-place write below through the (to, key)
-    // write dependency.
-    if (!pending_erases.empty()) {
-      const auto stale =
-          std::remove_if(pending_erases.begin(), pending_erases.end(),
-                         [&](const PendingErase& pe) {
-                           return pe.id == to && pe.key == key;
-                         });
-      lands = lands || stale != pending_erases.end();
-      pending_erases.erase(stale, pending_erases.end());
-    }
     if (absent) store[to].put(key, store[to].acquire(src.rows(), src.cols()));
-    if (lands && !persistent) transients.emplace_back(to, key);
+    if (persistent)
+      live.erase(key_of(to, key));
+    else if (absent || live.count(key_of(to, key)) > 0)
+      land(to, key);
     const MatrixView dst = store[to].at(key);
     HG_INTERNAL_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols(),
                       "copy_block into a block of different shape");
@@ -548,13 +524,13 @@ void scatter(MpContext& ctx, std::initializer_list<Scattered> mats,
              std::size_t nbr, std::size_t nbc) {
   const std::size_t procs = ctx.p * ctx.q;
   // Every matrix's owned blocks plus one row and one column panel of
-  // transient copies.
+  // transient copies per step of the window.
   std::vector<std::size_t> owned(procs, 0);
   for (std::size_t bi = 0; bi < nbr; ++bi)
     for (std::size_t bj = 0; bj < nbc; ++bj)
       owned[ctx.owner_pid(bi, bj)] += mats.size();
   for (std::size_t id = 0; id < procs; ++id)
-    ctx.store[id].reserve(owned[id] + nbr + nbc);
+    ctx.store[id].reserve(owned[id] + MpContext::kStepWindow * (nbr + nbc));
 
   std::vector<std::vector<BlockKey>> keys(procs);
   std::vector<std::vector<BlockCopy>> copies(procs);
@@ -591,12 +567,10 @@ void scatter(MpContext& ctx, std::initializer_list<Scattered> mats,
 }
 
 // Copies matrix `which` back into `m` from wherever its blocks finally
-// live: the last step's transients are dropped, then one mp.gather task
-// per holder at communication priority, then finish(), so every write to
-// `m` lands before the run returns.
+// live: one mp.gather task per holder at communication priority, then
+// finish(), so every write to `m` lands before the run returns.
 void gather(MpContext& ctx, MatrixView m, std::size_t which,
             std::size_t nbr, std::size_t nbc) {
-  ctx.drop_transients();
   const std::size_t procs = ctx.p * ctx.q;
   std::vector<std::vector<BlockKey>> keys(procs);
   std::vector<std::vector<BlockCopy>> copies(procs);
@@ -1421,8 +1395,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       // --- Pass 1: partial W = V^T * C per (processor, trailing column),
       // ascending block row on each owner's lane; the first gemm into a
       // partial runs with beta = 0, which overwrites the recycled buffer.
-      // W keys carry the step in their column so a deferred erase of step
-      // k's partials can never collide with step k + 1 re-creating them.
+      // W keys carry the step in their column: step k's partials stay live
+      // through the step window, so step k + 1 must not re-create them.
       std::fill(work_acc.begin(), work_acc.end(), 0.0);
       std::fill(units_acc.begin(), units_acc.end(), 0.0);
       for (std::size_t bj = k + 1; bj < nbc; ++bj) {
@@ -1490,8 +1464,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
           ctx.add_op(root, "mp.add", kPrioSolve, {w_key}, {w_root_key},
                      [pv, w_root] { add_in_place(pv, w_root); });
         }
-        // Y keys carry the step in their column for the same
-        // erase-vs-reuse reason as the W partials.
+        // Y keys carry the step in their column for the same reason as
+        // the W partials.
         const BlockKey y_key{kTagY * nbr + bj, k};
         ctx.put_transient(root, y_key, ctx.store[root].acquire(klen, jlen));
         const MatrixView yv = ctx.store[root].at(y_key);

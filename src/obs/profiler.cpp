@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <tuple>
 
 #include "obs/chrome_trace.hpp"
 #include "util/check.hpp"
@@ -116,31 +117,53 @@ Table Profiler::hotspot_table(std::size_t top_k) const {
   struct Agg {
     std::uint64_t calls = 0;
     double total = 0.0;
+    double self = 0.0;  // minus the spans directly nested on its lane
   };
+  // Spans on one lane nest (they are scopes): walked by start, longest
+  // first on ties, the innermost open span is each span's direct parent.
+  std::vector<const TraceEvent*> order;
+  for (const TraceEvent& e : events_) order.push_back(&e);
+  std::sort(order.begin(), order.end(),
+            [](const TraceEvent* a, const TraceEvent* b) {
+              return std::tie(a->proc, a->start, b->duration) <
+                     std::tie(b->proc, b->start, a->duration);
+            });
   std::map<std::string, Agg> by_name;
-  double all = 0.0;
-  for (const TraceEvent& e : events_) {
-    Agg& a = by_name[e.name];
+  std::vector<std::pair<const TraceEvent*, Agg*>> open;
+  double all = 0.0;  // the self times' sum: the outermost spans' durations
+  for (const TraceEvent* e : order) {
+    while (!open.empty() &&
+           (open.back().first->proc != e->proc ||
+            open.back().first->start + open.back().first->duration <=
+                e->start))
+      open.pop_back();
+    if (open.empty())
+      all += e->duration;
+    else
+      open.back().second->self -= e->duration;
+    Agg& a = by_name[e->name];
     a.calls += 1;
-    a.total += e.duration;
-    all += e.duration;
+    a.total += e->duration;
+    a.self += e->duration;
+    open.emplace_back(e, &a);
   }
   std::vector<std::pair<std::string, Agg>> ranked(by_name.begin(),
                                                   by_name.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& x, const auto& y) {
-    if (x.second.total != y.second.total) return x.second.total > y.second.total;
+    if (x.second.self != y.second.self) return x.second.self > y.second.self;
     return x.first < y.first;
   });
   if (ranked.size() > top_k) ranked.resize(top_k);
 
   Table table("hotspots (wall clock, top " + std::to_string(top_k) + ")");
-  table.header({"span", "calls", "total ms", "mean us", "share"});
+  table.header({"span", "calls", "total ms", "self ms", "mean us", "share"});
   for (const auto& [name, a] : ranked) {
     const double mean_us =
         a.calls == 0 ? 0.0 : a.total * 1e6 / static_cast<double>(a.calls);
     table.row({name, Table::num(static_cast<std::int64_t>(a.calls)),
-               Table::num(a.total * 1e3, 3), Table::num(mean_us, 1),
-               Table::num(all > 0.0 ? 100.0 * a.total / all : 0.0, 1) + "%"});
+               Table::num(a.total * 1e3, 3), Table::num(a.self * 1e3, 3),
+               Table::num(mean_us, 1),
+               Table::num(all > 0.0 ? 100.0 * a.self / all : 0.0, 1) + "%"});
   }
   return table;
 }

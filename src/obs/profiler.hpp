@@ -72,8 +72,9 @@ class Profiler {
   /// Chrome/Perfetto trace with one lane per recording thread.
   void write_chrome(std::ostream& os) const;
 
-  /// Top-k spans by total time: name, calls, total ms, mean us, share of
-  /// all span time.
+  /// Top-k spans by self time: name, calls, total ms, self ms (total
+  /// minus what directly nested spans on the same lane cover), mean us,
+  /// and share of all self time, so the shares sum to 100%.
   Table hotspot_table(std::size_t top_k = 10) const;
 
   /// Called by ProfScope; appends to the calling thread's buffer.

@@ -302,6 +302,27 @@ void TaskGraph::host_acquire(const std::vector<Key>& reads,
   }
 }
 
+void TaskGraph::wait_below(TaskId mark) {
+  HG_CHECK(mark <= tasks_.size(),
+           "TaskGraph::wait_below: mark " << mark << " beyond "
+                                          << tasks_.size() << " tasks");
+  if (pool_ == nullptr || mark <= finished_below_) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  // Same targeted signalling as host_acquire: only the completions of the
+  // tasks still running below the mark wake the host.
+  std::size_t remaining = 0;
+  for (TaskId t = finished_below_; t < mark; ++t)
+    if (!tasks_[t].done) {
+      tasks_[t].host_waited = true;
+      ++remaining;
+    }
+  if (remaining > 0) {
+    host_wait_remaining_ = remaining;
+    cv_done_.wait(lock, [this] { return host_wait_remaining_ == 0; });
+  }
+  finished_below_ = mark;
+}
+
 void TaskGraph::wait_all() {
   if (pool_ != nullptr) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -315,29 +336,6 @@ void TaskGraph::wait_all() {
   if (metrics != nullptr)
     metrics->gauge("dag.critical_path")
         .set(static_cast<double>(stats_.critical_path));
-}
-
-bool TaskGraph::done(TaskId id) const {
-  HG_CHECK(id < tasks_.size(), "TaskGraph::done: no task " << id);
-  if (pool_ == nullptr) return true;  // serial tasks complete inside add()
-  std::lock_guard<std::mutex> lock(mu_);
-  return tasks_[id].done;
-}
-
-std::vector<TaskGraph::TaskId> TaskGraph::pending_on(Key key) const {
-  std::vector<TaskId> out;
-  if (pool_ == nullptr) return out;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto w = last_writer_.find(key);
-  if (w != last_writer_.end() && !tasks_[w->second].done)
-    out.push_back(w->second);
-  const auto r = readers_.find(key);
-  if (r != readers_.end())
-    for (const TaskId t : r->second)
-      if (!tasks_[t].done) out.push_back(t);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 }  // namespace hetgrid

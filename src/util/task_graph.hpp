@@ -129,14 +129,15 @@ class TaskGraph {
   void host_acquire(const std::vector<Key>& reads,
                     const std::vector<Key>& writes);
 
+  /// Blocks the host thread until every task with an id below `mark` has
+  /// finished. Touches no key history (later tasks still depend on those
+  /// tasks' keys as usual) and is a no-op in serial mode, where every task
+  /// finishes inside add(). The MP runtime's step window uses it to bound
+  /// how far emission runs ahead of the workers.
+  void wait_below(TaskId mark);
+
   /// Blocks until every submitted task has finished.
   void wait_all();
-
-  bool done(TaskId id) const;
-
-  /// Ids of the not-yet-finished tasks that read or write `key` (used to
-  /// defer freeing a buffer until its readers drain). Host-thread only.
-  std::vector<TaskId> pending_on(Key key) const;
 
   const Stats& stats() const { return stats_; }
   bool serial() const { return pool_ == nullptr; }
@@ -180,11 +181,12 @@ class TaskGraph {
   unsigned threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
 
-  // Key history, host-thread only (add / host_acquire / pending_on).
+  // Key history, host-thread only (add / host_acquire).
   std::unordered_map<Key, TaskId> last_writer_;
   std::unordered_map<Key, std::vector<TaskId>> readers_;  // since last write
 
   Stats stats_;
+  TaskId finished_below_ = 0;  // host-only: wait_below's finished prefix
 
   // Observation state (set_observe), touched only by the host thread.
   // host_chain_ maps a key to the record index of the heaviest chain the

@@ -5,10 +5,12 @@
 // and a --threads=1 metrics snapshot is identical across repeated runs.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/arrangement.hpp"
 #include "dist/panel_distribution.hpp"
@@ -163,6 +165,40 @@ TEST(ProfilerTest, MergesMainAndWorkerLanesAndRanksHotspots) {
   EXPECT_NE(chrome.str().find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(chrome.str().find("unit.work"), std::string::npos);
   EXPECT_EQ(chrome.str().substr(chrome.str().size() - 3), "]}\n");
+}
+
+TEST(ProfilerTest, HotspotShareIsSelfTimeOfDirectlyNestedSpans) {
+  // One lane, known nesting (ms): outer [0, 10] holds mid [1, 9], which
+  // holds leaf [2, 4]; a second leaf [9.5, 10] sits directly in outer. A
+  // span's self time subtracts its direct children only, so outer keeps
+  // 10 - 8 - 0.5 = 1.5, mid 8 - 2 = 6 and the two leaves 2 + 0.5 = 2.5;
+  // the shares are of the 10 ms of self time and sum to 100%.
+  Profiler prof;
+  prof.start();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto at = [t0](double ms) {
+    return t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double, std::milli>(ms));
+  };
+  prof.record("leaf", at(2.0), at(4.0));
+  prof.record("mid", at(1.0), at(9.0));
+  prof.record("leaf", at(9.5), at(10.0));
+  prof.record("outer", at(0.0), at(10.0));
+  prof.stop();
+
+  std::ostringstream csv;
+  prof.hotspot_table().print_csv(csv);
+  std::istringstream lines(csv.str());
+  std::string line;
+  std::getline(lines, line);
+  EXPECT_EQ(line, "span,calls,total ms,self ms,mean us,share");
+  std::vector<std::string> rows;
+  while (std::getline(lines, line)) rows.push_back(line);
+  // Ranked by self time.
+  EXPECT_EQ(rows, (std::vector<std::string>{
+                      "mid,1,8.000,6.000,8000.0,60.0%",
+                      "leaf,2,2.500,2.500,1250.0,25.0%",
+                      "outer,1,10.000,1.500,10000.0,15.0%"}));
 }
 
 TEST(ProfilerTest, RestartsCleanlyAfterStop) {

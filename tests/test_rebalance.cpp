@@ -31,6 +31,8 @@
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
+#include "mp_counters.hpp"
+
 namespace hetgrid {
 namespace {
 
@@ -527,12 +529,14 @@ TEST(MpRebalance, StragglerMakespanDropsAndResultIsUnchanged) {
 
 TEST(MpRebalance, MigrationScheduleIsThreadInvariant) {
   // Migration decisions are pure functions of the boundary snapshot, so
-  // the applied schedule — and every downstream bit — must be identical
-  // across thread counts. Every kernel acts at least once here. Migration
-  // only relocates blocks, so MMM, LU and Cholesky must also reproduce the
-  // static run's bits; QR regroups its W reduction by the new grid rows and
-  // is held to 1e-8 instead. MMM, whose whole matrix rebalances, must also
-  // beat the static makespan.
+  // the applied schedule — and every downstream bit, and the host's
+  // block-pool and step-window counters, which see every migrated block's
+  // stale source erased — must be identical across thread counts. Every
+  // kernel acts at least once here. Migration only relocates blocks, so
+  // MMM, LU and Cholesky must also reproduce the static run's bits; QR
+  // regroups its W reduction by the new grid rows and is held to 1e-8
+  // instead. MMM, whose whole matrix rebalances, must also beat the static
+  // makespan.
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 32, block = 4;
@@ -541,15 +545,20 @@ TEST(MpRebalance, MigrationScheduleIsThreadInvariant) {
     const KernelRun stat = run_kernel(kernel, machine, dist, n, block,
                                       straggler_options(Rebalance::kOff));
     KernelRun first;
+    HostCounters first_counters;
     for (unsigned threads : {1u, 2u, 7u}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads);
       RuntimeOptions opts = straggler_options(Rebalance::kPanel);
       opts.threads = threads;
-      KernelRun run = run_kernel(kernel, machine, dist, n, block, opts);
+      KernelRun run;
+      const HostCounters counters = count_host_work(
+          [&] { run = run_kernel(kernel, machine, dist, n, block, opts); });
       if (threads == 1) {
         first = std::move(run);
+        first_counters = counters;
         continue;
       }
+      EXPECT_EQ(counters, first_counters);
       EXPECT_TRUE(same_bits(first.out.view(), run.out.view()));
       EXPECT_EQ(run.rep.rebalances, first.rep.rebalances);
       EXPECT_EQ(run.rep.rebalance_blocks, first.rep.rebalance_blocks);

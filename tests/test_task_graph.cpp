@@ -3,15 +3,18 @@
 // thread counts, and the bit-identity of all four MP kernels at threads
 // {1, 2, 7} against the graph's serial inline mode — including LU with the
 // lookahead virtual-time model, pivoted LU, MMM with a NaN-filled C, and
-// the LU and Cholesky failure returns.
+// the LU and Cholesky failure returns — with the same block-pool and
+// step-window counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/heuristic.hpp"
@@ -22,6 +25,8 @@
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/task_graph.hpp"
+
+#include "mp_counters.hpp"
 
 namespace hetgrid {
 namespace {
@@ -47,11 +52,10 @@ TEST(TaskGraph, WarAndWawEdgesSerializeWriters) {
   // A second writer then chains on the first (WAW).
   TaskGraph g(1);
   g.add("w0", {}, {1}, [] {});
-  const auto r = g.add("r", {1}, {}, [] {});
-  const auto w1 = g.add("w1", {}, {1}, [] {});
-  const auto w2 = g.add("w2", {}, {1}, [] {});
+  g.add("r", {1}, {}, [] {});
+  g.add("w1", {}, {1}, [] {});
+  g.add("w2", {}, {1}, [] {});
   g.wait_all();
-  EXPECT_TRUE(g.done(r) && g.done(w1) && g.done(w2));
   // Edges: w0->r (RAW), w0->w1 (WAW) + r->w1 (WAR), w1->w2 (WAW).
   EXPECT_EQ(g.stats().edges, 4u);
   EXPECT_EQ(g.stats().critical_path, 4u);  // w0 -> r -> w1 -> w2
@@ -143,21 +147,33 @@ TEST(TaskGraph, ReadyTasksStartByPriorityThenId) {
   EXPECT_EQ(order, (std::vector<std::string>{"y", "z", "x1", "x2"}));
 }
 
-TEST(TaskGraph, PendingOnTracksUnfinishedTasks) {
+TEST(TaskGraph, WaitBelowWaitsForTasksBelowTheMarkOnly) {
+  // Two gated tasks on disjoint keys, one on each side of the mark. The
+  // task above the mark opens the lower gate only after a delay, so the
+  // wait must block for the task below; it returns while the task above
+  // is still held at its own gate.
   TaskGraph g(2);
-  std::atomic<bool> release{false};
-  std::atomic<bool> ran{false};
-  g.add("w", {}, {5}, [&] {
-    while (!release.load()) {
+  std::atomic<bool> open_below{false}, open_above{false};
+  std::atomic<bool> below_done{false}, above_done{false};
+  g.add("below", {}, {5}, [&] {
+    while (!open_below.load()) {
     }
-    ran.store(true);
+    below_done.store(true);
   });
-  EXPECT_EQ(g.pending_on(5).size(), 1u);
-  EXPECT_TRUE(g.pending_on(6).empty());
-  release.store(true);
+  const TaskGraph::TaskId mark = g.stats().tasks;
+  g.add("above", {}, {6}, [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open_below.store(true);
+    while (!open_above.load()) {
+    }
+    above_done.store(true);
+  });
+  g.wait_below(mark);
+  EXPECT_TRUE(below_done.load());
+  EXPECT_FALSE(above_done.load());
+  open_above.store(true);
   g.wait_all();
-  EXPECT_TRUE(ran.load());
-  EXPECT_TRUE(g.pending_on(5).empty());
+  EXPECT_TRUE(above_done.load());
 }
 
 TEST(TaskGraph, HostAcquireWaitsForWritersAndReaders) {
@@ -248,7 +264,17 @@ struct MpRun {
   std::vector<double> tau;         // QR only
   std::vector<std::size_t> piv;    // pivoted LU only
   std::vector<TraceEvent> events;
+  HostCounters counters;
 };
+
+// Runs `kernel(sink)` under a trace sink and a metrics registry, keeping
+// the events and the host-side counters in `run`.
+template <class Kernel>
+void observe(MpRun& run, Kernel&& kernel) {
+  MemoryTraceSink sink;
+  run.counters = count_host_work([&] { kernel(&sink); });
+  run.events = sink.events();
+}
 
 RuntimeOptions make_opts(unsigned threads) {
   RuntimeOptions opts;
@@ -262,12 +288,12 @@ MpRun run_mmm(const Machine& machine, const Distribution2D& dist,
   Matrix a(28, 28), b(28, 28), c(28, 28, c_init);
   fill_random(a.view(), rng);
   fill_random(b.view(), rng);
-  MemoryTraceSink sink;
   MpRun run;
-  run.report = run_mp_mmm(machine, dist, a.view(), b.view(), c.view(), 6,
-                          {}, &sink, make_opts(threads));
+  observe(run, [&](TraceSink* sink) {
+    run.report = run_mp_mmm(machine, dist, a.view(), b.view(), c.view(), 6,
+                            {}, sink, make_opts(threads));
+  });
   run.out = std::move(c);
-  run.events = sink.events();
   return run;
 }
 
@@ -280,12 +306,12 @@ Matrix lu_input() {
 
 MpRun run_lu(const Machine& machine, const Distribution2D& dist,
              bool lookahead, unsigned threads, Matrix a = lu_input()) {
-  MemoryTraceSink sink;
   MpRun run;
-  run.report = run_mp_lu(machine, dist, a.view(), 6, {}, lookahead, &sink,
-                         make_opts(threads));
+  observe(run, [&](TraceSink* sink) {
+    run.report = run_mp_lu(machine, dist, a.view(), 6, {}, lookahead, sink,
+                           make_opts(threads));
+  });
   run.out = std::move(a);
-  run.events = sink.events();
   return run;
 }
 
@@ -294,14 +320,14 @@ MpRun run_lu_pivoted(const Machine& machine, const Distribution2D& dist,
   Rng rng(13);
   Matrix a(28, 28);
   fill_random(a.view(), rng);  // general: pivots cross grid rows
-  MemoryTraceSink sink;
   MpRun run;
-  const MpLuReport rep = run_mp_lu_pivoted(machine, dist, a.view(), 6, {},
-                                           &sink, make_opts(threads));
-  run.report = rep;
-  run.piv = rep.piv;
+  observe(run, [&](TraceSink* sink) {
+    const MpLuReport rep = run_mp_lu_pivoted(machine, dist, a.view(), 6, {},
+                                             sink, make_opts(threads));
+    run.report = rep;
+    run.piv = rep.piv;
+  });
   run.out = std::move(a);
-  run.events = sink.events();
   return run;
 }
 
@@ -314,12 +340,12 @@ Matrix chol_input() {
 
 MpRun run_chol(const Machine& machine, const Distribution2D& dist,
                unsigned threads, Matrix a = chol_input()) {
-  MemoryTraceSink sink;
   MpRun run;
-  run.report = run_mp_cholesky(machine, dist, a.view(), 6, {}, &sink,
-                               make_opts(threads));
+  observe(run, [&](TraceSink* sink) {
+    run.report = run_mp_cholesky(machine, dist, a.view(), 6, {}, sink,
+                                 make_opts(threads));
+  });
   run.out = std::move(a);
-  run.events = sink.events();
   return run;
 }
 
@@ -329,14 +355,14 @@ MpRun run_qr(const Machine& machine, const Distribution2D& dist,
   Rng rng(19);
   Matrix a(rows, cols);
   fill_random(a.view(), rng);
-  MemoryTraceSink sink;
   MpRun run;
-  const MpQrReport rep = run_mp_qr(machine, dist, a.view(), block, {}, &sink,
-                                   make_opts(threads));
-  run.report = rep;
-  run.tau = rep.tau;
+  observe(run, [&](TraceSink* sink) {
+    const MpQrReport rep = run_mp_qr(machine, dist, a.view(), block, {},
+                                     sink, make_opts(threads));
+    run.report = rep;
+    run.tau = rep.tau;
+  });
   run.out = std::move(a);
-  run.events = sink.events();
   return run;
 }
 
@@ -346,10 +372,12 @@ void expect_same_run(const MpRun& ref, const MpRun& got) {
   EXPECT_EQ(ref.piv, got.piv);
   EXPECT_TRUE(same_bits(ref.out.view(), got.out.view()));
   expect_same_events(ref.events, got.events);
+  EXPECT_EQ(ref.counters, got.counters);
 }
 
 // Every thread count must reproduce the serial inline run (TaskGraph(1),
-// the determinism reference) bit for bit: reports, traces, and matrices.
+// the determinism reference) bit for bit: reports, traces, and matrices,
+// and the same block-pool and step-window counters.
 
 TEST(MpDag, MmmBitIdenticalAcrossThreads) {
   const Machine machine = het_machine(23, 2, 3);
@@ -444,7 +472,7 @@ TEST(MpDag, CholeskyBitIdenticalAcrossThreads) {
 TEST(MpDag, QrBitIdenticalAcrossThreads) {
   // The sharp case: QR's W reduction must keep its canonical summation
   // order through the graph's WAW chains, and its W/Y transients exercise
-  // the deferred-erase path. The second shape's 36-wide panels (last one
+  // the step window's erases. The second shape's 36-wide panels (last one
   // ragged) run the recursive panel factorization on the host.
   const Machine machine = het_machine(59, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);

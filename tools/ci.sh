@@ -9,11 +9,13 @@
 # rows (asserts the arrangement search is identical at every thread count),
 # the repository benchmark's self-test, the placement server's throughput
 # smoke with its regression gates, a documentation link check, a layering
-# check (src/mp must not build on the simulator), and finally a
-# ThreadSanitizer pass over the concurrent pieces (the exact solver's
-# thread pool, the message-passing runtime's task graph, and the placement
-# server) in build-tsan/, with the thread pool and task graph tests
-# repeated 20 times. The CLI's transcripts are a ctest entry (cli_golden).
+# check (src/mp must not build on the simulator), a ThreadSanitizer pass
+# over the concurrent pieces (the exact solver's thread pool, the
+# message-passing runtime's task graph, and the placement server) in
+# build-tsan/, with the thread pool and task graph tests repeated 20
+# times, and finally an AddressSanitizer + UBSan pass over the MP runtime
+# tests in build-asan/. The CLI's transcripts are a ctest entry
+# (cli_golden).
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -37,7 +39,8 @@ build-ci/bench/bench_runtime_scaling --smoke=1 --json=build-ci/BENCH_runtime_smo
 # block 128 as well (the owners' scatter and gather tasks, recursive QR
 # host panels, next-panel columns split out of the fused trailing update).
 # Its times are not gated; the harness throws unless 4 threads reproduce
-# the serial MpReport, tau and matrix bits.
+# the serial MpReport, tau and matrix bits and the block-pool counters
+# (the transient lifecycle under the step window).
 build-ci/bench/bench_runtime_scaling --nb=16 --block=128 --threads=1,4 \
       --kernels=mmm,lu,chol,qr --reps=1 \
       --json=build-ci/BENCH_runtime_n2048.json
@@ -214,3 +217,14 @@ ctest --test-dir build-tsan --output-on-failure -j "$NPROC" \
 # only rarely still fails CI.
 build-tsan/tests/test_thread_pool --gtest_repeat=20
 build-tsan/tests/test_task_graph --gtest_repeat=20
+
+# ASan + UBSan pass: a transient buffer freed or recycled while a task
+# still reads it is a use-after-free, which only AddressSanitizer reports
+# reliably (mirrors the "asan" preset in CMakePresets.json).
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build build-asan -j "$NPROC" \
+      --target test_mp test_task_graph test_runtime_parallel test_rebalance
+ctest --test-dir build-asan --output-on-failure -j "$NPROC" \
+      -R '^(test_mp|test_task_graph|test_runtime_parallel|test_rebalance)$'
