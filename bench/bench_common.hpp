@@ -253,14 +253,4 @@ inline std::vector<Strategy> build_strategies(std::size_t p, std::size_t q,
   return out;
 }
 
-/// Parses --network=free|switched|ethernet into a model.
-inline NetworkModel parse_network(const std::string& name) {
-  if (name == "free") return NetworkModel::free();
-  if (name == "switched")
-    return {Topology::kSwitched, 1.0e-4, 2.0e-4, true};
-  if (name == "ethernet")
-    return {Topology::kEthernet, 1.0e-4, 2.0e-4, true};
-  HG_CHECK(false, "unknown --network value: " << name);
-}
-
 }  // namespace hetgrid::bench

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
           " on a heterogeneous NOW — strategies and panel-column ordering",
       cli);
 
-  const NetworkModel net = bench::parse_network(cli.get_string("network"));
+  const NetworkModel net = NetworkModel::named(cli.get_string("network"));
   const std::size_t scale = static_cast<std::size_t>(cli.get_int("scale"));
   const int trials = static_cast<int>(cli.get_int("trials"));
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));

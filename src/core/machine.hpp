@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 
 #include "core/cycle_time_grid.hpp"
 #include "core/drift.hpp"
@@ -59,6 +60,15 @@ struct NetworkModel {
 
   /// Zero-cost network, for isolating pure load-balance effects.
   static NetworkModel free() { return {Topology::kSwitched, 0.0, 0.0, true}; }
+
+  /// The networks `--network` names: "free", or "switched" / "ethernet"
+  /// at 1e-4 s latency and 2e-4 s per block.
+  static NetworkModel named(const std::string& name) {
+    if (name == "free") return free();
+    if (name == "switched") return {Topology::kSwitched, 1e-4, 2e-4, true};
+    if (name == "ethernet") return {Topology::kEthernet, 1e-4, 2e-4, true};
+    HG_CHECK(false, "unknown --network: " << name);
+  }
 };
 
 /// A simulated machine: cycle-times are seconds per r x r block update.

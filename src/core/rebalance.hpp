@@ -59,6 +59,21 @@ struct RebalanceRegion {
   double remaining_sweeps = 1.0;
   double per_block_move_cost = 0.0;
   double block_multiplier = 1.0;
+
+  /// MMM at step k of nb: every remaining step updates the whole nb x nb
+  /// C, and one owner change drags A, B and C blocks along.
+  static RebalanceRegion whole_matrix(std::size_t k, std::size_t nb) {
+    return {0, nb, 0, nb, false, static_cast<double>(nb - k), 0.0, 3.0};
+  }
+
+  /// LU, QR and Cholesky (`lower_only`) at step k: the trailing block
+  /// rows [k, nbr) x block columns [k, nbc), whose shrinking sweep repays
+  /// migration over roughly (nbc - k) / 3 full sweeps.
+  static RebalanceRegion trailing(std::size_t k, std::size_t nbr,
+                                  std::size_t nbc, bool lower_only = false) {
+    return {k, nbr, k, nbc, lower_only, static_cast<double>(nbc - k) / 3.0,
+            0.0, 1.0};
+  }
 };
 
 /// The planner's verdict. `row_map` / `col_map` are the proposed period

@@ -59,6 +59,18 @@ double vol_frac(std::size_t r, std::size_t c, std::size_t k,
 // can never reorder dependent work, so results are priority-independent.
 constexpr int kPrioComm = 3, kPrioPanel = 2, kPrioSolve = 1, kPrioUpdate = 0;
 
+constexpr std::size_t kTagA = 0, kTagB = 1, kTagC = 2;
+// QR-only transients: the larft T factor, the unit-lower diagonal V block,
+// per-grid-row partial W accumulators, and the reduced Y = T^T W panels.
+constexpr std::size_t kTagT = 3, kTagV = 4, kTagW = 5, kTagY = 6;
+
+// Virtual work that MpContext::gemm_op / solve_op book for one processor,
+// turned into one compute span by MpContext::charge.
+struct Work {
+  double seconds = 0.0;  // summed cycle_time(id) * units of the ops
+  double units = 0.0;    // their cycle-time-free flop measure
+};
+
 // Shared state for one distributed execution.
 //
 // Every real floating-point block op is emitted, in canonical host order,
@@ -230,8 +242,7 @@ struct MpContext {
   void stage_op(std::uint64_t group, const char* name, int priority,
                 std::vector<TaskGraph::Key> reads,
                 std::vector<TaskGraph::Key> writes, std::function<void()> op,
-                double weight = 0.0,
-                std::uint64_t tag = TaskGraph::kNoTag) {
+                double weight, std::uint64_t tag) {
     if (fused.active && (fused.group != group || fused.priority != priority))
       flush_fused();
     fused.active = true;
@@ -245,25 +256,64 @@ struct MpContext {
     fused.ops.push_back(std::move(op));
   }
 
-  /// Queues one block-numerics op on processor `id`, declaring the blocks
-  /// it reads and writes (a block that is read-modify-written belongs in
-  /// `writes` — the write dependency already serializes it against both
-  /// the prior writer and prior readers). Views must be resolved by the
-  /// caller (on the host thread) so missing-block errors still surface as
-  /// clean PreconditionErrors. The op joins the processor's open fusion
-  /// group. `reads` / `writes` are brace lists or any BlockKey container.
+  /// Queues one zero-weight data op on processor `id` (scatter, gather,
+  /// row swaps, QR's V0 build and W adds), declaring the blocks it reads
+  /// and writes (a block that is read-modify-written belongs in `writes` —
+  /// the write dependency already serializes it against both the prior
+  /// writer and prior readers). Views must be resolved by the caller (on
+  /// the host thread) so missing-block errors still surface as clean
+  /// PreconditionErrors. The op joins the processor's open fusion group.
+  /// `reads` / `writes` are brace lists or any BlockKey container.
   template <class Reads = std::initializer_list<BlockKey>,
             class Writes = std::initializer_list<BlockKey>>
   void add_op(std::size_t id, const char* name, int priority,
               const Reads& reads, const Writes& writes,
-              std::function<void()> op, double weight = 0.0) {
+              std::function<void()> op) {
     std::vector<TaskGraph::Key> r, w;
     r.reserve(reads.size());
     w.reserve(writes.size());
     for (const BlockKey& k : reads) r.push_back(key_of(id, k));
     for (const BlockKey& k : writes) w.push_back(key_of(id, k));
     stage_op(kGroupProc | id, name, priority, std::move(r), std::move(w),
-             std::move(op), weight, id);
+             std::move(op), 0.0, id);
+  }
+
+  // The weighted ops below state each block once: the key that names a
+  // dependency also resolves the view the op computes on (on the host, so
+  // a missing block throws PreconditionError), and the op's task weight is
+  // the very cycle_time(id) * units seconds that `acc` books for charge().
+
+  /// Queues c := alpha * op(a) * op(b) + beta * c on processor `id`'s
+  /// blocks `a`, `b` (read) and `c` (written).
+  void gemm_op(Work& acc, std::size_t id, int priority, Trans ta, Trans tb,
+               double alpha, BlockKey a, BlockKey b, double beta, BlockKey c,
+               double units) {
+    const ConstMatrixView av = store[id].at(a), bv = store[id].at(b);
+    const MatrixView cv = store[id].at(c);
+    stage_op(kGroupProc | id, "mp.gemm", priority,
+             {key_of(id, a), key_of(id, b)}, {key_of(id, c)},
+             [=] { gemm(ta, tb, alpha, av, bv, beta, cv); },
+             book(acc, id, units), id);
+  }
+
+  /// Queues solve(tri, rhs) on processor `id`, overwriting block `rhs`
+  /// with its solution against the triangular block `tri`.
+  void solve_op(Work& acc, std::size_t id,
+                void (*solve)(const ConstMatrixView&, MatrixView),
+                BlockKey tri, BlockKey rhs, double units) {
+    const ConstMatrixView tv = store[id].at(tri);
+    const MatrixView rv = store[id].at(rhs);
+    stage_op(kGroupProc | id, "mp.trsm", kPrioSolve, {key_of(id, tri)},
+             {key_of(id, rhs)}, [=] { solve(tv, rv); },
+             book(acc, id, units), id);
+  }
+
+  /// Adds `units` of work on `id` to `acc`; returns its seconds.
+  double book(Work& acc, std::size_t id, double units) const {
+    const double seconds = cycle_time(id) * units;
+    acc.seconds += seconds;
+    acc.units += units;
+    return seconds;
   }
 
   /// Blocks the host until every queued op touching `keys` on processor
@@ -279,7 +329,7 @@ struct MpContext {
     std::vector<TaskGraph::Key> w;
     w.reserve(keys.size());
     for (const BlockKey& k : keys) w.push_back(key_of(id, k));
-    graph->host_acquire({}, w);
+    graph->host_acquire(w);
   }
 
   /// Final synchronization: every queued op completes. gather() calls it
@@ -390,6 +440,14 @@ struct MpContext {
                                                d->migration_cost, moved});
   }
 
+  /// A factorization's boundary: the priced region of A is also the one
+  /// matrix's blocks that migrate.
+  void maybe_rebalance(std::size_t k, const RebalanceRegion& region) {
+    maybe_rebalance(k, region,
+                    {{kTagA, region.row_lo, region.row_hi, region.col_lo,
+                      region.col_hi, region.lower_only}});
+  }
+
   /// Lands a copy of `key` (present at `from`) in `to`'s store, recycling
   /// a pooled buffer when one matches the shape: the copy is queued as a
   /// task reading (from, key) and writing (to, key). When the destination
@@ -457,6 +515,30 @@ struct MpContext {
     return arrival;
   }
 
+  /// Turns the work `acc` booked on `id` into one compute span that may
+  /// not start before `ready`, and empties `acc`. An empty `acc` charges
+  /// nothing.
+  void charge(std::size_t id, double ready, Work& acc, const char* name,
+              ObsOp op) {
+    if (acc.seconds > 0.0) compute(id, ready, acc.seconds, name, op, acc.units);
+    acc = Work{};
+  }
+
+  /// Charges inline host math on `id` (a panel or T factorization the
+  /// host just ran on `keys`) as a compute span, and, when observing,
+  /// records it on `keys` so the weighted critical path stays connected
+  /// across the host_sync that cut their history.
+  void host_work(std::size_t id, double ready,
+                 const std::vector<BlockKey>& keys, double seconds,
+                 double units, const char* name, ObsOp op) {
+    compute(id, ready, seconds, name, op, units);
+    if (obs == nullptr) return;
+    std::vector<TaskGraph::Key> w;
+    w.reserve(keys.size());
+    for (const BlockKey& k : keys) w.push_back(key_of(id, k));
+    graph->note_host_work(w, seconds, name, id);
+  }
+
   /// Runs `seconds` of compute on `id` that may not start before `ready`.
   /// `op` / `units` tag the charge for the cycle-time estimator: `units`
   /// is the cycle-time-free flop measure (costs.X * vol_frac sums), so
@@ -469,18 +551,6 @@ struct MpContext {
     trace_span(sink, TraceEventKind::kComputeBlock, id, start, seconds, step,
                name);
     reb.sample(id, op, units, seconds, step);
-  }
-
-  /// Observation record for inline host math (panel factorizations): keeps
-  /// the weighted critical path connected across the host_sync that cut
-  /// the key history. No-op unless observing.
-  void note_host_work(std::size_t id, const std::vector<BlockKey>& keys,
-                      double seconds, const char* name) {
-    if (obs == nullptr) return;
-    std::vector<TaskGraph::Key> w;
-    w.reserve(keys.size());
-    for (const BlockKey& k : keys) w.push_back(key_of(id, k));
-    graph->note_host_work(w, seconds, name, id);
   }
 
   MpReport report() const {
@@ -598,11 +668,6 @@ void gather(MpContext& ctx, MatrixView m, std::size_t which,
   ctx.finish();
 }
 
-constexpr std::size_t kTagA = 0, kTagB = 1, kTagC = 2;
-// QR-only transients: the larft T factor, the unit-lower diagonal V block,
-// per-grid-row partial W accumulators, and the reduced Y = T^T W panels.
-constexpr std::size_t kTagT = 3, kTagV = 4, kTagW = 5, kTagY = 6;
-
 // Element-wise dst += src for the QR W-reduction (runs on the reduction
 // root's task lane, in ascending contributor order, so the summation order
 // is identical for any thread count).
@@ -660,9 +725,8 @@ void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
     panel_work +=
         ctx.cycle_time(diag_id) * weight * vol_frac(ilen, klen, klen, block);
   }
-  ctx.compute(diag_id, gather_ready, panel_work, "panel", ObsOp::kPanel,
-              panel_units);
-  ctx.note_host_work(diag_id, keys, panel_work, "panel");
+  ctx.host_work(diag_id, gather_ready, keys, panel_work, panel_units, "panel",
+                ObsOp::kPanel);
 }
 
 // The diagonal phase shared by LU and Cholesky at step k. The host waits
@@ -686,25 +750,18 @@ bool diagonal_phase(MpContext& ctx, std::size_t k, std::size_t nb,
   ctx.host_sync(diag_id, {diag_key});
   if (!factor(ctx.store[diag_id].at(diag_key))) return false;
   const double units = weight * vol_frac(klen, klen, klen, block);
-  const double seconds = ctx.cycle_time(diag_id) * units;
-  ctx.compute(diag_id, 0.0, seconds, "panel", ObsOp::kPanel, units);
-  ctx.note_host_work(diag_id, {diag_key}, seconds, "panel");
+  ctx.host_work(diag_id, 0.0, {diag_key}, ctx.cycle_time(diag_id) * units,
+                units, "panel", ObsOp::kPanel);
 
   std::vector<double> ready(ctx.p * ctx.q, 0.0);
   ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
                      ctx.clock[diag_id], ready);
+  Work acc;
   for (std::size_t bi = k + 1; bi < nb; ++bi) {
     const std::size_t id = ctx.owner_pid(bi, k);
-    const BlockKey l_key{kTagA * nb + bi, k};
-    const ConstMatrixView dv = ctx.store[id].at(diag_key);
-    const MatrixView lv = ctx.store[id].at(l_key);
-    const double op_units =
-        weight * vol_frac(block_len(bi, block, n), klen, klen, block);
-    ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {l_key},
-               [dv, lv, solve] { solve(dv, lv); },
-               ctx.cycle_time(id) * op_units);
-    ctx.compute(id, ready[id], ctx.cycle_time(id) * op_units, "l-solve",
-                ObsOp::kSolve, op_units);
+    ctx.solve_op(acc, id, solve, diag_key, {kTagA * nb + bi, k},
+                 weight * vol_frac(block_len(bi, block, n), klen, klen, block));
+    ctx.charge(id, ready[id], acc, "l-solve", ObsOp::kSolve);
   }
   return true;
 }
@@ -840,13 +897,10 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     ctx.set_step(k);
     // Rebalance over the full C sweep (every step updates all of C); an
     // owner change drags the C block plus the A/B panels still to come.
-    ctx.maybe_rebalance(
-        k,
-        RebalanceRegion{0, nb, 0, nb, false, static_cast<double>(nb - k),
-                        0.0, 3.0},
-        {{kTagA, 0, nb, k, nb, false},
-         {kTagB, k, nb, 0, nb, false},
-         {kTagC, 0, nb, 0, nb, false}});
+    ctx.maybe_rebalance(k, RebalanceRegion::whole_matrix(k, nb),
+                        {{kTagA, 0, nb, k, nb, false},
+                         {kTagB, k, nb, 0, nb, false},
+                         {kTagC, 0, nb, 0, nb, false}});
     std::fill(a_ready.begin(), a_ready.end(), 0.0);
     std::fill(b_ready.begin(), b_ready.end(), 0.0);
     std::fill(row_start.begin(), row_start.end(), 0.0);
@@ -919,32 +973,20 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     // lane per processor (each lane reads and writes only its own store).
     const std::size_t klen = block_len(k, block, n);
     for (std::size_t id = 0; id < procs; ++id) {
-      double work = 0.0, units = 0.0;
-      const double ready = std::max(a_ready[id], b_ready[id]);
+      Work acc;
       for (std::size_t bi = 0; bi < nb; ++bi) {
         for (std::size_t bj = 0; bj < nb; ++bj) {
           if (ctx.owner_pid(bi, bj) != id) continue;
-          const std::size_t ilen = block_len(bi, block, n);
-          const std::size_t jlen = block_len(bj, block, n);
-          const BlockKey a_key{kTagA * nb + bi, k};
-          const BlockKey b_key{kTagB * nb + k, bj};
-          const BlockKey c_key{kTagC * nb + bi, bj};
-          const ConstMatrixView av = ctx.store[id].at(a_key);
-          const ConstMatrixView bv = ctx.store[id].at(b_key);
-          const MatrixView cv = ctx.store[id].at(c_key);
-          const double op_units =
-              costs.update * vol_frac(ilen, jlen, klen, block);
-          ctx.add_op(id, "mp.gemm", kPrioUpdate, {a_key, b_key}, {c_key},
-                     [av, bv, cv] {
-                       gemm(Trans::No, Trans::No, 1.0, av, bv, 1.0, cv);
-                     },
-                     ctx.cycle_time(id) * op_units);
-          units += op_units;
-          work += ctx.cycle_time(id) * op_units;
+          ctx.gemm_op(acc, id, kPrioUpdate, Trans::No, Trans::No, 1.0,
+                      {kTagA * nb + bi, k}, {kTagB * nb + k, bj}, 1.0,
+                      {kTagC * nb + bi, bj},
+                      costs.update * vol_frac(block_len(bi, block, n),
+                                              block_len(bj, block, n), klen,
+                                              block));
         }
       }
-      if (work > 0.0)
-        ctx.compute(id, ready, work, "update", ObsOp::kUpdate, units);
+      ctx.charge(id, std::max(a_ready[id], b_ready[id]), acc, "update",
+                 ObsOp::kUpdate);
     }
   }
 
@@ -989,19 +1031,12 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
   std::vector<std::vector<BlockKey>> row_keys(ctx.p), col_keys(ctx.q);
   // Lookahead: virtual time deferred from the previous step's non-critical
   // trailing work (the arithmetic itself always runs in canonical order).
-  std::vector<double> deferred(procs, 0.0);
+  std::vector<Work> deferred(procs);
   std::vector<double> deferred_ready(procs, 0.0);
-  std::vector<double> deferred_units(procs, 0.0);
 
   for (std::size_t k = 0; k < nb; ++k) {
     ctx.set_step(k);
-    // Rebalance the trailing submatrix [k, nb)^2; the shrinking trailing
-    // sweep repays migration over roughly (nb - k) / 3 full sweeps.
-    ctx.maybe_rebalance(
-        k,
-        RebalanceRegion{k, nb, k, nb, false,
-                        static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
-        {{kTagA, k, nb, k, nb, false}});
+    ctx.maybe_rebalance(k, RebalanceRegion::trailing(k, nb, nb));
     const std::size_t klen = block_len(k, block, n);
     const ProcCoord diag = ctx.owner(k, k);
     const std::size_t diag_id = ctx.pid(diag.row, diag.col);
@@ -1036,10 +1071,8 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
                                trsm_right_upper, costs.panel_factor)) {
       // --- Unpivoted panel phase (the diagonal block, then the L21
       // solves) hit a zero pivot.
-      gather(ctx, a, kTagA, nb, nb);
-      static_cast<MpReport&>(rep) = ctx.report();
-      rep.factorized = false;
-      return rep;
+      singular = true;
+      break;
     }
 
     // --- Horizontal broadcast of the L panel (diag + L21) per grid row.
@@ -1058,18 +1091,14 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
 
     // --- U12 solves: owners of (k, J), J > k need L11 (came with the L
     // panel broadcast along their row).
+    Work acc;
     for (std::size_t bj = k + 1; bj < nb; ++bj) {
       const std::size_t id = ctx.owner_pid(k, bj);
-      const std::size_t jlen = block_len(bj, block, n);
-      const BlockKey u_key{kTagA * nb + k, bj};
-      const ConstMatrixView dv = ctx.store[id].at(diag_key);
-      const MatrixView uv = ctx.store[id].at(u_key);
-      const double op_units = costs.trsm * vol_frac(klen, jlen, klen, block);
-      ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {u_key},
-                 [dv, uv] { trsm_left_lower_unit(dv, uv); },
-                 ctx.cycle_time(id) * op_units);
-      ctx.compute(id, l_ready[id], ctx.cycle_time(id) * op_units, "u-solve",
-                  ObsOp::kSolve, op_units);
+      ctx.solve_op(acc, id, trsm_left_lower_unit, diag_key,
+                   {kTagA * nb + k, bj},
+                   costs.trsm *
+                       vol_frac(klen, block_len(bj, block, n), klen, block));
+      ctx.charge(id, l_ready[id], acc, "u-solve", ObsOp::kSolve);
     }
 
     // --- Vertical broadcast of the U panel per grid column.
@@ -1085,15 +1114,9 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
     // --- Settle the previous step's deferred (non-critical) work before
     // this step's trailing phase: the panel and solves above already went
     // out ahead of it — that is the lookahead.
-    for (std::size_t id = 0; id < procs; ++id) {
-      if (deferred[id] > 0.0) {
-        ctx.compute(id, deferred_ready[id], deferred[id], "update-deferred",
-                    ObsOp::kUpdate, deferred_units[id]);
-        deferred[id] = 0.0;
-        deferred_ready[id] = 0.0;
-        deferred_units[id] = 0.0;
-      }
-    }
+    for (std::size_t id = 0; id < procs; ++id)
+      ctx.charge(id, deferred_ready[id], deferred[id], "update-deferred",
+                 ObsOp::kUpdate);
 
     // --- Trailing updates A_IJ -= L_Ik * U_kJ on owned blocks. With
     // lookahead, the blocks the next panel needs (block column/row k+1)
@@ -1102,53 +1125,33 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
     // bookkeeping — the GEMM tasks are always emitted in this step, in
     // canonical order per processor.
     for (std::size_t id = 0; id < procs; ++id) {
-      double work_next = 0.0, work_rest = 0.0;
-      double units_next = 0.0, units_rest = 0.0;
       const double ready = std::max(l_ready[id], u_ready[id]);
       for (std::size_t bi = k + 1; bi < nb; ++bi) {
         for (std::size_t bj = k + 1; bj < nb; ++bj) {
           if (ctx.owner_pid(bi, bj) != id) continue;
-          const std::size_t ilen = block_len(bi, block, n);
-          const std::size_t jlen = block_len(bj, block, n);
-          const BlockKey l_key{kTagA * nb + bi, k};
-          const BlockKey u_key{kTagA * nb + k, bj};
-          const BlockKey t_key{kTagA * nb + bi, bj};
-          const ConstMatrixView lv = ctx.store[id].at(l_key);
-          const ConstMatrixView uv = ctx.store[id].at(u_key);
-          const MatrixView tv = ctx.store[id].at(t_key);
           // Next-panel blocks (column / row k + 1) run at panel priority
           // so the graph releases step k + 1's critical chain first — the
-          // wall-clock counterpart of the virtual-time lookahead below.
-          const int prio = (bi == k + 1 || bj == k + 1) ? kPrioPanel
-                                                        : kPrioUpdate;
-          const double op_units =
-              costs.update * vol_frac(ilen, jlen, klen, block);
-          ctx.add_op(id, "mp.gemm", prio, {l_key, u_key}, {t_key},
-                     [lv, uv, tv] {
-                       gemm(Trans::No, Trans::No, -1.0, lv, uv, 1.0, tv);
-                     },
-                     ctx.cycle_time(id) * op_units);
-          const double cost = ctx.cycle_time(id) * op_units;
-          if (lookahead && bi != k + 1 && bj != k + 1) {
-            work_rest += cost;
-            units_rest += op_units;
-          } else {
-            work_next += cost;
-            units_next += op_units;
-          }
+          // wall-clock counterpart of the virtual-time lookahead.
+          const bool next = bi == k + 1 || bj == k + 1;
+          ctx.gemm_op(lookahead && !next ? deferred[id] : acc, id,
+                      next ? kPrioPanel : kPrioUpdate, Trans::No, Trans::No,
+                      -1.0, {kTagA * nb + bi, k}, {kTagA * nb + k, bj}, 1.0,
+                      {kTagA * nb + bi, bj},
+                      costs.update * vol_frac(block_len(bi, block, n),
+                                              block_len(bj, block, n), klen,
+                                              block));
         }
       }
-      if (work_next > 0.0)
-        ctx.compute(id, ready, work_next, "update", ObsOp::kUpdate,
-                    units_next);
-      if (work_rest > 0.0) {
-        deferred[id] += work_rest;
-        deferred_units[id] += units_rest;
-        deferred_ready[id] = std::max(deferred_ready[id], ready);
-      }
+      ctx.charge(id, ready, acc, "update", ObsOp::kUpdate);
+      deferred_ready[id] = ready;
     }
   }
 
+  // Only a zero pivot leaves anything deferred here: the step it stopped
+  // never settled the previous step's updates, which the graph still runs.
+  for (std::size_t id = 0; id < procs; ++id)
+    ctx.charge(id, deferred_ready[id], deferred[id], "update-deferred",
+               ObsOp::kUpdate);
   gather(ctx, a, kTagA, nb, nb);
   static_cast<MpReport&>(rep) = ctx.report();
   rep.factorized = !singular;
@@ -1189,16 +1192,12 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
 
   std::vector<double> l_ready(procs), c_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p);
+  bool factorized = true;
 
   for (std::size_t k = 0; k < nb; ++k) {
     ctx.set_step(k);
-    // Rebalance the lower trailing triangle (Cholesky touches only
-    // bj <= bi); row_lo == col_lo keeps the triangle test aligned.
-    ctx.maybe_rebalance(
-        k,
-        RebalanceRegion{k, nb, k, nb, true,
-                        static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
-        {{kTagA, k, nb, k, nb, true}});
+    // Cholesky touches only the lower trailing triangle (bj <= bi).
+    ctx.maybe_rebalance(k, RebalanceRegion::trailing(k, nb, nb, true));
     const std::size_t klen = block_len(k, block, n);
     const ProcCoord diag = ctx.owner(k, k);
 
@@ -1206,10 +1205,8 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
     // A_Ik := A_Ik * inv(L11)^T.
     if (!diagonal_phase(ctx, k, nb, n, cholesky_factor_unblocked,
                         trsm_right_lower_transposed, costs.chol_factor)) {
-      gather(ctx, a, kTagA, nb, nb);
-      MpReport rep = ctx.report();
-      rep.factorized = false;
-      return rep;
+      factorized = false;
+      break;
     }
 
     // --- Phase 1: L panel along each grid row.
@@ -1242,38 +1239,27 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
 
     // --- Symmetric trailing update A_IJ -= L_I * L_J^T, I >= J > k.
     for (std::size_t id = 0; id < procs; ++id) {
-      double work = 0.0, units = 0.0;
-      const double ready = std::max(l_ready[id], c_ready[id]);
+      Work acc;
       for (std::size_t bi = k + 1; bi < nb; ++bi) {
         for (std::size_t bj = k + 1; bj <= bi; ++bj) {
           if (ctx.owner_pid(bi, bj) != id) continue;
-          const std::size_t ilen = block_len(bi, block, n);
-          const std::size_t jlen = block_len(bj, block, n);
-          const BlockKey li_key{kTagA * nb + bi, k};
-          const BlockKey lj_key{kTagA * nb + bj, k};
-          const BlockKey t_key{kTagA * nb + bi, bj};
-          const ConstMatrixView li = ctx.store[id].at(li_key);
-          const ConstMatrixView lj = ctx.store[id].at(lj_key);
-          const MatrixView tv = ctx.store[id].at(t_key);
-          const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
-          const double op_units =
-              costs.update * vol_frac(ilen, jlen, klen, block);
-          ctx.add_op(id, "mp.gemm", prio, {li_key, lj_key}, {t_key},
-                     [li, lj, tv] {
-                       gemm(Trans::No, Trans::Yes, -1.0, li, lj, 1.0, tv);
-                     },
-                     ctx.cycle_time(id) * op_units);
-          units += op_units;
-          work += ctx.cycle_time(id) * op_units;
+          ctx.gemm_op(acc, id, bj == k + 1 ? kPrioPanel : kPrioUpdate,
+                      Trans::No, Trans::Yes, -1.0, {kTagA * nb + bi, k},
+                      {kTagA * nb + bj, k}, 1.0, {kTagA * nb + bi, bj},
+                      costs.update * vol_frac(block_len(bi, block, n),
+                                              block_len(bj, block, n), klen,
+                                              block));
         }
       }
-      if (work > 0.0)
-        ctx.compute(id, ready, work, "update", ObsOp::kUpdate, units);
+      ctx.charge(id, std::max(l_ready[id], c_ready[id]), acc, "update",
+                 ObsOp::kUpdate);
     }
   }
 
   gather(ctx, a, kTagA, nb, nb);
-  return ctx.report();
+  MpReport rep = ctx.report();
+  rep.factorized = factorized;
+  return rep;
 }
 
 MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
@@ -1296,7 +1282,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
   rep.tau.reserve(cols);
 
   std::vector<double> col_ready(procs), v_ready(procs), y_ready(procs);
-  std::vector<double> work_acc(procs), units_acc(procs);
+  std::vector<Work> acc(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p), col_keys(ctx.q);
   std::vector<char> contrib(ctx.p);
 
@@ -1306,17 +1292,17 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     // QR regroups the W-reduction by the *new* grid rows, so a rebalanced
     // run's bits differ from the static plan's (still deterministic and
     // residual-accurate; see doc/rebalance.md).
-    ctx.maybe_rebalance(
-        k,
-        RebalanceRegion{k, nbr, k, nbc, false,
-                        static_cast<double>(nbc - k) / 3.0, 0.0, 1.0},
-        {{kTagA, k, nbr, k, nbc, false}});
+    ctx.maybe_rebalance(k, RebalanceRegion::trailing(k, nbr, nbc));
     const std::size_t klen = block_len(k, block, cols);
     const ProcCoord diag = ctx.owner(k, k);
     const std::size_t diag_id = ctx.pid(diag.row, diag.col);
     const BlockKey diag_key{kTagA * nbr + k, k};
     const BlockKey t_key{kTagT * nbr + k, k};
     const BlockKey v0_key{kTagV * nbr + k, k};
+    // Block row bi of the V panel: the unit-lower V0 on the diagonal.
+    const auto v_key = [&](std::size_t bi) {
+      return bi == k ? v0_key : BlockKey{kTagA * nbr + bi, k};
+    };
 
     // Grid rows holding any panel / trailing block row this step. With an
     // aligned distribution owner(bi, .).row is bj-independent.
@@ -1344,10 +1330,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       ctx.put_transient(diag_id, t_key, std::move(t));
       const double t_units =
           costs.qr_update * vol_frac(klen, klen, klen, block);
-      ctx.compute(diag_id, 0.0, ctx.cycle_time(diag_id) * t_units, "t-form",
-                  ObsOp::kAux, t_units);
-      ctx.note_host_work(diag_id, {t_key},
-                         ctx.cycle_time(diag_id) * t_units, "t-form");
+      ctx.host_work(diag_id, 0.0, {t_key}, ctx.cycle_time(diag_id) * t_units,
+                    t_units, "t-form", ObsOp::kAux);
     }
 
     // --- Send the factored panel back down the owner grid column (also
@@ -1397,8 +1381,6 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       // partial runs with beta = 0, which overwrites the recycled buffer.
       // W keys carry the step in their column: step k's partials stay live
       // through the step window, so step k + 1 must not re-create them.
-      std::fill(work_acc.begin(), work_acc.end(), 0.0);
-      std::fill(units_acc.begin(), units_acc.end(), 0.0);
       for (std::size_t bj = k + 1; bj < nbc; ++bj) {
         const std::size_t gj = ctx.owner(k, bj).col;
         const std::size_t jlen = block_len(bj, block, cols);
@@ -1407,40 +1389,27 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
           const std::size_t id = ctx.pid(gi, gj);
           const BlockKey w_key{kTagW * nbr + bj, k * ctx.p + gi};
           ctx.put_transient(id, w_key, ctx.store[id].acquire(klen, jlen));
-          const MatrixView wv = ctx.store[id].at(w_key);
           double beta = 0.0;
           for (std::size_t bi = k; bi < nbr; ++bi) {
             if (ctx.owner(bi, k).row != gi) continue;
-            const std::size_t ilen = block_len(bi, block, rows);
-            const BlockKey v_key =
-                bi == k ? v0_key : BlockKey{kTagA * nbr + bi, k};
-            const BlockKey c_key{kTagA * nbr + bi, bj};
-            const ConstMatrixView vv = ctx.store[id].at(v_key);
-            const ConstMatrixView cv = ctx.store[id].at(c_key);
-            const double op_units = 0.5 * costs.qr_update *
-                                    vol_frac(ilen, jlen, klen, block);
             // Column k + 1 feeds the next panel: it runs at panel priority
             // (pass 2 below too) so the host's factorization of panel k + 1
             // overlaps the rest of this step's update, as in LU and
             // Cholesky.
-            const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
-            ctx.add_op(id, "mp.gemm", prio, {v_key, c_key}, {w_key},
-                       [vv, cv, wv, beta] {
-                         gemm(Trans::Yes, Trans::No, 1.0, vv, cv, beta, wv);
-                       },
-                       ctx.cycle_time(id) * op_units);
+            ctx.gemm_op(acc[id], id, bj == k + 1 ? kPrioPanel : kPrioUpdate,
+                        Trans::Yes, Trans::No, 1.0, v_key(bi),
+                        {kTagA * nbr + bi, bj}, beta, w_key,
+                        0.5 * costs.qr_update *
+                            vol_frac(block_len(bi, block, rows), jlen, klen,
+                                     block));
             beta = 1.0;
-            units_acc[id] += op_units;
-            work_acc[id] += ctx.cycle_time(id) * op_units;
           }
           HG_INTERNAL_CHECK(beta == 1.0,
                             "QR W partial has no contributing block row");
         }
       }
       for (std::size_t id = 0; id < procs; ++id)
-        if (work_acc[id] > 0.0)
-          ctx.compute(id, v_ready[id], work_acc[id], "w-accumulate",
-                      ObsOp::kUpdate, units_acc[id]);
+        ctx.charge(id, v_ready[id], acc[id], "w-accumulate", ObsOp::kUpdate);
 
       // --- Reduce the partials within each grid column to the diag.row
       // processor and finish Y = T^T * W there. The adds run on the root's
@@ -1468,20 +1437,11 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
         // the W partials.
         const BlockKey y_key{kTagY * nbr + bj, k};
         ctx.put_transient(root, y_key, ctx.store[root].acquire(klen, jlen));
-        const MatrixView yv = ctx.store[root].at(y_key);
-        const ConstMatrixView tv = ctx.store[root].at(t_key);
-        const ConstMatrixView wcv = ctx.store[root].at(w_root_key);
         // beta = 0 overwrites whatever the recycled buffer held.
-        const double op_units =
-            costs.qr_update * vol_frac(klen, jlen, klen, block);
-        ctx.add_op(root, "mp.gemm", kPrioSolve, {t_key, w_root_key},
-                   {y_key},
-                   [tv, wcv, yv] {
-                     gemm(Trans::Yes, Trans::No, 1.0, tv, wcv, 0.0, yv);
-                   },
-                   ctx.cycle_time(root) * op_units);
-        ctx.compute(root, reduce_ready, ctx.cycle_time(root) * op_units,
-                    "w-reduce", ObsOp::kUpdate, op_units);
+        ctx.gemm_op(acc[root], root, kPrioSolve, Trans::Yes, Trans::No, 1.0,
+                    t_key, w_root_key, 0.0, y_key,
+                    costs.qr_update * vol_frac(klen, jlen, klen, block));
+        ctx.charge(root, reduce_ready, acc[root], "w-reduce", ObsOp::kUpdate);
       }
 
       // --- Y back out along each grid column that owns trailing columns.
@@ -1497,39 +1457,23 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       }
 
       // --- Pass 2: C -= V * Y on every owned trailing block.
-      std::fill(work_acc.begin(), work_acc.end(), 0.0);
-      std::fill(units_acc.begin(), units_acc.end(), 0.0);
       for (std::size_t id = 0; id < procs; ++id) {
         for (std::size_t bi = k; bi < nbr; ++bi) {
           for (std::size_t bj = k + 1; bj < nbc; ++bj) {
             if (ctx.owner_pid(bi, bj) != id) continue;
-            const std::size_t ilen = block_len(bi, block, rows);
-            const std::size_t jlen = block_len(bj, block, cols);
-            const BlockKey v_key =
-                bi == k ? v0_key : BlockKey{kTagA * nbr + bi, k};
-            const BlockKey y_key{kTagY * nbr + bj, k};
-            const BlockKey c_key{kTagA * nbr + bi, bj};
-            const ConstMatrixView vv = ctx.store[id].at(v_key);
-            const ConstMatrixView yv = ctx.store[id].at(y_key);
-            const MatrixView cv = ctx.store[id].at(c_key);
-            const double op_units = 0.5 * costs.qr_update *
-                                    vol_frac(ilen, jlen, klen, block);
             // Next-panel column at panel priority (see pass 1); the
             // priority change also splits it out of the owner's fused
             // update task, so the host waits only for column k + 1.
-            const int prio = bj == k + 1 ? kPrioPanel : kPrioUpdate;
-            ctx.add_op(id, "mp.gemm", prio, {v_key, y_key}, {c_key},
-                       [vv, yv, cv] {
-                         gemm(Trans::No, Trans::No, -1.0, vv, yv, 1.0, cv);
-                       },
-                       ctx.cycle_time(id) * op_units);
-            units_acc[id] += op_units;
-            work_acc[id] += ctx.cycle_time(id) * op_units;
+            ctx.gemm_op(acc[id], id, bj == k + 1 ? kPrioPanel : kPrioUpdate,
+                        Trans::No, Trans::No, -1.0, v_key(bi),
+                        {kTagY * nbr + bj, k}, 1.0, {kTagA * nbr + bi, bj},
+                        0.5 * costs.qr_update *
+                            vol_frac(block_len(bi, block, rows),
+                                     block_len(bj, block, cols), klen, block));
           }
         }
-        if (work_acc[id] > 0.0)
-          ctx.compute(id, std::max(v_ready[id], y_ready[id]), work_acc[id],
-                      "update", ObsOp::kUpdate, units_acc[id]);
+        ctx.charge(id, std::max(v_ready[id], y_ready[id]), acc[id], "update",
+                   ObsOp::kUpdate);
       }
     }
   }

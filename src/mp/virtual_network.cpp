@@ -40,14 +40,4 @@ double VirtualNetwork::transfer(std::size_t src, std::size_t dst,
   return done;
 }
 
-double VirtualNetwork::send_free(std::size_t proc) const {
-  HG_CHECK(proc < send_free_.size(), "processor id out of range");
-  return send_free_[proc];
-}
-
-double VirtualNetwork::recv_free(std::size_t proc) const {
-  HG_CHECK(proc < recv_free_.size(), "processor id out of range");
-  return recv_free_[proc];
-}
-
 }  // namespace hetgrid

@@ -33,11 +33,6 @@ class VirtualNetwork {
   double transfer(std::size_t src, std::size_t dst, std::size_t blocks,
                   double earliest);
 
-  /// Earliest instant `proc` can start a new send.
-  double send_free(std::size_t proc) const;
-  /// Earliest instant `proc` can start receiving.
-  double recv_free(std::size_t proc) const;
-
   std::size_t messages_sent() const { return messages_; }
   double bytes_blocks_sent() const { return blocks_sent_; }
 

@@ -179,14 +179,9 @@ SimReport simulate_mmm(const Machine& machine, const Distribution2D& dist,
   std::vector<double> h_costs(p), v_costs(q);
 
   for (std::size_t k = 0; k < nb; ++k) {
-    // The priced region is the whole matrix, and one owner change drags
-    // A, B and C blocks along.
     double migration = 0.0;
-    const bool remapped = st.boundary(
-        k,
-        RebalanceRegion{0, nb, 0, nb, false, static_cast<double>(nb - k),
-                        0.0, 3.0},
-        migration);
+    const bool remapped =
+        st.boundary(k, RebalanceRegion::whole_matrix(k, nb), migration);
     if (k == 0 || remapped) {
       std::fill(owned.begin(), owned.end(), 0);
       for (std::size_t i = 0; i < nb; ++i)
@@ -253,13 +248,9 @@ SimReport simulate_factorization(const Machine& machine,
   std::vector<double> line_costs;
 
   for (std::size_t k = 0; k < nb; ++k) {
-    // Rebalance the trailing submatrix [k, nb)^2; the shrinking trailing
-    // sweep repays migration over roughly (nb - k) / 3 full sweeps.
+    // Rebalance the trailing submatrix [k, nb)^2.
     double migration = 0.0;
-    st.boundary(k,
-                RebalanceRegion{k, nb, k, nb, false,
-                                static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
-                migration);
+    st.boundary(k, RebalanceRegion::trailing(k, nb, nb), migration);
     const double start = st.now + migration;
     const ProcCoord diag = st.owner(k, k);
 
@@ -353,10 +344,7 @@ SimReport simulate_cholesky(const Machine& machine,
   for (std::size_t k = 0; k < nb; ++k) {
     // Rebalance the lower trailing triangle (Cholesky touches only J <= I).
     double migration = 0.0;
-    st.boundary(k,
-                RebalanceRegion{k, nb, k, nb, true,
-                                static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
-                migration);
+    st.boundary(k, RebalanceRegion::trailing(k, nb, nb, true), migration);
     const double start = st.now + migration;
     const ProcCoord diag = st.owner(k, k);
 

@@ -258,10 +258,9 @@ void TaskGraph::pump() {
   }
 }
 
-void TaskGraph::host_acquire(const std::vector<Key>& reads,
-                             const std::vector<Key>& writes) {
+void TaskGraph::host_acquire(const std::vector<Key>& writes) {
   std::vector<TaskId> waits;
-  collect_deps(reads, writes, tasks_.size(), waits);
+  collect_deps({}, writes, tasks_.size(), waits);
   if (pool_ != nullptr && !waits.empty()) {
     std::unique_lock<std::mutex> lock(mu_);
     // Mark the exact tasks being waited on so only their completions

@@ -120,14 +120,12 @@ class TaskGraph {
   /// wait_all(). Empty unless observing.
   const std::vector<TaskRecord>& records() const { return records_; }
 
-  /// Blocks the host thread until every task touching `reads` (last
-  /// writer) or `writes` (last writer + readers since) has finished, then
-  /// records the host as the new synchronous owner of the write keys —
-  /// subsequent tasks reading them need no dependency. This is the partial
-  /// synchronization the host uses for inline work (panel factorizations):
-  /// unrelated tasks keep running.
-  void host_acquire(const std::vector<Key>& reads,
-                    const std::vector<Key>& writes);
+  /// Blocks the host thread until every task touching `writes` (last
+  /// writer + readers since) has finished, then records the host as the
+  /// new synchronous owner of those keys — subsequent tasks reading them
+  /// need no dependency. This is the partial synchronization the host uses
+  /// for inline work (panel factorizations): unrelated tasks keep running.
+  void host_acquire(const std::vector<Key>& writes);
 
   /// Blocks the host thread until every task with an id below `mark` has
   /// finished. Touches no key history (later tasks still depend on those

@@ -231,10 +231,14 @@ struct MpRun {
   std::vector<TraceEvent> events;
 };
 
+// The MP kernels on an n x n input: "lu-la" is LU with the lookahead
+// schedule, "lu-piv" the partially pivoted LU.
+constexpr const char* kMpKernels[] = {"mmm",    "lu",   "lu-la",
+                                      "lu-piv", "chol", "qr"};
+
 MpRun run_kernel(const std::string& kernel, const Machine& machine,
-                 const Distribution2D& dist, std::size_t nb, std::size_t block,
+                 const Distribution2D& dist, std::size_t n, std::size_t block,
                  const RuntimeOptions& opts) {
-  const std::size_t n = nb * block;
   const KernelCosts costs;
   Rng rng(11);
   MpRun run;
@@ -246,12 +250,16 @@ MpRun run_kernel(const std::string& kernel, const Machine& machine,
     run.out = Matrix(n, n);
     run.rep = run_mp_mmm(machine, dist, a.view(), b.view(), run.out.view(),
                          block, costs, &sink, opts);
-  } else if (kernel == "lu") {
+  } else if (kernel == "lu" || kernel == "lu-la") {
     run.out = Matrix(n, n);
     fill_diagonally_dominant(run.out.view(), rng);
-    run.rep =
-        run_mp_lu(machine, dist, run.out.view(), block, costs, false, &sink,
-                  opts);
+    run.rep = run_mp_lu(machine, dist, run.out.view(), block, costs,
+                        kernel == "lu-la", &sink, opts);
+  } else if (kernel == "lu-piv") {
+    run.out = Matrix(n, n);
+    fill_random(run.out.view(), rng);
+    run.rep = run_mp_lu_pivoted(machine, dist, run.out.view(), block, costs,
+                                &sink, opts);
   } else if (kernel == "chol") {
     run.out = Matrix(n, n);
     fill_spd(run.out.view(), rng);
@@ -283,55 +291,84 @@ void expect_same_run(const MpRun& a, const MpRun& b) {
   }
 }
 
+// Every weighted task record and host-work record is one charge to its
+// processor's clock, so per processor the record weights sum to the busy
+// time (up to rounding: fused tasks group the seconds differently).
+void expect_weights_sum_to_busy(const RunObservation& obs,
+                                const MpReport& rep) {
+  std::vector<double> sum(rep.busy.size(), 0.0);
+  for (const TaskRecord& r : obs.tasks) {
+    if (r.weight == 0.0) continue;
+    ASSERT_LT(r.tag, sum.size()) << r.name;
+    sum[r.tag] += r.weight;
+  }
+  for (std::size_t id = 0; id < sum.size(); ++id)
+    EXPECT_NEAR(sum[id], rep.busy[id], 1e-12 * rep.busy[id])
+        << "processor " << id;
+}
+
 // Observation is a pure tap: for every kernel the observed run is
 // bit-identical to the plain one (report, matrices, trace stream), the
-// estimator recovers the planted t_ij exactly, and the critical path is
-// attributed to (processor, op) segments.
+// estimator recovers the planted t_ij exactly, the record weights sum to
+// the busy times, and the critical path is attributed to (processor, op)
+// segments. Two setups: whole blocks on a 2x2 grid, and ragged edge
+// blocks (n = 33 in blocks of 5) on a 2x3 grid, where every kernel mixes
+// op shapes.
 TEST(MpObservation, AllKernelsBitIdenticalWithCriticalPathAttribution) {
-  const std::size_t p = 2, q = 2, nb = 4, block = 4;
-  const Machine machine = planted_machine(p, q, {1.0, 1.0, 1.0, 2.0});
-  const PanelDistribution dist = PanelDistribution::block_cyclic(p, q);
+  struct Setup {
+    std::size_t p, q, n, block;
+    std::vector<double> pool;
+  };
   RuntimeOptions opts;
   opts.threads = 2;
 
-  for (const char* kernel : {"mmm", "lu", "chol", "qr"}) {
-    SCOPED_TRACE(kernel);
-    const MpRun plain = run_kernel(kernel, machine, dist, nb, block, opts);
-    RunObservation obs;
-    RunObservation* prev = install_observation(&obs);
-    const MpRun watched = run_kernel(kernel, machine, dist, nb, block, opts);
-    install_observation(prev);
+  for (const Setup& s : {Setup{2, 2, 16, 4, {1.0, 1.0, 1.0, 2.0}},
+                         Setup{2, 3, 33, 5, {1.0, 1.5, 2.0, 1.25, 3.0, 1.0}}}) {
+    const Machine machine = planted_machine(s.p, s.q, s.pool);
+    const PanelDistribution dist = PanelDistribution::block_cyclic(s.p, s.q);
+    for (const char* kernel : kMpKernels) {
+      SCOPED_TRACE(std::string(kernel) + " on " + std::to_string(s.p) + "x" +
+                   std::to_string(s.q));
+      const MpRun plain = run_kernel(kernel, machine, dist, s.n, s.block, opts);
+      RunObservation obs;
+      RunObservation* prev = install_observation(&obs);
+      const MpRun watched =
+          run_kernel(kernel, machine, dist, s.n, s.block, opts);
+      install_observation(prev);
 
-    expect_same_run(watched, plain);
+      expect_same_run(watched, plain);
+      expect_weights_sum_to_busy(obs, watched.rep);
 
-    const ImbalanceReport report = build_imbalance_report(
-        obs, watched.rep.busy, watched.rep.clock, &machine.grid, q);
-    ASSERT_FALSE(report.estimates.empty());
-    for (const EstimateRow& e : report.estimates) {
-      ASSERT_TRUE(e.has_true);
-      EXPECT_LE(e.rel_err, 0.05);
-    }
-    EXPECT_GT(report.critical_path_tasks, 0u);
-    EXPECT_GT(report.critical_path_cost, 0.0);
-    ASSERT_FALSE(report.critical.empty());
-    // Segments are weight-descending and cover the whole chain.
-    std::size_t chain_tasks = 0;
-    for (std::size_t i = 0; i < report.critical.size(); ++i) {
-      chain_tasks += report.critical[i].tasks;
-      if (i > 0) {
-        EXPECT_GE(report.critical[i - 1].weight, report.critical[i].weight);
+      const ImbalanceReport report = build_imbalance_report(
+          obs, watched.rep.busy, watched.rep.clock, &machine.grid, s.q);
+      ASSERT_FALSE(report.estimates.empty());
+      for (const EstimateRow& e : report.estimates) {
+        ASSERT_TRUE(e.has_true);
+        EXPECT_LE(e.rel_err, 0.05);
       }
+      EXPECT_GT(report.critical_path_tasks, 0u);
+      EXPECT_GT(report.critical_path_cost, 0.0);
+      ASSERT_FALSE(report.critical.empty());
+      // Segments are weight-descending and cover the whole chain.
+      std::size_t chain_tasks = 0;
+      for (std::size_t i = 0; i < report.critical.size(); ++i) {
+        chain_tasks += report.critical[i].tasks;
+        if (i > 0) {
+          EXPECT_GE(report.critical[i - 1].weight,
+                    report.critical[i].weight);
+        }
+      }
+      EXPECT_EQ(chain_tasks, report.critical_path_tasks);
+      // The critical chain can never cost more than the achieved makespan
+      // (weights are the same virtual seconds the clocks accumulated).
+      EXPECT_LE(report.critical_path_cost,
+                report.makespan * (1.0 + 1e-12));
     }
-    EXPECT_EQ(chain_tasks, report.critical_path_tasks);
-    // The critical chain can never cost more than the achieved makespan
-    // (weights are the same virtual seconds the clocks accumulated).
-    EXPECT_LE(report.critical_path_cost,
-              report.makespan * (1.0 + 1e-12));
   }
 }
 
 TEST(MpObservation, JsonReportIsByteStableAcrossThreadCounts) {
-  const std::size_t p = 2, q = 2, nb = 4, block = 4;
+  const std::size_t p = 2, q = 2, n = 16, block = 4;
   const Machine machine = planted_machine(p, q, {1.0, 1.5, 2.0, 3.0});
   const PanelDistribution dist = PanelDistribution::block_cyclic(p, q);
 
@@ -343,7 +380,7 @@ TEST(MpObservation, JsonReportIsByteStableAcrossThreadCounts) {
       opts.threads = threads;
       RunObservation obs;
       RunObservation* prev = install_observation(&obs);
-      const MpRun run = run_kernel(kernel, machine, dist, nb, block, opts);
+      const MpRun run = run_kernel(kernel, machine, dist, n, block, opts);
       install_observation(prev);
       std::ostringstream os;
       write_imbalance_json(os, build_imbalance_report(

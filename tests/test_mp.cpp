@@ -462,6 +462,26 @@ TEST(MpLu, ReportsZeroPivot) {
   EXPECT_FALSE(run_mp_lu(m, d, a.view(), 2).factorized);
 }
 
+TEST(MpLu, LookaheadZeroPivotChargesTheDeferredUpdates) {
+  // Diagonal block 2 is zero, so step 2's panel fails after step 1
+  // deferred part of its trailing update. The graph ran those updates,
+  // so the lookahead run is as busy as the plain one.
+  const std::size_t n = 16, block = 4;
+  Matrix a(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) = i / block == 2 ? 0.0 : 1.0;
+  const Machine m{CycleTimeGrid(2, 2, {1.0, 1.5, 2.0, 3.0}),
+                  NetworkModel::free()};
+  const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+  Matrix plain = a, ahead = a;
+  const MpReport rp = run_mp_lu(m, d, plain.view(), block, {}, false);
+  const MpReport ra = run_mp_lu(m, d, ahead.view(), block, {}, true);
+  EXPECT_FALSE(rp.factorized);
+  EXPECT_FALSE(ra.factorized);
+  ASSERT_EQ(ra.busy.size(), rp.busy.size());
+  for (std::size_t id = 0; id < rp.busy.size(); ++id)
+    EXPECT_NEAR(ra.busy[id], rp.busy[id], 1e-12 * rp.busy[id]) << id;
+}
+
 TEST(MpLu, AsyncOverlapBeatsOrMatchesBsp) {
   // LU has real cross-step dependencies, but broadcast/compute overlap
   // still lets the async execution finish no later than the BSP model

@@ -273,12 +273,6 @@ TEST(EstimatorAlpha, AlphaOneReproducesInstantaneousRates) {
 
 // ----------------------------------------------------- online rebalancer
 
-// The factorizations' trailing region from step k on an nb x nb grid.
-RebalanceRegion trailing(std::size_t k, std::size_t nb) {
-  return RebalanceRegion{k, nb, k, nb, false,
-                         static_cast<double>(nb - k) / 3.0, 0.0, 1.0};
-}
-
 TEST(OnlineRebalancer, OffFollowsTheDistributionAndStillTracesRates) {
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
@@ -296,7 +290,8 @@ TEST(OnlineRebalancer, OffFollowsTheDistributionAndStillTracesRates) {
   reb.sample(1, ObsOp::kUpdate, 2.0, 8.0, 0);
   ASSERT_EQ(obs.estimator.estimates().size(), 1u);
   EXPECT_EQ(obs.estimator.estimates()[0].seconds_per_unit, 4.0);
-  EXPECT_FALSE(reb.replan(3, trailing(3, 8)).has_value());
+  EXPECT_FALSE(
+      reb.replan(3, RebalanceRegion::trailing(3, 8, 8)).has_value());
 }
 
 TEST(OnlineRebalancer, HoldsOnSmallRegionsAndRewritesOnlyTrailingLines) {
@@ -313,9 +308,11 @@ TEST(OnlineRebalancer, HoldsOnSmallRegionsAndRewritesOnlyTrailingLines) {
 
   // Step 0 never re-solves, and neither does a region with fewer block
   // rows than p or fewer block columns than q.
-  EXPECT_FALSE(reb.replan(0, trailing(0, nb)).has_value());
-  EXPECT_FALSE(reb.replan(7, trailing(7, nb)).has_value());
-  RebalanceRegion narrow = trailing(3, nb);
+  EXPECT_FALSE(
+      reb.replan(0, RebalanceRegion::trailing(0, nb, nb)).has_value());
+  EXPECT_FALSE(
+      reb.replan(7, RebalanceRegion::trailing(7, nb, nb)).has_value());
+  RebalanceRegion narrow = RebalanceRegion::trailing(3, nb, nb);
   narrow.col_lo = nb - 1;
   EXPECT_FALSE(reb.replan(3, narrow).has_value());
   for (std::size_t bi = 0; bi < nb; ++bi)
@@ -323,7 +320,8 @@ TEST(OnlineRebalancer, HoldsOnSmallRegionsAndRewritesOnlyTrailingLines) {
       EXPECT_EQ(reb.owner(bi, bj), dist.owner(bi, bj));
 
   // The full trailing region at step 3 acts: grid row 0 gives up rows.
-  const std::optional<RebalanceDecision> d = reb.replan(3, trailing(3, nb));
+  const std::optional<RebalanceDecision> d =
+      reb.replan(3, RebalanceRegion::trailing(3, nb, nb));
   ASSERT_TRUE(d.has_value());
   ASSERT_TRUE(d->act);
   EXPECT_DOUBLE_EQ(d->migration_cost,

@@ -186,7 +186,7 @@ TEST(TaskGraph, HostAcquireWaitsForWritersAndReaders) {
     value = 42;
   });
   release.store(true);
-  g.host_acquire({}, {9});  // write ownership: waits for the writer
+  g.host_acquire({9});  // write ownership: waits for the writer
   EXPECT_EQ(value, 42);
   // After host_acquire the host owns the key: a new reader needs no edge.
   const std::size_t edges = g.stats().edges;
@@ -542,7 +542,7 @@ TEST(TaskGraphRecords, NoteHostWorkBridgesAHostAcquire) {
   TaskGraph g(1);
   g.set_observe(true);
   g.add("update", {}, {42}, [] {}, 0, 3.0, 0);
-  g.host_acquire({}, {42});
+  g.host_acquire({42});
   g.note_host_work({42}, 2.0, "panel", 9);
   g.add("solve", {42}, {43}, [] {}, 0, 4.0, 1);
   g.wait_all();

@@ -14,8 +14,8 @@
 # message-passing runtime's task graph, and the placement server) in
 # build-tsan/, with the thread pool and task graph tests repeated 20
 # times, and finally an AddressSanitizer + UBSan pass over the MP runtime
-# tests in build-asan/. The CLI's transcripts are a ctest entry
-# (cli_golden).
+# tests, the observed MP kernels of test_imbalance among them, in
+# build-asan/. The CLI's transcripts are a ctest entry (cli_golden).
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -220,11 +220,13 @@ build-tsan/tests/test_task_graph --gtest_repeat=20
 
 # ASan + UBSan pass: a transient buffer freed or recycled while a task
 # still reads it is a use-after-free, which only AddressSanitizer reports
-# reliably (mirrors the "asan" preset in CMakePresets.json).
+# reliably (mirrors the "asan" preset in CMakePresets.json). test_imbalance
+# is the one suite that runs the MP kernels with an observation installed,
+# the path that records host work.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$NPROC" \
-      --target test_mp test_task_graph test_runtime_parallel test_rebalance
+      --target test_mp test_task_graph test_runtime_parallel test_rebalance test_imbalance
 ctest --test-dir build-asan --output-on-failure -j "$NPROC" \
-      -R '^(test_mp|test_task_graph|test_runtime_parallel|test_rebalance)$'
+      -R '^(test_mp|test_task_graph|test_runtime_parallel|test_rebalance|test_imbalance)$'

@@ -284,13 +284,6 @@ int cmd_panel(int argc, const char* const* argv) {
 // ---------------------------------------------------------------------------
 // simulate / trace / observe: one kernel run on one machine.
 
-NetworkModel parse_network_flag(const std::string& network) {
-  if (network == "free") return NetworkModel::free();
-  if (network == "switched") return {Topology::kSwitched, 1e-4, 2e-4, true};
-  if (network == "ethernet") return {Topology::kEthernet, 1e-4, 2e-4, true};
-  HG_CHECK(false, "unknown --network: " << network);
-}
-
 // Parses a comma-separated processor index list ("0,1,3") — unlike
 // parse_positive_list, index 0 is valid.
 std::vector<std::size_t> parse_proc_list(const std::string& csv) {
@@ -391,7 +384,7 @@ KernelRun parse_kernel_run(const Cli& cli) {
   HG_CHECK(nb <= kMax / block, "--nb * --block is too large");
   HG_CHECK(scale <= kMax / std::max(p, q), "--scale * --p/--q is too large");
   const std::string network = cli.get_string("network");
-  const NetworkModel net = parse_network_flag(network);
+  const NetworkModel net = NetworkModel::named(network);
 
   const std::string strategy = cli.get_string("strategy");
   CycleTimeGrid grid = CycleTimeGrid::sorted_row_major(p, q, pool);
