@@ -118,6 +118,14 @@ void pack_b_t(double alpha, const ConstMatrixView& b, std::size_t p0,
   }
 }
 
+void saxpy_scalar(double* y, const double* x, double a, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += x[i] * a;
+}
+
+void col_div_scalar(double* y, double d, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] /= d;
+}
+
 // Scalar microkernel over packed tiles: C(i,j) += sum_p A(i,p)*B(p,j), with
 // the B element hoisted so the inner loop is a saxpy down a contiguous
 // column of A and C. The p loop runs in ascending order, so every C element
@@ -131,38 +139,16 @@ void tile_scalar(const double* apack, std::size_t mlen, const double* bpack,
   for (std::size_t j = 0; j < jlen; ++j) {
     const double* bcol = bpack + j * klen;
     double* ccol = cbase + j * ldc;
-    for (std::size_t p = 0; p < klen; ++p) {
-      const double bpj = bcol[p];
-      const double* acol = apack + p * mlen;
-      for (std::size_t i = 0; i < mlen; ++i) ccol[i] += acol[i] * bpj;
-    }
+    for (std::size_t p = 0; p < klen; ++p)
+      saxpy_scalar(ccol, apack + p * mlen, bcol[p], mlen);
   }
 }
 
 constexpr GemmKernel kScalarKernel{"scalar", kSmallM, kSmallK, kSmallN,
-                                   tile_scalar};
+                                   tile_scalar, saxpy_scalar, col_div_scalar};
 
 // Test hook: when non-null, overrides the auto-detected kernel.
 std::atomic<const GemmKernel*> g_forced_kernel{nullptr};
-
-const GemmKernel& active_kernel() {
-  const GemmKernel* forced = g_forced_kernel.load(std::memory_order_relaxed);
-  if (forced != nullptr) return *forced;
-  // Detected once; the probe is a cpuid-backed builtin, not a config file,
-  // so "auto" is a pure function of the host — unless HETGRID_GEMM_KERNEL
-  // pins it ("scalar"/"avx2"), which is how CI proves the scalar fallback
-  // on AVX2 builders. Unknown or unavailable values fall back to detection.
-  static const GemmKernel* const detected = []() -> const GemmKernel* {
-    const GemmKernel* simd = detail::gemm_kernel_avx2();
-    const char* env = std::getenv("HETGRID_GEMM_KERNEL");
-    if (env != nullptr) {
-      if (std::string_view(env) == "scalar") return &kScalarKernel;
-      if (std::string_view(env) == "avx2" && simd != nullptr) return simd;
-    }
-    return simd != nullptr ? simd : &kScalarKernel;
-  }();
-  return *detected;
-}
 
 // The one gemm loop, for every transpose combination and shape: copy op(B)
 // and op(A) tiles into contiguous buffers sized for the dispatched kernel's
@@ -177,7 +163,7 @@ void gemm_blocked(Trans trans_a, Trans trans_b, double alpha,
                   MatrixView c) {
   const std::size_t m = c.rows(), n = c.cols();
   const std::size_t k = trans_a == Trans::No ? a.cols() : a.rows();
-  const GemmKernel& kern = active_kernel();
+  const GemmKernel& kern = detail::active_kernel();
   // Per-thread pack buffers: reused across calls (resize only grows the
   // allocation), so concurrent gemms on task-graph workers never share
   // them and a kernel switch mid-process just re-sizes on next use.
@@ -208,7 +194,30 @@ void gemm_blocked(Trans trans_a, Trans trans_b, double alpha,
 
 }  // namespace
 
-const char* gemm_kernel_name() { return active_kernel().name; }
+namespace detail {
+
+const GemmKernel& active_kernel() {
+  const GemmKernel* forced = g_forced_kernel.load(std::memory_order_relaxed);
+  if (forced != nullptr) return *forced;
+  // Detected once; the probe is a cpuid-backed builtin, not a config file,
+  // so "auto" is a pure function of the host — unless HETGRID_GEMM_KERNEL
+  // pins it ("scalar"/"avx2"), which is how CI proves the scalar fallback
+  // on AVX2 builders. Unknown or unavailable values fall back to detection.
+  static const GemmKernel* const detected = []() -> const GemmKernel* {
+    const GemmKernel* simd = gemm_kernel_avx2();
+    const char* env = std::getenv("HETGRID_GEMM_KERNEL");
+    if (env != nullptr) {
+      if (std::string_view(env) == "scalar") return &kScalarKernel;
+      if (std::string_view(env) == "avx2" && simd != nullptr) return simd;
+    }
+    return simd != nullptr ? simd : &kScalarKernel;
+  }();
+  return *detected;
+}
+
+}  // namespace detail
+
+const char* gemm_kernel_name() { return detail::active_kernel().name; }
 
 bool gemm_force_kernel(std::string_view name) {
   if (name == "auto") {

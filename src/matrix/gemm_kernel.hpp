@@ -1,17 +1,22 @@
-// Internal gemm microkernel dispatch table.
+// Internal microkernel dispatch table, shared by gemm and the blocked trsm.
 //
 // A GemmKernel bundles a packed-tile inner kernel with the cache-blocking
-// geometry it was tuned for. gemm.cpp owns the scalar fallback and picks the
-// best kernel the host supports at first use; gemm_kernel_avx2.cpp (the only
-// TU compiled with -mavx2) contributes the vectorized kernel when the build
-// targets x86-64 and the CPU reports AVX2 at runtime.
+// geometry it was tuned for, plus the two column primitives the solves
+// build on: saxpy (y += x * a) and col_div (y /= d). gemm.cpp owns the
+// scalar kernel and active_kernel(), the one selection gemm and trsm both
+// read; gemm_kernel_avx2.cpp (the only TU compiled with -mavx2) contributes
+// the vectorized kernel when the build targets x86-64 and the CPU reports
+// AVX2 at runtime.
 //
 // Bit-identity contract: every kernel must produce, for every C element, the
 // exact floating-point operation sequence of the scalar kernel — an ascending-
 // p chain of individually rounded multiply-then-add steps (no FMA, which
 // rounds once where mul+add rounds twice). Vectorizing across i (rows) keeps
 // each element's chain untouched, so scalar and SIMD kernels agree to the bit
-// and the dispatch choice can never change a computed result.
+// and the dispatch choice can never change a computed result. The column
+// primitives are elementwise (one multiply-then-add, or one IEEE divide, per
+// y[i]) and keep the same contract. NaN results are the one exception:
+// IEEE-754 leaves open which NaN operand propagates, and with it the sign.
 #pragma once
 
 #include <cstddef>
@@ -32,10 +37,22 @@ struct GemmKernel {
   std::size_t kc;    // shared depth   (kc x nc B pack, L2/L3 resident)
   std::size_t nc;    // B-panel cols
   GemmTileFn tile;
+  // y[i] += x[i] * a for i in [0, n): one column step of a tile, and the
+  // column update of a right-looking trsm step with a negated coefficient
+  // (y + x * (-a) rounds exactly like y - x * a: negation is exact and
+  // round-to-nearest is symmetric).
+  void (*saxpy)(double* y, const double* x, double a, std::size_t n);
+  // y[i] /= d for i in [0, n): the diagonal divide of a non-unit solve.
+  void (*col_div)(double* y, double d, std::size_t n);
 };
 
 /// The AVX2 kernel, or nullptr when the build target or the running CPU
 /// lacks AVX2. Defined in gemm_kernel_avx2.cpp.
 const GemmKernel* gemm_kernel_avx2();
+
+/// The kernel gemm and trsm dispatch to right now: the one forced by
+/// gemm_force_kernel, else the one detected at first use. Defined in
+/// gemm.cpp.
+const GemmKernel& active_kernel();
 
 }  // namespace hetgrid::detail

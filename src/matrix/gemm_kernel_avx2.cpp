@@ -1,4 +1,5 @@
-// AVX2 packed-tile gemm microkernel.
+// AVX2 microkernel: the packed gemm tile and the column primitives the
+// blocked trsm builds on.
 //
 // This is the only TU compiled with -mavx2 (plus -ffp-contract=off so the
 // compiler cannot contract the scalar edge loops into FMAs on hosts where
@@ -23,19 +24,30 @@
 namespace hetgrid::detail {
 namespace {
 
-// One column's saxpy step: ccol[0:mlen) += acol[0:mlen) * bpj, 4 lanes at a
-// time with a scalar tail. Called once per p in ascending order, so the
+// One column's saxpy step: y[0:n) += x[0:n) * a, 4 lanes at a time with a
+// scalar tail. The tile calls it once per p in ascending order, so the
 // per-element operation sequence matches the scalar kernel exactly.
-inline void saxpy_col(const double* acol, double bpj, double* ccol,
-                      std::size_t mlen) {
-  const __m256d vb = _mm256_set1_pd(bpj);
+inline void saxpy_avx2(double* y, const double* x, double a, std::size_t n) {
+  const __m256d va = _mm256_set1_pd(a);
   std::size_t i = 0;
-  for (; i + 4 <= mlen; i += 4) {
-    const __m256d va = _mm256_loadu_pd(acol + i);
-    const __m256d vc = _mm256_loadu_pd(ccol + i);
-    _mm256_storeu_pd(ccol + i, _mm256_add_pd(vc, _mm256_mul_pd(va, vb)));
+  for (; i + 4 <= n; i += 4) {
+    const __m256d vx = _mm256_loadu_pd(x + i);
+    const __m256d vy = _mm256_loadu_pd(y + i);
+    _mm256_storeu_pd(y + i, _mm256_add_pd(vy, _mm256_mul_pd(vx, va)));
   }
-  for (; i < mlen; ++i) ccol[i] += acol[i] * bpj;
+  for (; i < n; ++i) y[i] += x[i] * a;
+}
+
+// Elementwise IEEE divide: div_pd rounds each lane exactly like the scalar
+// divide, so no reciprocal-multiply trickery is allowed here.
+void col_div_avx2(double* y, double d, std::size_t n) {
+  const __m256d vd = _mm256_set1_pd(d);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d vy = _mm256_loadu_pd(y + i);
+    _mm256_storeu_pd(y + i, _mm256_div_pd(vy, vd));
+  }
+  for (; i < n; ++i) y[i] /= d;
 }
 
 // Register-blocked core: an 8x4 block of C lives in eight ymm accumulators
@@ -98,7 +110,7 @@ void tile_avx2(const double* apack, std::size_t mlen, const double* bpack,
         const double* bcol = bpack + (j + t) * klen;
         double* ccol = cbase + (j + t) * ldc + i;
         for (std::size_t p = 0; p < klen; ++p)
-          saxpy_col(apack + p * mlen + i, bcol[p], ccol, mlen - i);
+          saxpy_avx2(ccol, apack + p * mlen + i, bcol[p], mlen - i);
       }
     }
   }
@@ -106,7 +118,7 @@ void tile_avx2(const double* apack, std::size_t mlen, const double* bpack,
     const double* bcol = bpack + j * klen;
     double* ccol = cbase + j * ldc;
     for (std::size_t p = 0; p < klen; ++p)
-      saxpy_col(apack + p * mlen, bcol[p], ccol, mlen);
+      saxpy_avx2(ccol, apack + p * mlen, bcol[p], mlen);
   }
 }
 
@@ -115,7 +127,8 @@ void tile_avx2(const double* apack, std::size_t mlen, const double* bpack,
 // targets L3 — a level up from the scalar kernel's L1-sized 64/64/128 tiles,
 // which would leave the 8x4 register core starved on repacks. mc is a
 // multiple of the 8-row register block and nc of its 4-column width.
-constexpr GemmKernel kAvx2Kernel{"avx2", 96, 256, 512, tile_avx2};
+constexpr GemmKernel kAvx2Kernel{"avx2", 96, 256, 512, tile_avx2, saxpy_avx2,
+                                 col_div_avx2};
 
 }  // namespace
 

@@ -1,55 +1,34 @@
 #include "matrix/trsm.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 #include "matrix/gemm.hpp"
-#include "matrix/trsm_kernel.hpp"
+#include "matrix/gemm_kernel.hpp"
 
 namespace hetgrid {
 
 namespace {
 
-using detail::TrsmKernel;
+using detail::GemmKernel;
 
 // Diagonal-block size of the blocked solves. Fixed (not tied to the gemm
 // kernel's blocking) so the tail-update gemm call shapes — and with them the
 // gemm metric fingerprints — are a property of the problem size alone.
 constexpr std::size_t kTrsmBlock = 64;
 
-void axpy_sub_scalar(double* y, const double* x, double a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] -= x[i] * a;
-}
-
-void col_div_scalar(double* y, double d, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] /= d;
-}
-
-constexpr TrsmKernel kScalarTrsmKernel{"scalar", axpy_sub_scalar,
-                                       col_div_scalar};
-
-// Follows the gemm dispatch (one toggle — gemm_force_kernel /
-// HETGRID_GEMM_KERNEL — proves the scalar fallback of the whole family).
-const TrsmKernel& active_trsm_kernel() {
-  if (std::string_view(gemm_kernel_name()) == "avx2") {
-    const TrsmKernel* simd = detail::trsm_kernel_avx2();
-    if (simd != nullptr) return *simd;
-  }
-  return kScalarTrsmKernel;
-}
-
 // All four solves are blocked the same way: a right-looking head solve on a
-// kTrsmBlock-wide slice of the triangle (column saxpy/divide primitives from
-// the dispatched TrsmKernel), then one gemm-shaped rank-k update that pushes
-// the solved slice into the rest of B through the gemm microkernel.
+// kTrsmBlock-wide slice of the triangle (the dispatched kernel's saxpy and
+// col_div column primitives), then one gemm-shaped rank-k update that
+// pushes the solved slice into the rest of B through the gemm microkernel.
 //
 // Bit-identity with the historical unblocked solves: for every B element the
 // subtraction chain still runs in ascending p order — earlier slices arrive
 // via the tail gemms (whose packed path applies p ascending per element,
-// with the -1 alpha folded into the pack: x + b*(-coef) rounds exactly like
-// x - b*coef), the in-slice terms via the p-ascending head — and the
-// diagonal divide still comes last. trsm_left_lower_unit, trsm_right_upper
-// and trsm_right_lower_transposed are therefore bit-identical to their
+// with the -1 alpha folded into the pack), the in-slice terms via the
+// p-ascending head, whose saxpy takes the coefficient negated — and the
+// diagonal divide still comes last. Either way x + b*(-coef) rounds exactly
+// like x - b*coef. trsm_left_lower_unit, trsm_right_upper and
+// trsm_right_lower_transposed are therefore bit-identical to their
 // *_reference forms (asserted in tests). trsm_left_upper is the exception:
 // the blocked form substitutes bottom slice first and descends within a
 // slice, a different (deterministic) summation order than the reference's
@@ -66,7 +45,7 @@ void trsm_left_lower_unit(const ConstMatrixView& l, MatrixView b) {
   const std::size_t n = l.rows();
   HG_CHECK(l.cols() == n, "L must be square");
   HG_CHECK(b.rows() == n, "rhs rows " << b.rows() << " != " << n);
-  const TrsmKernel& kern = active_trsm_kernel();
+  const GemmKernel& kern = detail::active_kernel();
   for (std::size_t k0 = 0; k0 < n; k0 += kTrsmBlock) {
     const std::size_t k1 = std::min(k0 + kTrsmBlock, n);
     // Head: forward substitution inside the diagonal block. Row p of the
@@ -75,8 +54,8 @@ void trsm_left_lower_unit(const ConstMatrixView& l, MatrixView b) {
     for (std::size_t j = 0; j < b.cols(); ++j) {
       double* bcol = b.data() + j * b.ld();
       for (std::size_t p = k0; p < k1; ++p)
-        kern.axpy_sub(bcol + p + 1, l.data() + (p + 1) + p * l.ld(), bcol[p],
-                      k1 - p - 1);
+        kern.saxpy(bcol + p + 1, l.data() + (p + 1) + p * l.ld(), -bcol[p],
+                   k1 - p - 1);
     }
     // Tail: B2 -= L21 * B1 through the gemm microkernel.
     if (k1 < n)
@@ -91,7 +70,7 @@ void trsm_left_upper(const ConstMatrixView& u, MatrixView b) {
   HG_CHECK(u.cols() == n, "U must be square");
   HG_CHECK(b.rows() == n, "rhs rows " << b.rows() << " != " << n);
   check_diag_nonzero(u, "U");
-  const TrsmKernel& kern = active_trsm_kernel();
+  const GemmKernel& kern = detail::active_kernel();
   const std::size_t nblocks = (n + kTrsmBlock - 1) / kTrsmBlock;
   for (std::size_t kb = nblocks; kb > 0; --kb) {
     const std::size_t k0 = (kb - 1) * kTrsmBlock;
@@ -103,8 +82,7 @@ void trsm_left_upper(const ConstMatrixView& u, MatrixView b) {
       for (std::size_t pp = k1; pp > k0; --pp) {
         const std::size_t p = pp - 1;
         bcol[p] /= u(p, p);
-        kern.axpy_sub(bcol + k0, u.data() + k0 + p * u.ld(), bcol[p],
-                      p - k0);
+        kern.saxpy(bcol + k0, u.data() + k0 + p * u.ld(), -bcol[p], p - k0);
       }
     }
     // Tail: B0 -= U01 * B1 for everything above the slice.
@@ -120,7 +98,7 @@ void trsm_right_upper(const ConstMatrixView& u, MatrixView b) {
   HG_CHECK(u.cols() == n, "U must be square");
   HG_CHECK(b.cols() == n, "rhs cols " << b.cols() << " != " << n);
   check_diag_nonzero(u, "U");
-  const TrsmKernel& kern = active_trsm_kernel();
+  const GemmKernel& kern = detail::active_kernel();
   const std::size_t m = b.rows();
   for (std::size_t j0 = 0; j0 < n; j0 += kTrsmBlock) {
     const std::size_t j1 = std::min(j0 + kTrsmBlock, n);
@@ -129,7 +107,7 @@ void trsm_right_upper(const ConstMatrixView& u, MatrixView b) {
     for (std::size_t j = j0; j < j1; ++j) {
       double* bj = b.data() + j * b.ld();
       for (std::size_t p = j0; p < j; ++p)
-        kern.axpy_sub(bj, b.data() + p * b.ld(), u(p, j), m);
+        kern.saxpy(bj, b.data() + p * b.ld(), -u(p, j), m);
       kern.col_div(bj, u(j, j), m);
     }
     // Tail: B(:, j1:) -= B(:, j0:j1) * U(j0:j1, j1:).
@@ -145,7 +123,7 @@ void trsm_right_lower_transposed(const ConstMatrixView& l, MatrixView b) {
   HG_CHECK(l.cols() == n, "L must be square");
   HG_CHECK(b.cols() == n, "rhs cols " << b.cols() << " != " << n);
   check_diag_nonzero(l, "L");
-  const TrsmKernel& kern = active_trsm_kernel();
+  const GemmKernel& kern = detail::active_kernel();
   const std::size_t m = b.rows();
   for (std::size_t j0 = 0; j0 < n; j0 += kTrsmBlock) {
     const std::size_t j1 = std::min(j0 + kTrsmBlock, n);
@@ -154,7 +132,7 @@ void trsm_right_lower_transposed(const ConstMatrixView& l, MatrixView b) {
     for (std::size_t j = j0; j < j1; ++j) {
       double* bj = b.data() + j * b.ld();
       for (std::size_t p = j0; p < j; ++p)
-        kern.axpy_sub(bj, b.data() + p * b.ld(), l(j, p), m);
+        kern.saxpy(bj, b.data() + p * b.ld(), -l(j, p), m);
       kern.col_div(bj, l(j, j), m);
     }
     // Tail: B(:, j1:) -= B(:, j0:j1) * L(j1:, j0:j1)^T — the transpose is
@@ -166,7 +144,7 @@ void trsm_right_lower_transposed(const ConstMatrixView& l, MatrixView b) {
   }
 }
 
-const char* trsm_kernel_name() { return active_trsm_kernel().name; }
+const char* trsm_kernel_name() { return detail::active_kernel().name; }
 
 // ---- Reference (historical unblocked) solves -------------------------------
 

@@ -4,12 +4,11 @@
 // are implemented; each is explicit rather than hidden behind a flag soup.
 //
 // All four are *blocked* solves: a small right-looking head on each diagonal
-// slice of the triangle (vectorizable column saxpy/divide primitives,
-// dispatched scalar vs AVX2 alongside the gemm microkernel) plus one
-// gemm-shaped rank-k tail update per slice that runs on the packed gemm
-// microkernel itself. The dispatch follows gemm_force_kernel /
-// HETGRID_GEMM_KERNEL, and every variant is bit-identical across that
-// dispatch. Three of the four (trsm_left_lower_unit, trsm_right_upper,
+// slice of the triangle (the gemm microkernel's vectorized column saxpy and
+// divide primitives) plus one gemm-shaped rank-k tail update per slice that
+// runs on the packed gemm microkernel itself. The dispatch is gemm's
+// (gemm_force_kernel / HETGRID_GEMM_KERNEL), and every variant is
+// bit-identical across it. Three of the four (trsm_left_lower_unit, trsm_right_upper,
 // trsm_right_lower_transposed — exactly the ones on the MP runtime's
 // critical path) additionally preserve the historical unblocked solves'
 // per-element floating-point sequence, so their results are bit-identical
@@ -41,8 +40,8 @@ void trsm_right_upper(const ConstMatrixView& u, MatrixView b);
 /// panel solve of the blocked Cholesky.
 void trsm_right_lower_transposed(const ConstMatrixView& l, MatrixView b);
 
-/// Name of the trsm column-primitive kernel the solves would use right now
-/// ("scalar" or "avx2"); always matches gemm_kernel_name()'s family choice.
+/// Name of the microkernel the solves would use right now ("scalar" or
+/// "avx2"); always equals gemm_kernel_name().
 const char* trsm_kernel_name();
 
 /// Reference (historical unblocked triple-loop) solves, kept for tests and

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "matrix/matrix.hpp"
+#include "util/rng.hpp"
 
 namespace hetgrid {
 
@@ -25,14 +26,6 @@ struct BlockKey {
 
   friend bool operator==(const BlockKey&, const BlockKey&) = default;
 };
-
-/// splitmix64 finalizer (Steele et al.): full-avalanche 64-bit mix.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Hash for BlockKey. The seed version xor-folded the column into a
 /// row-only product, so structured key sweeps (a block column, a tagged

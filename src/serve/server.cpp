@@ -59,6 +59,32 @@ std::vector<std::uint32_t> arrangement_indices(
   return out;
 }
 
+/// The cache entry for `canonical` that one solver's winning grid and
+/// allocation state.
+CachedSolution solved_entry(const CanonicalPlacement& canonical, bool exact,
+                            double obj2, const GridAllocation& alloc,
+                            const CycleTimeGrid& grid) {
+  CachedSolution sol;
+  sol.p = canonical.p;
+  sol.q = canonical.q;
+  sol.unit = canonical.unit;
+  sol.scale = canonical.scale;
+  sol.exact = exact;
+  sol.obj2 = obj2;
+  sol.r = alloc.r;
+  sol.c = alloc.c;
+  sol.arrangement = arrangement_indices(grid, canonical.sorted);
+  return sol;
+}
+
+/// The exact entry for `canonical`: the best arrangement of its pool.
+CachedSolution exact_entry(const CanonicalPlacement& canonical) {
+  const OptimalArrangement opt = solve_optimal_arrangement(
+      canonical.p, canonical.q, canonical.sorted);
+  return solved_entry(canonical, true, opt.solution.obj2, opt.solution.alloc,
+                      opt.grid);
+}
+
 /// Maps a cached (canonical-coordinates) solution back into the request's
 /// layout. `ratio` == 1.0 exactly when the request's scale bit-matches the
 /// entry's (x/x is exact in IEEE), and division by 1.0 is the identity, so
@@ -168,30 +194,17 @@ PlaceOutcome PlacementServer::solve_miss(const PlacementRequest& req,
   }
 
   CachedSolution sol;
-  sol.p = req.p;
-  sol.q = req.q;
-  sol.unit = canonical.unit;
-  sol.scale = canonical.scale;
   try {
     if (use_exact) {
       ProfScope span("serve.solve.exact");
-      const OptimalArrangement opt =
-          solve_optimal_arrangement(req.p, req.q, canonical.sorted);
-      sol.exact = true;
-      sol.obj2 = opt.solution.obj2;
-      sol.r = opt.solution.alloc.r;
-      sol.c = opt.solution.alloc.c;
-      sol.arrangement = arrangement_indices(opt.grid, canonical.sorted);
+      sol = exact_entry(canonical);
       metric_count("serve.solved.exact");
     } else {
       ProfScope span("serve.solve.heuristic");
       const HeuristicResult res =
           solve_heuristic(req.p, req.q, canonical.sorted);
-      sol.exact = false;
-      sol.obj2 = res.final().obj2;
-      sol.r = res.final().alloc.r;
-      sol.c = res.final().alloc.c;
-      sol.arrangement = arrangement_indices(res.final().grid, canonical.sorted);
+      sol = solved_entry(canonical, false, res.final().obj2,
+                         res.final().alloc, res.final().grid);
       metric_count("serve.solved.heuristic");
     }
   } catch (const std::exception& e) {
@@ -223,19 +236,7 @@ void PlacementServer::queue_refinement(const CanonicalPlacement& canonical) {
       return;  // a sibling refinement or exact request got there first
     ProfScope span("serve.refine");
     try {
-      const OptimalArrangement opt = solve_optimal_arrangement(
-          canonical.p, canonical.q, canonical.sorted);
-      CachedSolution sol;
-      sol.p = canonical.p;
-      sol.q = canonical.q;
-      sol.unit = canonical.unit;
-      sol.scale = canonical.scale;
-      sol.exact = true;
-      sol.obj2 = opt.solution.obj2;
-      sol.r = opt.solution.alloc.r;
-      sol.c = opt.solution.alloc.c;
-      sol.arrangement = arrangement_indices(opt.grid, canonical.sorted);
-      cache_.insert_or_upgrade(std::move(sol));
+      cache_.insert_or_upgrade(exact_entry(canonical));
     } catch (const std::exception&) {
       // Refinement is best-effort: the heuristic entry stays authoritative.
       metric_count("serve.refine_failures");

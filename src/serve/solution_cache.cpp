@@ -7,17 +7,20 @@
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace hetgrid::serve {
 
 namespace {
 
-/// splitmix64 finalizer — the repo's hashing discipline (mp/block_store).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+/// The cache key's hash: mix64 chained over (p, q) and the unit bit
+/// patterns.
+std::uint64_t key_hash(std::size_t p, std::size_t q,
+                       const std::vector<double>& unit) {
+  std::uint64_t h = mix64((static_cast<std::uint64_t>(p) << 32) ^
+                          static_cast<std::uint64_t>(q));
+  for (double v : unit) h = mix64(h ^ std::bit_cast<std::uint64_t>(v));
+  return h;
 }
 
 }  // namespace
@@ -55,10 +58,7 @@ CanonicalPlacement canonicalize_placement(std::size_t p, std::size_t q,
   out.unit.resize(n);
   for (std::size_t k = 0; k < n; ++k) out.unit[k] = out.sorted[k] / sum;
 
-  std::uint64_t h = mix64((static_cast<std::uint64_t>(p) << 32) ^
-                          static_cast<std::uint64_t>(q));
-  for (double v : out.unit) h = mix64(h ^ std::bit_cast<std::uint64_t>(v));
-  out.hash = h;
+  out.hash = key_hash(p, q, out.unit);
   return out;
 }
 
@@ -99,9 +99,7 @@ bool SolutionCache::insert_or_upgrade(CachedSolution sol) {
   key.p = sol.p;
   key.q = sol.q;
   key.unit = sol.unit;
-  std::uint64_t h = mix64((static_cast<std::uint64_t>(sol.p) << 32) ^
-                          static_cast<std::uint64_t>(sol.q));
-  for (double v : sol.unit) h = mix64(h ^ std::bit_cast<std::uint64_t>(v));
+  const std::uint64_t h = key_hash(sol.p, sol.q, sol.unit);
   key.hash = h;
 
   Shard& shard = shard_for(h);

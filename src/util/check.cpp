@@ -14,7 +14,7 @@ std::string format(const char* kind, const char* expr, const char* file,
 
 void throw_precondition(const char* expr, const char* file, int line,
                         const std::string& msg) {
-  throw PreconditionError(format("precondition", expr, file, line, msg));
+  throw PreconditionError(format("precondition", expr, file, line, msg), msg);
 }
 
 void throw_internal(const char* expr, const char* file, int line,

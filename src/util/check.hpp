@@ -7,15 +7,23 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace hetgrid {
 
 /// Thrown on violated API preconditions (bad sizes, out-of-range indices,
 /// non-positive cycle-times, ...). Library code never aborts the process.
+/// what() names the failed condition and its source location; message()
+/// is the check's own text alone, what a command-line user should read.
 class PreconditionError : public std::invalid_argument {
  public:
-  explicit PreconditionError(const std::string& what)
-      : std::invalid_argument(what) {}
+  PreconditionError(const std::string& what, std::string message)
+      : std::invalid_argument(what), message_(std::move(message)) {}
+
+  const std::string& message() const noexcept { return message_; }
+
+ private:
+  std::string message_;
 };
 
 /// Thrown when an algorithm reaches a state that should be impossible

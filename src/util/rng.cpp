@@ -6,14 +6,6 @@ namespace hetgrid {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -21,8 +13,13 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
+  // splitmix64: each word is the mix of the running state, which then
+  // advances by the golden-ratio increment.
   std::uint64_t sm = seed;
-  for (auto& word : s_) word = splitmix64(sm);
+  for (auto& word : s_) {
+    word = mix64(sm);
+    sm += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 Rng::result_type Rng::operator()() {

@@ -11,6 +11,15 @@
 
 namespace hetgrid {
 
+/// splitmix64 finalizer (Steele et al.): full-avalanche 64-bit mix. Seeds
+/// the Rng and hashes block keys and placement-cache keys.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {
  public:

@@ -143,7 +143,6 @@ TaskGraph::TaskId TaskGraph::add(const char* name, std::vector<Key> reads,
       fn();
     }
     t.done = true;
-    ++done_count_;
     return id;
   }
 
@@ -218,7 +217,6 @@ void TaskGraph::pump() {
       std::lock_guard<std::mutex> lock(mu_);
       t->done = true;
       t->fn = nullptr;  // release captured views/buffers promptly
-      ++done_count_;
       std::size_t newly_ready = 0;
       for (const TaskId d : t->dependents) {
         Task& dt = tasks_[d];
@@ -234,7 +232,6 @@ void TaskGraph::pump() {
                           "TaskGraph host wait underflow");
         if (--host_wait_remaining_ == 0) notify = true;
       }
-      if (host_wait_all_ && done_count_ == tasks_.size()) notify = true;
       if (!ready_.empty()) {
         t = &tasks_[ready_.top().id];
         ready_.pop();
@@ -258,23 +255,23 @@ void TaskGraph::pump() {
   }
 }
 
+void TaskGraph::mark_host_wait(TaskId t) {
+  if (tasks_[t].done) return;
+  tasks_[t].host_waited = true;
+  ++host_wait_remaining_;
+}
+
+void TaskGraph::sleep_until_marked_done(std::unique_lock<std::mutex>& lock) {
+  cv_done_.wait(lock, [this] { return host_wait_remaining_ == 0; });
+}
+
 void TaskGraph::host_acquire(const std::vector<Key>& writes) {
   std::vector<TaskId> waits;
   collect_deps({}, writes, tasks_.size(), waits);
   if (pool_ != nullptr && !waits.empty()) {
     std::unique_lock<std::mutex> lock(mu_);
-    // Mark the exact tasks being waited on so only their completions
-    // signal cv_done_ — everything else drains without waking the host.
-    std::size_t remaining = 0;
-    for (const TaskId t : waits)
-      if (!tasks_[t].done) {
-        tasks_[t].host_waited = true;
-        ++remaining;
-      }
-    if (remaining > 0) {
-      host_wait_remaining_ = remaining;
-      cv_done_.wait(lock, [this] { return host_wait_remaining_ == 0; });
-    }
+    for (const TaskId t : waits) mark_host_wait(t);
+    sleep_until_marked_done(lock);
   }
   // The host now owns the write keys synchronously: whatever it writes is
   // complete before any later add(), so later readers need no dependency.
@@ -307,30 +304,13 @@ void TaskGraph::wait_below(TaskId mark) {
                                           << tasks_.size() << " tasks");
   if (pool_ == nullptr || mark <= finished_below_) return;
   std::unique_lock<std::mutex> lock(mu_);
-  // Same targeted signalling as host_acquire: only the completions of the
-  // tasks still running below the mark wake the host.
-  std::size_t remaining = 0;
-  for (TaskId t = finished_below_; t < mark; ++t)
-    if (!tasks_[t].done) {
-      tasks_[t].host_waited = true;
-      ++remaining;
-    }
-  if (remaining > 0) {
-    host_wait_remaining_ = remaining;
-    cv_done_.wait(lock, [this] { return host_wait_remaining_ == 0; });
-  }
+  for (TaskId t = finished_below_; t < mark; ++t) mark_host_wait(t);
+  sleep_until_marked_done(lock);
   finished_below_ = mark;
 }
 
 void TaskGraph::wait_all() {
-  if (pool_ != nullptr) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (done_count_ != tasks_.size()) {
-      host_wait_all_ = true;
-      cv_done_.wait(lock, [this] { return done_count_ == tasks_.size(); });
-      host_wait_all_ = false;
-    }
-  }
+  wait_below(tasks_.size());
   MetricsRegistry* metrics = installed_metrics();
   if (metrics != nullptr)
     metrics->gauge("dag.critical_path")

@@ -134,7 +134,8 @@ class TaskGraph {
   /// how far emission runs ahead of the workers.
   void wait_below(TaskId mark);
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every submitted task has finished: wait_below(the
+  /// number of tasks submitted).
   void wait_all();
 
   const Stats& stats() const { return stats_; }
@@ -150,7 +151,7 @@ class TaskGraph {
     std::vector<TaskId> dependents;  // tasks waiting on this one
     std::size_t depth = 1;           // longest chain ending here
     bool done = false;
-    bool host_waited = false;        // host_acquire is blocked on this task
+    bool host_waited = false;        // the host is blocked on this task
     std::size_t rec = SIZE_MAX;      // observation record index (observe_)
   };
 
@@ -166,6 +167,13 @@ class TaskGraph {
   };
 
   void pump();  // runs on a pool worker: pop one ready task, execute it
+  // The host's one wait path (host_acquire, wait_below, wait_all), with
+  // mu_ held: mark_host_wait flags `t` if it is unfinished, so that only
+  // the flagged tasks' completions signal cv_done_ and everything else
+  // drains without waking the host; sleep_until_marked_done then blocks
+  // until every flagged task has finished.
+  void mark_host_wait(TaskId t);
+  void sleep_until_marked_done(std::unique_lock<std::mutex>& lock);
   void collect_deps(const std::vector<Key>& reads,
                     const std::vector<Key>& writes, TaskId self,
                     std::vector<TaskId>& deps) const;
@@ -197,14 +205,12 @@ class TaskGraph {
 
   // Task state shared with workers. cv_done_ is only signalled when the
   // single host thread is actually blocked on the completing task
-  // (host_waited / host_wait_all_), so draining the graph performs no
-  // per-task wakeup syscalls.
+  // (host_waited), so draining the graph performs no per-task wakeup
+  // syscalls.
   mutable std::mutex mu_;
   std::condition_variable cv_done_;
   std::size_t host_wait_remaining_ = 0;  // unfinished host_waited tasks
-  bool host_wait_all_ = false;           // host blocked in wait_all()
   std::deque<Task> tasks_;        // deque: stable references across add()
-  std::size_t done_count_ = 0;
   std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyWorse> ready_;
 };
 

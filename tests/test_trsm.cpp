@@ -3,7 +3,8 @@
 // whose blocked form preserves the per-element floating-point sequence,
 // tolerance for trsm_left_upper whose blocked form sums in a different
 // (deterministic) order — plus the scalar-vs-AVX2 dispatch contract shared
-// with the gemm microkernel.
+// with the gemm microkernel, and the column primitives the solves take from
+// its kernel table.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "matrix/gemm.hpp"
+#include "matrix/gemm_kernel.hpp"
 #include "matrix/matrix.hpp"
 #include "matrix/norms.hpp"
 #include "matrix/trsm.hpp"
@@ -166,6 +168,59 @@ TEST(Trsm, KernelNameFollowsGemmDispatch) {
   gemm_force_kernel("auto");
   const std::string name = trsm_kernel_name();
   EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
+  EXPECT_EQ(name, gemm_kernel_name());
+}
+
+TEST(Trsm, ColumnPrimitivesMatchPlainLoopsBitForBit) {
+  // The solves subtract through the kernel table's saxpy with the
+  // coefficient negated, and divide through its col_div. On every kernel
+  // the host accepts, both must reproduce the plain loops bit for bit, on
+  // what the random solves above never draw: signed zeros, subnormals, and
+  // magnitudes near 1e300 whose products overflow (inexact values such as
+  // 0.1 catch a fused multiply-add). Lengths 0-9 and 63-67 reach the 4-wide
+  // vector body and every tail. No divisor is zero: the solves reject a
+  // zero diagonal before dividing.
+  KernelGuard guard;
+  const double values[] = {0.0,     -0.0,  4.9e-324, -4.9e-324, 2.2e-308,
+                           -1e-310, 1e300, -1e300,   3e299,     1.0,
+                           -0.75,   3.0,   0.1,      -1.0 / 3.0};
+  const std::size_t nv = sizeof(values) / sizeof(values[0]);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 9; ++n) lengths.push_back(n);
+  for (std::size_t n = 63; n <= 67; ++n) lengths.push_back(n);
+  auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  for (const char* name : {"scalar", "avx2"}) {
+    if (!gemm_force_kernel(name)) continue;
+    const detail::GemmKernel& kern = detail::active_kernel();
+    for (const std::size_t n : lengths) {
+      for (const double a : values) {
+        // Every (x, y) pair of values meets at the lengths of 14 and more.
+        for (std::size_t shift = 0; shift < nv; ++shift) {
+          std::vector<double> x(n), y(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            x[i] = values[i % nv];
+            y[i] = values[(i + shift) % nv];
+          }
+          std::vector<double> want = y, got = y;
+          for (std::size_t i = 0; i < n; ++i) want[i] = y[i] - x[i] * a;
+          kern.saxpy(got.data(), x.data(), -a, n);
+          EXPECT_TRUE(same(got, want))
+              << name << " saxpy n=" << n << " a=" << a << " shift=" << shift;
+          if (a == 0.0) continue;
+          want = y;
+          got = y;
+          for (std::size_t i = 0; i < n; ++i) want[i] = y[i] / a;
+          kern.col_div(got.data(), a, n);
+          EXPECT_TRUE(same(got, want))
+              << name << " col_div n=" << n << " d=" << a << " shift="
+              << shift;
+        }
+      }
+    }
+  }
 }
 
 TEST(Trsm, AllVariantsBitIdenticalAcrossKernels) {

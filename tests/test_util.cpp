@@ -32,6 +32,7 @@ TEST(Check, MessageContainsExpressionAndPayload) {
     const std::string what = e.what();
     EXPECT_NE(what.find("2 < 1"), std::string::npos);
     EXPECT_NE(what.find("payload=7"), std::string::npos);
+    EXPECT_EQ(e.message(), "payload=7");
   }
 }
 

@@ -7,15 +7,17 @@
 # with scatter and gather on the workers, recursive QR panels and the
 # next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
 # rows (asserts the arrangement search is identical at every thread count),
-# the repository benchmark's self-test, the placement server's throughput
-# smoke with its regression gates, a documentation link check, a layering
-# check (src/mp must not build on the simulator), a ThreadSanitizer pass
-# over the concurrent pieces (the exact solver's thread pool, the
-# message-passing runtime's task graph, and the placement server) in
-# build-tsan/, with the thread pool and task graph tests repeated 20
-# times, and finally an AddressSanitizer + UBSan pass over the MP runtime
-# tests, the observed MP kernels of test_imbalance among them, in
-# build-asan/. The CLI's transcripts are a ctest entry (cli_golden).
+# a rerun of the MP and factorization tests with the microkernel pinned to
+# scalar (HETGRID_GEMM_KERNEL=scalar), the repository benchmark's self-test,
+# the placement server's throughput smoke with its regression gates, a
+# documentation link check, a layering check (src/mp must not build on the
+# simulator), a ThreadSanitizer pass over the concurrent pieces (the exact
+# solver's thread pool, the message-passing runtime's task graph, and the
+# placement server) in build-tsan/, with the thread pool and task graph
+# tests repeated 20 times, and finally an AddressSanitizer + UBSan pass
+# over the MP runtime tests, the observed MP kernels of test_imbalance
+# among them, in build-asan/. The CLI's transcripts are a ctest entry
+# (cli_golden).
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -134,12 +136,14 @@ if build-ci/bench/bench_compare --base=build-ci/BENCH_rebalance_smoke.json \
   exit 1
 fi
 
-# The MP kernel tests again with the gemm / trsm dispatch pinned to the
-# scalar kernels. Kernel choice never changes a computed bit, so the full
-# test set must pass unchanged — proving the scalar fallback stays correct
-# on AVX2 builders too.
+# The MP kernel tests and the factorization tests again with the one
+# microkernel dispatch pinned to the scalar kernel. Kernel choice never
+# changes a computed bit, so they must pass unchanged — proving the scalar
+# tile and the scalar column primitives (which trsm reaches, under LU,
+# Cholesky and QR too) stay correct on AVX2 builders.
 HETGRID_GEMM_KERNEL=scalar ctest --test-dir build-ci --output-on-failure \
-      -j "$NPROC" -R '^(test_mp|test_runtime_parallel|test_task_graph)$'
+      -j "$NPROC" \
+      -R '^(test_mp|test_runtime_parallel|test_task_graph|test_trsm|test_lu|test_cholesky|test_qr)$'
 
 # Repository benchmark self-test: perfbench compiles ../src on its own and
 # calls matrix/ and mp/ entry points directly, so a src/ change that breaks

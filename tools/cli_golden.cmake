@@ -214,6 +214,12 @@ golden(error_serve_shards EXIT 1
   STDERR "--shards must be <= 65536, got 65537"
   ARGS serve --shards=65537)
 
+# A bad flag value reads as the check's message alone: no failed condition
+# or source location.
+golden(error_trace_network EXIT 1
+  STDERR "^error: unknown --network: bogus\n$"
+  ARGS trace ${T4} --network=bogus)
+
 # Retired surfaces: `profile` is no subcommand, and serve --smoke and
 # solve --csv are no flags.
 golden(retired_profile EXIT 2 ARGS profile)

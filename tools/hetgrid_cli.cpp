@@ -831,6 +831,11 @@ int main(int argc, char** argv) {
     if (cmd == "observe") return cli::cmd_observe(argc - 1, argv + 1);
     if (cmd == "serve") return cli::cmd_serve(argc - 1, argv + 1);
     if (cmd == "query") return cli::cmd_query(argc - 1, argv + 1);
+  } catch (const PreconditionError& e) {
+    // Bad flags and inputs: the check's message says what is wrong; the
+    // failed condition and its source location are for developers.
+    std::cerr << "error: " << e.message() << '\n';
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
