@@ -1,13 +1,13 @@
 // GFLOP/s harness for the local gemm microkernels (EXPERIMENTS.md §13):
 // times C += A*B at sizes where the memory hierarchy actually bites
 // (default n = 2048, well past every cache level) for each available
-// microkernel (scalar, avx2), and reports achieved GFLOP/s (2*n^3 flops
-// over the best-of-reps wall clock).
+// microkernel (scalar, avx2, avx512), and reports achieved GFLOP/s (2*n^3
+// flops over the best-of-reps wall clock).
 //
-// The dispatch contract is enforced, not just reported: the avx2 output
-// matrix must match the scalar-kernel run bit for bit (the SIMD kernel uses
-// separate mul+add vectors — never FMA — precisely so kernel choice can
-// never change a computed bit).
+// The dispatch contract is enforced, not just reported: every SIMD kernel's
+// output matrix must match the scalar-kernel run bit for bit (the SIMD
+// kernels use separate mul+add vectors — never FMA — precisely so kernel
+// choice can never change a computed bit).
 //
 // --smoke keeps n at the full 2048 (a smaller n would measure cache
 // residency, not the kernel) but drops to one rep for CI.
@@ -51,15 +51,13 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : static_cast<int>(cli.get_int("reps"));
   HG_CHECK(n >= 1, "--n must be positive");
 
-  const bool have_avx2 = gemm_force_kernel("avx2");
-  gemm_force_kernel("auto");
-  std::cout << "n = " << n << ", detected kernel: " << gemm_kernel_name()
-            << (have_avx2 ? "" : " (avx2 unavailable — scalar rows only)")
-            << "\n\n";
-
   // The scalar run is the bit-identity reference, so it always runs first.
   std::vector<std::string> kernels{"scalar"};
-  if (have_avx2) kernels.push_back("avx2");
+  for (const char* simd : {"avx2", "avx512"})
+    if (gemm_force_kernel(simd)) kernels.push_back(simd);
+  gemm_force_kernel("auto");
+  std::cout << "n = " << n << ", detected kernel: " << gemm_kernel_name()
+            << " (rows for every kernel this host runs)\n\n";
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   Matrix a(n, n), b(n, n), c0(n, n);

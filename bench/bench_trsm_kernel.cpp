@@ -1,8 +1,8 @@
 // GFLOP/s harness for the blocked triangular solve (EXPERIMENTS.md §14):
 // times the LU panel solve B := inv(L) * B (trsm_left_lower_unit — unit
-// lower-triangular L, n x n right-hand side) three ways: the historical
-// unblocked triple-loop reference, the blocked solve on the scalar column
-// primitives, and the blocked solve on the AVX2 primitives. The blocked
+// lower-triangular L, n x n right-hand side) several ways: the historical
+// unblocked triple-loop reference, then the blocked solve on each available
+// kernel's column primitives (scalar, avx2, avx512). The blocked
 // solve routes its rank-k tail updates through the packed gemm microkernel,
 // which is where the speedup lives; the reference row is the "before" of
 // the comparison.
@@ -10,7 +10,7 @@
 // The bit-identity contract is enforced, not just reported: this variant's
 // blocked form preserves the reference's per-element floating-point
 // sequence, so every configuration's solution must match the reference run
-// bit for bit — across the scalar/AVX2 dispatch too.
+// bit for bit — across the kernel dispatch too.
 //
 // --smoke keeps n at the full default (a smaller n would understate the
 // blocking's cache benefit) but drops to one rep for CI.
@@ -55,17 +55,15 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 1 : static_cast<int>(cli.get_int("reps"));
   HG_CHECK(n >= 2, "--n must be at least 2");
 
-  const bool have_avx2 = gemm_force_kernel("avx2");
-  gemm_force_kernel("auto");
-  std::cout << "n = " << n << ", nrhs = " << nrhs
-            << ", detected kernel: " << trsm_kernel_name()
-            << (have_avx2 ? "" : " (avx2 unavailable — scalar rows only)")
-            << "\n\n";
-
   // The unblocked reference runs first: it is both the "before" of the
   // speedup and the bit-identity anchor for every blocked configuration.
   std::vector<std::string> configs{"reference", "scalar"};
-  if (have_avx2) configs.push_back("avx2");
+  for (const char* simd : {"avx2", "avx512"})
+    if (gemm_force_kernel(simd)) configs.push_back(simd);
+  gemm_force_kernel("auto");
+  std::cout << "n = " << n << ", nrhs = " << nrhs
+            << ", detected kernel: " << trsm_kernel_name()
+            << " (rows for every kernel this host runs)\n\n";
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   Matrix l(n, n, 0.0);

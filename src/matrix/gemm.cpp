@@ -130,8 +130,8 @@ void col_div_scalar(double* y, double d, std::size_t n) {
 // the B element hoisted so the inner loop is a saxpy down a contiguous
 // column of A and C. The p loop runs in ascending order, so every C element
 // sees one fixed floating-point operation sequence — packing is pure data
-// movement. This is the portable fallback; the AVX2 kernel
-// (gemm_kernel_avx2.cpp) reproduces the same per-element sequence with
+// movement. This is the portable fallback; the SIMD kernels
+// (gemm_kernel_simd.hpp) reproduce the same per-element sequence with
 // explicit mul+add vectors.
 void tile_scalar(const double* apack, std::size_t mlen, const double* bpack,
                  std::size_t klen, double* cbase, std::size_t ldc,
@@ -146,6 +146,23 @@ void tile_scalar(const double* apack, std::size_t mlen, const double* bpack,
 
 constexpr GemmKernel kScalarKernel{"scalar", kSmallM, kSmallK, kSmallN,
                                    tile_scalar, saxpy_scalar, col_div_scalar};
+
+const GemmKernel* scalar_kernel() { return &kScalarKernel; }
+
+// Dispatch order, fastest first (detail::kernel_list()).
+constexpr detail::KernelEntry kKernels[] = {
+    {"avx512", detail::gemm_kernel_avx512},
+    {"avx2", detail::gemm_kernel_avx2},
+    {"scalar", scalar_kernel},
+};
+
+// The kernel called `name`, or nullptr when no kernel has that name or this
+// host cannot run it.
+const GemmKernel* find_kernel(std::string_view name) {
+  for (const detail::KernelEntry& k : kKernels)
+    if (k.name == name) return k.probe();
+  return nullptr;
+}
 
 // Test hook: when non-null, overrides the auto-detected kernel.
 std::atomic<const GemmKernel*> g_forced_kernel{nullptr};
@@ -196,21 +213,23 @@ void gemm_blocked(Trans trans_a, Trans trans_b, double alpha,
 
 namespace detail {
 
+std::span<const KernelEntry> kernel_list() { return kKernels; }
+
 const GemmKernel& active_kernel() {
   const GemmKernel* forced = g_forced_kernel.load(std::memory_order_relaxed);
   if (forced != nullptr) return *forced;
-  // Detected once; the probe is a cpuid-backed builtin, not a config file,
+  // Detected once; the probes are cpuid-backed builtins, not a config file,
   // so "auto" is a pure function of the host — unless HETGRID_GEMM_KERNEL
-  // pins it ("scalar"/"avx2"), which is how CI proves the scalar fallback
-  // on AVX2 builders. Unknown or unavailable values fall back to detection.
+  // names a kernel this host runs, which pins it (how CI proves the
+  // fallbacks on an AVX-512 builder). Unknown or unavailable values fall
+  // back to detection.
   static const GemmKernel* const detected = []() -> const GemmKernel* {
-    const GemmKernel* simd = gemm_kernel_avx2();
     const char* env = std::getenv("HETGRID_GEMM_KERNEL");
-    if (env != nullptr) {
-      if (std::string_view(env) == "scalar") return &kScalarKernel;
-      if (std::string_view(env) == "avx2" && simd != nullptr) return simd;
-    }
-    return simd != nullptr ? simd : &kScalarKernel;
+    if (env != nullptr)
+      if (const GemmKernel* pinned = find_kernel(env)) return pinned;
+    for (const KernelEntry& k : kKernels)
+      if (const GemmKernel* kern = k.probe()) return kern;
+    return &kScalarKernel;  // not reached: the scalar probe always succeeds
   }();
   return *detected;
 }
@@ -220,21 +239,13 @@ const GemmKernel& active_kernel() {
 const char* gemm_kernel_name() { return detail::active_kernel().name; }
 
 bool gemm_force_kernel(std::string_view name) {
-  if (name == "auto") {
-    g_forced_kernel.store(nullptr, std::memory_order_relaxed);
-    return true;
+  const GemmKernel* kern = nullptr;
+  if (name != "auto") {
+    kern = find_kernel(name);
+    if (kern == nullptr) return false;
   }
-  if (name == "scalar") {
-    g_forced_kernel.store(&kScalarKernel, std::memory_order_relaxed);
-    return true;
-  }
-  if (name == "avx2") {
-    const GemmKernel* simd = detail::gemm_kernel_avx2();
-    if (simd == nullptr) return false;
-    g_forced_kernel.store(simd, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  g_forced_kernel.store(kern, std::memory_order_relaxed);
+  return true;
 }
 
 void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,

@@ -3,10 +3,13 @@
 // A GemmKernel bundles a packed-tile inner kernel with the cache-blocking
 // geometry it was tuned for, plus the two column primitives the solves
 // build on: saxpy (y += x * a) and col_div (y /= d). gemm.cpp owns the
-// scalar kernel and active_kernel(), the one selection gemm and trsm both
-// read; gemm_kernel_avx2.cpp (the only TU compiled with -mavx2) contributes
-// the vectorized kernel when the build targets x86-64 and the CPU reports
-// AVX2 at runtime.
+// scalar kernel, the dispatch list and active_kernel(), the one selection
+// gemm and trsm both read. The SIMD kernels are one register-block
+// template (gemm_kernel_simd.hpp) instantiated in one TU per ISA:
+// gemm_kernel_avx512.cpp (-mavx512f, a 16x8 block in zmm) and
+// gemm_kernel_avx2.cpp (-mavx2, an 8x4 block in ymm). Each contributes
+// its kernel when the build targets x86-64 and the CPU reports the ISA at
+// runtime; dispatch takes avx512, then avx2, then scalar.
 //
 // Bit-identity contract: every kernel must produce, for every C element, the
 // exact floating-point operation sequence of the scalar kernel — an ascending-
@@ -20,6 +23,8 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <string_view>
 
 namespace hetgrid::detail {
 
@@ -32,7 +37,7 @@ using GemmTileFn = void (*)(const double* apack, std::size_t mlen,
                             double* cbase, std::size_t ldc, std::size_t jlen);
 
 struct GemmKernel {
-  const char* name;  // "scalar", "avx2", ... — surfaced by gemm_kernel_name()
+  const char* name;  // "scalar", "avx2", "avx512": gemm_kernel_name()
   std::size_t mc;    // A-panel rows   (mc x kc pack, L1/L2 resident)
   std::size_t kc;    // shared depth   (kc x nc B pack, L2/L3 resident)
   std::size_t nc;    // B-panel cols
@@ -49,6 +54,22 @@ struct GemmKernel {
 /// The AVX2 kernel, or nullptr when the build target or the running CPU
 /// lacks AVX2. Defined in gemm_kernel_avx2.cpp.
 const GemmKernel* gemm_kernel_avx2();
+
+/// The AVX-512 kernel, or nullptr when the build target or the running CPU
+/// lacks AVX-512F. Defined in gemm_kernel_avx512.cpp.
+const GemmKernel* gemm_kernel_avx512();
+
+/// One entry of the dispatch list: a kernel's name and its probe, which
+/// returns the kernel, or nullptr when this host cannot run it.
+struct KernelEntry {
+  std::string_view name;
+  const GemmKernel* (*probe)();
+};
+
+/// Every kernel in dispatch order, fastest first: avx512, avx2, scalar.
+/// Detection takes the first one whose probe succeeds; gemm_force_kernel
+/// and HETGRID_GEMM_KERNEL look a name up here. Defined in gemm.cpp.
+std::span<const KernelEntry> kernel_list();
 
 /// The kernel gemm and trsm dispatch to right now: the one forced by
 /// gemm_force_kernel, else the one detected at first use. Defined in

@@ -40,8 +40,8 @@ void trsm_right_upper(const ConstMatrixView& u, MatrixView b);
 /// panel solve of the blocked Cholesky.
 void trsm_right_lower_transposed(const ConstMatrixView& l, MatrixView b);
 
-/// Name of the microkernel the solves would use right now ("scalar" or
-/// "avx2"); always equals gemm_kernel_name().
+/// Name of the microkernel the solves would use right now ("scalar",
+/// "avx2" or "avx512"); always equals gemm_kernel_name().
 const char* trsm_kernel_name();
 
 /// Reference (historical unblocked triple-loop) solves, kept for tests and

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "kernel_dispatch.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/norms.hpp"
 #include "matrix/qr.hpp"
@@ -48,11 +51,6 @@ double reconstruction_error(const Matrix& orig, const Matrix& qr,
   gemm(Trans::No, Trans::No, 1.0, q.view(), r.view(), 0.0, prod.view());
   return max_abs_diff(prod.view(), orig.view());
 }
-
-// Restores runtime kernel detection no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() { gemm_force_kernel("auto"); }
-};
 
 class QrShapes : public ::testing::TestWithParam<std::pair<int, int>> {};
 
@@ -264,15 +262,21 @@ TEST(Qr, RecursivePanelBitIdenticalAcrossGemmKernels) {
   // The recursion's block updates and T joins run on gemm, which keeps
   // its bits across the dispatched microkernels; so must the whole panel.
   KernelGuard guard;
-  if (!gemm_force_kernel("avx2")) GTEST_SKIP() << "host lacks AVX2";
+  const std::vector<std::string> kernels = simd_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host runs the scalar kernel only";
   const Matrix orig = random_matrix(200, 64, 71);
-  Matrix simd = orig, scalar = orig, t_simd, t_scalar;
-  const QrResult r_simd = qr_factor(simd.view(), &t_simd);
+  Matrix scalar = orig, t_scalar;
   ASSERT_TRUE(gemm_force_kernel("scalar"));
   const QrResult r_scalar = qr_factor(scalar.view(), &t_scalar);
-  EXPECT_EQ(r_simd.tau, r_scalar.tau);
-  EXPECT_TRUE(same_bits(simd.view(), scalar.view()));
-  EXPECT_TRUE(same_bits(t_simd.view(), t_scalar.view()));
+  for (const std::string& kern : kernels) {
+    SCOPED_TRACE(kern);
+    Matrix simd = orig, t_simd;
+    ASSERT_TRUE(gemm_force_kernel(kern));
+    const QrResult r_simd = qr_factor(simd.view(), &t_simd);
+    EXPECT_EQ(r_simd.tau, r_scalar.tau);
+    EXPECT_TRUE(same_bits(simd.view(), scalar.view()));
+    EXPECT_TRUE(same_bits(t_simd.view(), t_scalar.view()));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // along with it.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "dist/kalinov_lastovetsky.hpp"
 #include "dist/panel_distribution.hpp"
+#include "kernel_dispatch.hpp"
 #include "matrix/cholesky.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/lu.hpp"
@@ -259,15 +261,24 @@ TEST(GemmParallel, PackedLargePathMatchesReference) {
 
 // ----------------------------------------------------- kernel dispatch
 
-// Restores runtime kernel detection no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() { gemm_force_kernel("auto"); }
-};
-
 TEST(GemmKernel, DispatchReportsAKnownKernel) {
   KernelGuard guard;
   const std::string name = gemm_kernel_name();
-  EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
+  const std::vector<std::string> accepted = accepted_kernels();
+  ASSERT_FALSE(accepted.empty());
+  EXPECT_EQ(accepted.back(), "scalar");
+  // Auto is the pinned kernel when HETGRID_GEMM_KERNEL is set (a
+  // misspelled or unavailable value would silently fall back to detection
+  // and test nothing), else the first kernel in dispatch order the host
+  // runs.
+  if (const char* pinned = std::getenv("HETGRID_GEMM_KERNEL"))
+    EXPECT_EQ(name, pinned);
+  else
+    EXPECT_EQ(name, accepted.front());
+  for (const detail::KernelEntry& k : detail::kernel_list()) {
+    if (!gemm_force_kernel(k.name)) continue;
+    EXPECT_EQ(gemm_kernel_name(), k.name);
+  }
   EXPECT_FALSE(gemm_force_kernel("avx512-dreams"));
   EXPECT_TRUE(gemm_force_kernel("scalar"));
   EXPECT_STREQ(gemm_kernel_name(), "scalar");
@@ -275,42 +286,50 @@ TEST(GemmKernel, DispatchReportsAKnownKernel) {
   EXPECT_EQ(gemm_kernel_name(), name);
 }
 
-TEST(GemmKernel, ScalarAndAvx2BitIdentical) {
+TEST(GemmKernel, EveryKernelBitIdenticalToScalar) {
   // The dispatch contract: kernel choice can never change a computed bit.
-  // The AVX2 kernel vectorizes across rows with separate mul+add (no FMA),
+  // The SIMD kernels vectorize across rows with separate mul+add (no FMA),
   // so each C element keeps the scalar kernel's rounding sequence exactly.
   KernelGuard guard;
-  if (!gemm_force_kernel("avx2")) GTEST_SKIP() << "host lacks AVX2";
+  const std::vector<std::string> kernels = simd_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host runs the scalar kernel only";
   struct Shape {
     std::size_t m, n, k;
   };
-  // 137 x 211 x 93 exercises the 8x4 register core plus its row tail (137 =
-  // 17*8 + 1), column tail (211 = 52*4 + 3), and partial packs. The small
-  // shapes are block-update sizes: tails only (1, 3, 5, 7), exact tiles (64,
-  // 128), and one past them (65 x 63 x 66).
+  // 137 x 211 x 93 exercises both register blocks (8x4 and 16x8) plus
+  // their row tails (137 = 17*8 + 1 = 8*16 + 9), column tails (211 = 52*4
+  // + 3 = 26*8 + 3), and partial packs. The small shapes are block-update
+  // sizes: tails only (1, 3, 5, 7), exact tiles (64, 128), one past them
+  // (65 x 63 x 66), and rows and columns either side of the 16x8 block
+  // (m 15, 17, 33; n 7, 9).
   const Shape shapes[] = {{137, 211, 93}, {1, 1, 1},    {3, 5, 7},
                           {7, 3, 5},      {64, 64, 64}, {64, 128, 64},
-                          {65, 63, 66}};
+                          {65, 63, 66},   {15, 7, 11},  {17, 9, 13},
+                          {33, 9, 70},    {33, 7, 4},   {15, 9, 1}};
   Rng rng(89);
   for (const Shape& s : shapes) {
     for (const Trans ta : {Trans::No, Trans::Yes}) {
       for (const Trans tb : {Trans::No, Trans::Yes}) {
-        SCOPED_TRACE(testing::Message()
-                     << s.m << "x" << s.n << "x" << s.k
-                     << " trans_a=" << (ta == Trans::Yes)
-                     << " trans_b=" << (tb == Trans::Yes));
         Matrix a = ta == Trans::No ? Matrix(s.m, s.k) : Matrix(s.k, s.m);
         Matrix b = tb == Trans::No ? Matrix(s.k, s.n) : Matrix(s.n, s.k);
-        Matrix c_simd(s.m, s.n), c_scalar(s.m, s.n);
+        Matrix c0(s.m, s.n), c_scalar(s.m, s.n);
         fill_random(a.view(), rng);
         fill_random(b.view(), rng);
-        fill_random(c_simd.view(), rng);
-        c_scalar.view().copy_from(c_simd.view());
-        ASSERT_TRUE(gemm_force_kernel("avx2"));
-        gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_simd.view());
+        fill_random(c0.view(), rng);
+        c_scalar.view().copy_from(c0.view());
         ASSERT_TRUE(gemm_force_kernel("scalar"));
         gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_scalar.view());
-        EXPECT_TRUE(same_bits(c_simd.view(), c_scalar.view()));
+        for (const std::string& kern : kernels) {
+          SCOPED_TRACE(testing::Message()
+                       << kern << " " << s.m << "x" << s.n << "x" << s.k
+                       << " trans_a=" << (ta == Trans::Yes)
+                       << " trans_b=" << (tb == Trans::Yes));
+          Matrix c_simd(s.m, s.n);
+          c_simd.view().copy_from(c0.view());
+          ASSERT_TRUE(gemm_force_kernel(kern));
+          gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_simd.view());
+          EXPECT_TRUE(same_bits(c_simd.view(), c_scalar.view()));
+        }
       }
     }
   }
@@ -318,18 +337,23 @@ TEST(GemmKernel, ScalarAndAvx2BitIdentical) {
 
 TEST(GemmKernel, MpRunsBitIdenticalAcrossDispatch) {
   // End-to-end: a distributed MMM and LU with 70-wide blocks (wider than
-  // the AVX2 kernel's 8x4 register block and not a multiple of it) must
-  // produce byte-identical reports, matrices, and traces under either
+  // both SIMD register blocks, 8x4 and 16x8, and a multiple of neither)
+  // must produce byte-identical reports, matrices, and traces under every
   // kernel.
   KernelGuard guard;
-  if (!gemm_force_kernel("avx2")) GTEST_SKIP() << "host lacks AVX2";
+  const std::vector<std::string> kernels = simd_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host runs the scalar kernel only";
   const Machine machine = het_machine(47, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
-  const MpRun mmm_simd = run_mmm(machine, dist, 140, 70, 2);
-  const MpRun lu_simd = run_lu(machine, dist, 140, 70, false, 2);
   ASSERT_TRUE(gemm_force_kernel("scalar"));
-  expect_same_run(run_mmm(machine, dist, 140, 70, 2), mmm_simd);
-  expect_same_run(run_lu(machine, dist, 140, 70, false, 2), lu_simd);
+  const MpRun mmm_scalar = run_mmm(machine, dist, 140, 70, 2);
+  const MpRun lu_scalar = run_lu(machine, dist, 140, 70, false, 2);
+  for (const std::string& kern : kernels) {
+    SCOPED_TRACE(kern);
+    ASSERT_TRUE(gemm_force_kernel(kern));
+    expect_same_run(run_mmm(machine, dist, 140, 70, 2), mmm_scalar);
+    expect_same_run(run_lu(machine, dist, 140, 70, false, 2), lu_scalar);
+  }
 }
 
 TEST(GemmKernel, SmallPathNBoundBitSafe) {
@@ -447,15 +471,13 @@ KernelResults run_all_kernels(const Machine& machine,
 
 TEST(GemmKernel, MpKernelsBitIdenticalAcrossKernelsAndThreads) {
   // MMM, LU, Cholesky and QR must produce byte-identical outputs across
-  // {scalar, avx2} x threads {1, 2, 7}.
+  // every kernel the host accepts x threads {1, 2, 7}.
   KernelGuard guard;
   const Machine machine = het_machine(47, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   ASSERT_TRUE(gemm_force_kernel("scalar"));
   const KernelResults base = run_all_kernels(machine, dist, 1);
-  const bool have_avx2 = gemm_force_kernel("avx2");
-  for (const std::string_view kern : {"scalar", "avx2"}) {
-    if (kern == "avx2" && !have_avx2) continue;
+  for (const std::string& kern : accepted_kernels()) {
     ASSERT_TRUE(gemm_force_kernel(kern));
     for (unsigned threads : {1u, 2u, 7u}) {
       SCOPED_TRACE(testing::Message() << kern << " threads=" << threads);

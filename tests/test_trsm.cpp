@@ -2,15 +2,17 @@
 // against its historical unblocked reference — bitwise for the three solves
 // whose blocked form preserves the per-element floating-point sequence,
 // tolerance for trsm_left_upper whose blocked form sums in a different
-// (deterministic) order — plus the scalar-vs-AVX2 dispatch contract shared
-// with the gemm microkernel, and the column primitives the solves take from
-// its kernel table.
+// (deterministic) order — plus the dispatch contract shared with the gemm
+// microkernel (every kernel matches the scalar one bit for bit), and the
+// column primitives the solves take from its kernel table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "kernel_dispatch.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/gemm_kernel.hpp"
 #include "matrix/matrix.hpp"
@@ -72,10 +74,6 @@ const std::size_t kSizes[] = {1, 5, 63, 64, 65, 128, 130};
 // Right-hand-side width deliberately different from n (non-square B) and
 // prime-ish so gemm tail shapes hit partial tiles.
 std::size_t rhs_width(std::size_t n) { return n == 1 ? 3 : n - 1 + 7; }
-
-struct KernelGuard {
-  ~KernelGuard() { gemm_force_kernel("auto"); }
-};
 
 // ------------------------------------------------ blocked vs reference
 
@@ -160,14 +158,16 @@ TEST(Trsm, LeftUpperResidualSmall) {
 
 TEST(Trsm, KernelNameFollowsGemmDispatch) {
   KernelGuard guard;
-  ASSERT_TRUE(gemm_force_kernel("scalar"));
-  EXPECT_STREQ(trsm_kernel_name(), "scalar");
-  if (gemm_force_kernel("avx2")) {
-    EXPECT_STREQ(trsm_kernel_name(), "avx2");
+  const std::vector<std::string> accepted = accepted_kernels();
+  for (const std::string& kern : accepted) {
+    ASSERT_TRUE(gemm_force_kernel(kern));
+    EXPECT_EQ(trsm_kernel_name(), kern);
   }
   gemm_force_kernel("auto");
   const std::string name = trsm_kernel_name();
-  EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
+  EXPECT_NE(std::find(accepted.begin(), accepted.end(), name),
+            accepted.end())
+      << name;
   EXPECT_EQ(name, gemm_kernel_name());
 }
 
@@ -177,9 +177,9 @@ TEST(Trsm, ColumnPrimitivesMatchPlainLoopsBitForBit) {
   // the host accepts, both must reproduce the plain loops bit for bit, on
   // what the random solves above never draw: signed zeros, subnormals, and
   // magnitudes near 1e300 whose products overflow (inexact values such as
-  // 0.1 catch a fused multiply-add). Lengths 0-9 and 63-67 reach the 4-wide
-  // vector body and every tail. No divisor is zero: the solves reject a
-  // zero diagonal before dividing.
+  // 0.1 catch a fused multiply-add). Lengths 0-9, 15-17 and 63-67 reach the
+  // 4- and 8-wide vector bodies and every tail. No divisor is zero: the
+  // solves reject a zero diagonal before dividing.
   KernelGuard guard;
   const double values[] = {0.0,     -0.0,  4.9e-324, -4.9e-324, 2.2e-308,
                            -1e-310, 1e300, -1e300,   3e299,     1.0,
@@ -187,13 +187,14 @@ TEST(Trsm, ColumnPrimitivesMatchPlainLoopsBitForBit) {
   const std::size_t nv = sizeof(values) / sizeof(values[0]);
   std::vector<std::size_t> lengths;
   for (std::size_t n = 0; n <= 9; ++n) lengths.push_back(n);
+  for (std::size_t n = 15; n <= 17; ++n) lengths.push_back(n);
   for (std::size_t n = 63; n <= 67; ++n) lengths.push_back(n);
   auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
     return x.size() == y.size() &&
            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
   };
-  for (const char* name : {"scalar", "avx2"}) {
-    if (!gemm_force_kernel(name)) continue;
+  for (const std::string& name : accepted_kernels()) {
+    ASSERT_TRUE(gemm_force_kernel(name));
     const detail::GemmKernel& kern = detail::active_kernel();
     for (const std::size_t n : lengths) {
       for (const double a : values) {
@@ -224,36 +225,44 @@ TEST(Trsm, ColumnPrimitivesMatchPlainLoopsBitForBit) {
 }
 
 TEST(Trsm, AllVariantsBitIdenticalAcrossKernels) {
-  // The dispatch contract: switching scalar <-> AVX2 (column primitives and
-  // the gemm tails together) may never change a computed bit, for any
-  // variant — including trsm_left_upper, whose order differs from the
-  // *reference* but not across kernels.
+  // The dispatch contract: switching from the scalar kernel to any other
+  // (column primitives and the gemm tails together) may never change a
+  // computed bit, for any variant — including trsm_left_upper, whose order
+  // differs from the *reference* but not across kernels.
   KernelGuard guard;
-  if (!gemm_force_kernel("avx2")) GTEST_SKIP() << "host lacks AVX2";
+  const std::vector<std::string> kernels = simd_kernels();
+  if (kernels.empty()) GTEST_SKIP() << "host runs the scalar kernel only";
   for (std::size_t n : {std::size_t{65}, std::size_t{130}}) {
     const Matrix l_unit = lower_triangular(n, true, 1100 + n);
     const Matrix l = lower_triangular(n, false, 1200 + n);
     const Matrix u = upper_triangular(n, 1300 + n);
     const std::size_t w = rhs_width(n);
-    Matrix b1 = random_rhs(n, w, 1400 + n);
-    Matrix b2 = random_rhs(n, w, 1500 + n);
-    Matrix b3 = random_rhs(w, n, 1600 + n);
-    Matrix b4 = random_rhs(w, n, 1700 + n);
+    const Matrix b1 = random_rhs(n, w, 1400 + n);
+    const Matrix b2 = random_rhs(n, w, 1500 + n);
+    const Matrix b3 = random_rhs(w, n, 1600 + n);
+    const Matrix b4 = random_rhs(w, n, 1700 + n);
     Matrix s1 = b1, s2 = b2, s3 = b3, s4 = b4;
-    ASSERT_TRUE(gemm_force_kernel("avx2"));
-    trsm_left_lower_unit(l_unit.view(), b1.view());
-    trsm_left_upper(u.view(), b2.view());
-    trsm_right_upper(u.view(), b3.view());
-    trsm_right_lower_transposed(l.view(), b4.view());
     ASSERT_TRUE(gemm_force_kernel("scalar"));
     trsm_left_lower_unit(l_unit.view(), s1.view());
     trsm_left_upper(u.view(), s2.view());
     trsm_right_upper(u.view(), s3.view());
     trsm_right_lower_transposed(l.view(), s4.view());
-    EXPECT_TRUE(same_bits(b1.view(), s1.view())) << "left_lower n=" << n;
-    EXPECT_TRUE(same_bits(b2.view(), s2.view())) << "left_upper n=" << n;
-    EXPECT_TRUE(same_bits(b3.view(), s3.view())) << "right_upper n=" << n;
-    EXPECT_TRUE(same_bits(b4.view(), s4.view())) << "right_lower_t n=" << n;
+    for (const std::string& kern : kernels) {
+      Matrix x1 = b1, x2 = b2, x3 = b3, x4 = b4;
+      ASSERT_TRUE(gemm_force_kernel(kern));
+      trsm_left_lower_unit(l_unit.view(), x1.view());
+      trsm_left_upper(u.view(), x2.view());
+      trsm_right_upper(u.view(), x3.view());
+      trsm_right_lower_transposed(l.view(), x4.view());
+      EXPECT_TRUE(same_bits(x1.view(), s1.view()))
+          << kern << " left_lower n=" << n;
+      EXPECT_TRUE(same_bits(x2.view(), s2.view()))
+          << kern << " left_upper n=" << n;
+      EXPECT_TRUE(same_bits(x3.view(), s3.view()))
+          << kern << " right_upper n=" << n;
+      EXPECT_TRUE(same_bits(x4.view(), s4.view()))
+          << kern << " right_lower_t n=" << n;
+    }
   }
 }
 

@@ -7,8 +7,9 @@
 # with scatter and gather on the workers, recursive QR panels and the
 # next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
 # rows (asserts the arrangement search is identical at every thread count),
-# a rerun of the MP and factorization tests with the microkernel pinned to
-# scalar (HETGRID_GEMM_KERNEL=scalar), the repository benchmark's self-test,
+# reruns of the MP and factorization tests with the microkernel pinned to
+# scalar (HETGRID_GEMM_KERNEL=scalar) and, where the dispatch picks avx512,
+# to avx2 as well, the repository benchmark's self-test,
 # the placement server's throughput smoke with its regression gates, a
 # documentation link check, a layering check (src/mp must not build on the
 # simulator), a ThreadSanitizer pass over the concurrent pieces (the exact
@@ -78,7 +79,8 @@ if build-ci/bench/bench_compare --base=build-ci/BENCH_runtime_smoke.json \
 fi
 
 # Gemm microkernel bench + gate: n = 2048 GFLOP/s per kernel (the harness
-# itself asserts that the scalar and avx2 kernels agree bit for bit). The
+# itself asserts that every SIMD kernel agrees with the scalar one bit for
+# bit). The
 # output must match the committed schema, the "identical" column must
 # reproduce the committed baseline exactly (string fields are compared
 # pairwise), wall clock stays within a generous envelope, and the
@@ -96,10 +98,11 @@ if build-ci/bench/bench_compare --base=bench/baselines/bench_gemm_baseline.json 
 fi
 
 # Blocked-trsm bench + gate: the LU panel solve timed as unblocked
-# reference vs blocked scalar vs blocked AVX2 (the harness asserts all
-# three agree bit for bit — this trsm variant preserves the reference's
-# floating-point sequence exactly). Same gate shape as the gemm one:
-# schema, generous wall-clock envelope, and a must-fire injection check.
+# reference vs the blocked solve on each available kernel (the harness
+# asserts all agree bit for bit — this trsm variant preserves the
+# reference's floating-point sequence exactly). Same gate shape as the gemm
+# one: schema, generous wall-clock envelope, and a must-fire injection
+# check.
 build-ci/bench/bench_trsm_kernel --smoke=1 --json=build-ci/BENCH_trsm_smoke.json
 build-ci/bench/bench_compare --check-schema=build-ci/BENCH_trsm_smoke.json \
       --schema=bench/baselines/bench_trsm_schema.json
@@ -137,13 +140,23 @@ if build-ci/bench/bench_compare --base=build-ci/BENCH_rebalance_smoke.json \
 fi
 
 # The MP kernel tests and the factorization tests again with the one
-# microkernel dispatch pinned to the scalar kernel. Kernel choice never
-# changes a computed bit, so they must pass unchanged — proving the scalar
-# tile and the scalar column primitives (which trsm reaches, under LU,
-# Cholesky and QR too) stay correct on AVX2 builders.
-HETGRID_GEMM_KERNEL=scalar ctest --test-dir build-ci --output-on-failure \
-      -j "$NPROC" \
-      -R '^(test_mp|test_runtime_parallel|test_task_graph|test_trsm|test_lu|test_cholesky|test_qr)$'
+# microkernel dispatch pinned to each fallback the default run skips: the
+# scalar kernel always, and the avx2 kernel where the dispatch picked
+# avx512 (the env block of the gemm bench above records its pick). Kernel
+# choice never changes a computed bit, so they must pass unchanged —
+# proving the fallback tiles and column primitives (which trsm reaches,
+# under LU, Cholesky and QR too) stay correct on builders that would never
+# run them. GemmKernel.DispatchReportsAKnownKernel fails if a pin does not
+# take.
+fallbacks=scalar
+if grep -q '"gemm_kernel": "avx512"' build-ci/BENCH_gemm_smoke.json; then
+  fallbacks="scalar avx2"
+fi
+for kernel in $fallbacks; do
+  HETGRID_GEMM_KERNEL=$kernel ctest --test-dir build-ci --output-on-failure \
+        -j "$NPROC" \
+        -R '^(test_mp|test_runtime_parallel|test_task_graph|test_trsm|test_lu|test_cholesky|test_qr)$'
+done
 
 # Repository benchmark self-test: perfbench compiles ../src on its own and
 # calls matrix/ and mp/ entry points directly, so a src/ change that breaks
