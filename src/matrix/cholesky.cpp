@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "matrix/gemm.hpp"
+#include "matrix/gemm_kernel.hpp"
 #include "matrix/trsm.hpp"
 #include "util/rng.hpp"
 
@@ -11,17 +12,20 @@ namespace hetgrid {
 bool cholesky_factor_unblocked(MatrixView a) {
   const std::size_t n = a.rows();
   HG_CHECK(a.cols() == n, "cholesky needs a square matrix");
+  const detail::GemmKernel& kern = detail::active_kernel();
   for (std::size_t k = 0; k < n; ++k) {
     double d = a(k, k);
     for (std::size_t p = 0; p < k; ++p) d -= a(k, p) * a(k, p);
     if (d <= 0.0) return false;
     const double lkk = std::sqrt(d);
     a(k, k) = lkk;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      double x = a(i, k);
-      for (std::size_t p = 0; p < k; ++p) x -= a(i, p) * a(k, p);
-      a(i, k) = x / lkk;
-    }
+    // Column k below the diagonal, down whole columns with the kernel's
+    // primitives: each a(i, k) subtracts a(i, p) * a(k, p) for ascending p
+    // (y + x * (-c) rounds like y - x * c), then divides once by l_kk.
+    double* col = a.data() + (k + 1) + k * a.ld();
+    for (std::size_t p = 0; p < k; ++p)
+      kern.saxpy(col, a.data() + (k + 1) + p * a.ld(), -a(k, p), n - k - 1);
+    kern.col_div(col, lkk, n - k - 1);
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "matrix/gemm.hpp"
+#include "matrix/gemm_kernel.hpp"
 #include "matrix/trsm.hpp"
 
 namespace hetgrid {
@@ -105,14 +106,19 @@ bool lu_factor_nopivot(MatrixView a) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   const std::size_t steps = std::min(m, n);
+  const detail::GemmKernel& kern = detail::active_kernel();
   for (std::size_t k = 0; k < steps; ++k) {
     const double akk = a(k, k);
     if (akk == 0.0) return false;
-    for (std::size_t i = k + 1; i < m; ++i) a(i, k) /= akk;
+    // The multipliers, then each trailing column's update, down whole
+    // columns with the kernel's primitives (y + x * (-c) rounds like
+    // y - x * c).
+    double* lcol = a.data() + (k + 1) + k * a.ld();
+    kern.col_div(lcol, akk, m - k - 1);
     for (std::size_t j = k + 1; j < n; ++j) {
       const double akj = a(k, j);
       if (akj == 0.0) continue;
-      for (std::size_t i = k + 1; i < m; ++i) a(i, j) -= a(i, k) * akj;
+      kern.saxpy(a.data() + (k + 1) + j * a.ld(), lcol, -akj, m - k - 1);
     }
   }
   return true;

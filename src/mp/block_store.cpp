@@ -19,28 +19,53 @@ void BlockStore::put(BlockKey key, Matrix block) {
   blocks_[key] = std::move(block);
 }
 
+void BlockStore::bind(BlockKey key, MatrixView block) {
+  blocks_.insert_or_assign(key, block);
+}
+
+void BlockStore::bind(BlockKey key, ConstMatrixView block) {
+  blocks_.insert_or_assign(key, block);
+}
+
 MatrixView BlockStore::at(BlockKey key) {
   auto it = blocks_.find(key);
   HG_CHECK(it != blocks_.end(), "block (" << key.row << "," << key.col
                                           << ") is not in local memory");
-  return it->second.view();
+  if (auto* m = std::get_if<Matrix>(&it->second)) return m->view();
+  const auto* view = std::get_if<MatrixView>(&it->second);
+  HG_INTERNAL_CHECK(view != nullptr, "block (" << key.row << "," << key.col
+                                               << ") is bound read-only");
+  return *view;
 }
 
-ConstMatrixView BlockStore::at(BlockKey key) const {
+ConstMatrixView BlockStore::read(BlockKey key) const {
   auto it = blocks_.find(key);
   HG_CHECK(it != blocks_.end(), "block (" << key.row << "," << key.col
                                           << ") is not in local memory");
-  return it->second.view();
+  if (const auto* m = std::get_if<Matrix>(&it->second)) return m->view();
+  if (const auto* view = std::get_if<MatrixView>(&it->second)) return *view;
+  return std::get<ConstMatrixView>(it->second);
+}
+
+bool BlockStore::bound(BlockKey key) const {
+  auto it = blocks_.find(key);
+  return it != blocks_.end() && !std::holds_alternative<Matrix>(it->second);
+}
+
+bool BlockStore::read_only(BlockKey key) const {
+  auto it = blocks_.find(key);
+  return it != blocks_.end() &&
+         std::holds_alternative<ConstMatrixView>(it->second);
 }
 
 void BlockStore::erase(BlockKey key) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return;
-  Matrix& m = it->second;
-  if (!m.empty()) {
-    auto& shelf = pool_[shape_key(m.rows(), m.cols())];
+  Matrix* m = std::get_if<Matrix>(&it->second);
+  if (m != nullptr && !m->empty()) {
+    auto& shelf = pool_[shape_key(m->rows(), m->cols())];
     if (shelf.size() < kPoolCapPerShape) {
-      shelf.push_back(std::move(m));
+      shelf.push_back(std::move(*m));
     } else {
       metric_count("block_store.pool_evictions");
     }

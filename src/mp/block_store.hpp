@@ -1,6 +1,6 @@
 // Per-processor distributed block storage.
 //
-// Each processor owns the blocks its distribution assigns to it and holds
+// Each processor holds the blocks its distribution assigns to it and
 // transient copies of blocks it received (broadcast panels). Nothing is
 // shared: the message-passing runtime moves data exclusively through
 // explicit send/receive pairs, so a kernel that "forgets" a communication
@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "matrix/matrix.hpp"
@@ -40,25 +41,39 @@ struct BlockKeyHash {
 };
 
 /// One processor's local memory: a map from global block coordinates to
-/// locally stored block contents. Freed payloads (transient panel copies
-/// erased at step boundaries) are pooled per shape, up to
-/// kPoolCapPerShape each, for acquire(); a step that needs more buffers of
-/// a shape than the pool holds allocates (block_store.pool_misses).
+/// the blocks it holds. A processor's owned blocks are views bound to the
+/// caller's matrices, so the kernels compute on them in place; only
+/// blocks that cross processors own a buffer here: received copies, the
+/// blocks a kernel creates (QR's T, V0, W and Y) and migrated blocks.
+/// Freed buffers (transient copies erased at step boundaries) are pooled
+/// per shape, up to kPoolCapPerShape each, for acquire(); a step that
+/// needs more buffers of a shape than the pool holds allocates
+/// (block_store.pool_misses).
 class BlockStore {
  public:
-  /// Inserts (or overwrites) a block copy; the payload is moved in.
+  /// Inserts (or overwrites) a block buffer; the payload is moved in.
   void put(BlockKey key, Matrix block);
+
+  /// Binds `key` to memory the store does not own (a block of the
+  /// caller's matrix), with no copy: at() writes through to it.
+  void bind(BlockKey key, MatrixView block);
+  /// Binds `key` read-only: at() on it fails an internal check.
+  void bind(BlockKey key, ConstMatrixView block);
 
   /// Mutable access; throws PreconditionError if the block is not local —
   /// the runtime equivalent of dereferencing a remote pointer.
   MatrixView at(BlockKey key);
-  ConstMatrixView at(BlockKey key) const;
+  /// Read access to any local block, read-only bindings included.
+  ConstMatrixView read(BlockKey key) const;
 
   bool contains(BlockKey key) const { return blocks_.count(key) > 0; }
+  /// Whether `key` is a binding rather than a buffer of the store's own.
+  bool bound(BlockKey key) const;
+  /// Whether `key` is bound read-only.
+  bool read_only(BlockKey key) const;
 
-  /// Removes transient copies (received panels) after a step; the payload
-  /// buffer is retained in the shape pool for acquire(). Owned data is
-  /// re-put by the kernels as they update it.
+  /// Removes a block. A buffer is retained in the shape pool for
+  /// acquire(); a binding is just dropped, as its memory is the caller's.
   void erase(BlockKey key);
 
   /// Returns an uninitialized rows x cols block, recycling a pooled buffer
@@ -81,7 +96,10 @@ class BlockStore {
   static constexpr std::size_t kPoolCapPerShape = 8;
 
  private:
-  std::unordered_map<BlockKey, Matrix, BlockKeyHash> blocks_;
+  // A buffer of the store's own, a writable binding, or a read-only one.
+  using Entry = std::variant<Matrix, MatrixView, ConstMatrixView>;
+
+  std::unordered_map<BlockKey, Entry, BlockKeyHash> blocks_;
   // Freed payloads keyed by (rows << 32) ^ cols, at most kPoolCapPerShape
   // each.
   std::unordered_map<std::uint64_t, std::vector<Matrix>> pool_;

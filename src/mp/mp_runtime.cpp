@@ -150,6 +150,13 @@ struct MpContext {
                                      << p << "x" << q);
     if (reb.on())
       loc.assign(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX));
+    // Each store holds its owned blocks of every matrix plus one row and
+    // one column panel of transient copies per step of the window.
+    std::vector<std::size_t> owned(p * q, 0);
+    for (std::size_t bi = 0; bi < nbr; ++bi)
+      for (std::size_t bj = 0; bj < nbc; ++bj) owned[owner_pid(bi, bj)] += tags;
+    for (std::size_t id = 0; id < p * q; ++id)
+      store[id].reserve(owned[id] + kStepWindow * (nbr + nbc));
     graph = std::make_unique<TaskGraph>(opts.threads);
     if (obs != nullptr) graph->set_observe(true);
   }
@@ -256,9 +263,9 @@ struct MpContext {
     fused.ops.push_back(std::move(op));
   }
 
-  /// Queues one zero-weight data op on processor `id` (scatter, gather,
-  /// row swaps, QR's V0 build and W adds), declaring the blocks it reads
-  /// and writes (a block that is read-modify-written belongs in `writes` —
+  /// Queues one zero-weight data op on processor `id` (gather, row swaps,
+  /// QR's V0 build and W adds), declaring the blocks it reads and writes
+  /// (a block that is read-modify-written belongs in `writes` —
   /// the write dependency already serializes it against both the prior
   /// writer and prior readers). Views must be resolved by the caller (on
   /// the host thread) so missing-block errors still surface as clean
@@ -288,7 +295,7 @@ struct MpContext {
   void gemm_op(Work& acc, std::size_t id, int priority, Trans ta, Trans tb,
                double alpha, BlockKey a, BlockKey b, double beta, BlockKey c,
                double units) {
-    const ConstMatrixView av = store[id].at(a), bv = store[id].at(b);
+    const ConstMatrixView av = store[id].read(a), bv = store[id].read(b);
     const MatrixView cv = store[id].at(c);
     stage_op(kGroupProc | id, "mp.gemm", priority,
              {key_of(id, a), key_of(id, b)}, {key_of(id, c)},
@@ -301,7 +308,7 @@ struct MpContext {
   void solve_op(Work& acc, std::size_t id,
                 void (*solve)(const ConstMatrixView&, MatrixView),
                 BlockKey tri, BlockKey rhs, double units) {
-    const ConstMatrixView tv = store[id].at(tri);
+    const ConstMatrixView tv = store[id].read(tri);
     const MatrixView rv = store[id].at(rhs);
     stage_op(kGroupProc | id, "mp.trsm", kPrioSolve, {key_of(id, tri)},
              {key_of(id, rhs)}, [=] { solve(tv, rv); },
@@ -451,21 +458,25 @@ struct MpContext {
   /// Lands a copy of `key` (present at `from`) in `to`'s store, recycling
   /// a pooled buffer when one matches the shape: the copy is queued as a
   /// task reading (from, key) and writing (to, key). When the destination
-  /// already holds the block (a broadcast restoring an owner's blocks, a
-  /// copy onto a live transient), the existing buffer is written in place
-  /// — a put would free a buffer that pending readers may still be using,
-  /// and the write dependency already orders the copy after them. A copy
-  /// that lands the block afresh or on a live transient makes it a
-  /// transient of the current step, or persistent (a migration).
+  /// already holds the block (a broadcast restoring an owner's bound
+  /// blocks, a block migrating back home, a copy onto a live transient),
+  /// the existing block is written in place — a put would free a buffer
+  /// that pending readers may still be using, and the write dependency
+  /// already orders the copy after them. A copy that lands the block
+  /// afresh or on a live transient makes it a transient of the current
+  /// step, or persistent (a migration).
   void copy_block(std::size_t from, std::size_t to, BlockKey key,
                   bool persistent = false) {
-    const ConstMatrixView src = store[from].at(key);
+    const ConstMatrixView src = store[from].read(key);
     const bool absent = !store[to].contains(key);
     if (absent) store[to].put(key, store[to].acquire(src.rows(), src.cols()));
     if (persistent)
       live.erase(key_of(to, key));
     else if (absent || live.count(key_of(to, key)) > 0)
       land(to, key);
+    // A read-only binding is MMM's own A or B block, which nothing writes:
+    // it already holds the values the copy would bring.
+    if (store[to].read_only(key)) return;
     const MatrixView dst = store[to].at(key);
     HG_INTERNAL_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols(),
                       "copy_block into a block of different shape");
@@ -566,81 +577,42 @@ struct MpContext {
   }
 };
 
-// One global matrix to distribute. Its blocks are tagged `which` in the
-// stores (block keys get a row offset of which * nbr) to tell A/B/C
-// apart. `zero` starts every block at 0.0 instead of copying `src`, which
-// then gives only the shape (MMM's C accumulator).
-struct Scattered {
-  std::size_t which;
-  ConstMatrixView src;
-  bool zero = false;
-};
-
-// One block moved between a store and a caller's matrix by a scatter or
-// gather task; `zero` (scatter only) fills dst with 0.0 instead.
-struct BlockCopy {
-  ConstMatrixView src;
-  MatrixView dst;
-  bool zero = false;
-};
-
-// Distributes `mats` to their owners, timing-free as in ScaLAPACK, where
-// data is assumed distributed from the start: no clock, message or trace
-// event moves. The host only allocates each owned block, unwritten; one
-// fused zero-weight mp.scatter task per owner, at communication priority,
-// fills them on the owner's lane, so the owners fill in parallel and step
-// 0's ops start as soon as their own blocks land.
-void scatter(MpContext& ctx, std::initializer_list<Scattered> mats,
+// Distributes matrix `m`, tagged `which` in the stores (block keys get a
+// row offset of which * nbr to tell A/B/C apart), timing-free as in
+// ScaLAPACK, where data is assumed distributed from the start: no clock,
+// message, trace event or task moves, and nothing is copied. Each owner's
+// store binds its blocks to views of `m` itself — read-only when `m` is a
+// ConstMatrixView (MMM's A and B) — and the kernels compute on them in
+// place.
+template <class View>
+void scatter(MpContext& ctx, std::size_t which, const View& m,
              std::size_t nbr, std::size_t nbc) {
-  const std::size_t procs = ctx.p * ctx.q;
-  // Every matrix's owned blocks plus one row and one column panel of
-  // transient copies per step of the window.
-  std::vector<std::size_t> owned(procs, 0);
-  for (std::size_t bi = 0; bi < nbr; ++bi)
-    for (std::size_t bj = 0; bj < nbc; ++bj)
-      owned[ctx.owner_pid(bi, bj)] += mats.size();
-  for (std::size_t id = 0; id < procs; ++id)
-    ctx.store[id].reserve(owned[id] + MpContext::kStepWindow * (nbr + nbc));
-
-  std::vector<std::vector<BlockKey>> keys(procs);
-  std::vector<std::vector<BlockCopy>> copies(procs);
-  for (const Scattered& s : mats) {
-    for (std::size_t bi = 0; bi < nbr; ++bi) {
-      const std::size_t ilo = block_lo(bi, ctx.block);
-      const std::size_t ilen = block_len(bi, ctx.block, s.src.rows());
-      for (std::size_t bj = 0; bj < nbc; ++bj) {
-        const std::size_t jlo = block_lo(bj, ctx.block);
-        const std::size_t jlen = block_len(bj, ctx.block, s.src.cols());
-        const std::size_t id = ctx.owner_pid(bi, bj);
-        const BlockKey key{s.which * nbr + bi, bj};
-        if (s.which < ctx.loc.size())
-          ctx.loc[s.which][bi * ctx.loc_cols + bj] = id;
-        ctx.store[id].put(key, Matrix::uninitialized(ilen, jlen));
-        keys[id].push_back(key);
-        copies[id].push_back(BlockCopy{s.src.block(ilo, jlo, ilen, jlen),
-                                       ctx.store[id].at(key), s.zero});
-      }
+  for (std::size_t bi = 0; bi < nbr; ++bi) {
+    const std::size_t ilo = block_lo(bi, ctx.block);
+    const std::size_t ilen = block_len(bi, ctx.block, m.rows());
+    for (std::size_t bj = 0; bj < nbc; ++bj) {
+      const std::size_t jlo = block_lo(bj, ctx.block);
+      const std::size_t jlen = block_len(bj, ctx.block, m.cols());
+      const std::size_t id = ctx.owner_pid(bi, bj);
+      if (which < ctx.loc.size())
+        ctx.loc[which][bi * ctx.loc_cols + bj] = id;
+      ctx.store[id].bind(BlockKey{which * nbr + bi, bj},
+                         m.block(ilo, jlo, ilen, jlen));
     }
-  }
-  for (std::size_t id = 0; id < procs; ++id) {
-    if (copies[id].empty()) continue;
-    ctx.add_op(id, "mp.scatter", kPrioComm, std::initializer_list<BlockKey>{},
-               keys[id], [copies = std::move(copies[id])] {
-                 for (const BlockCopy& c : copies) {
-                   if (c.zero)
-                     c.dst.fill(0.0);
-                   else
-                     c.dst.copy_from(c.src);
-                 }
-               });
   }
 }
 
-// Copies matrix `which` back into `m` from wherever its blocks finally
-// live: one mp.gather task per holder at communication priority, then
-// finish(), so every write to `m` lands before the run returns.
+// Copies back into `m` the blocks of matrix `which` whose final holder is
+// a buffer rather than `m` itself — the blocks a migration moved off
+// their scatter owner — in one mp.gather task per holder at communication
+// priority. Then finish(), so every write to `m` lands before the run
+// returns: the in-place blocks' last writers included.
 void gather(MpContext& ctx, MatrixView m, std::size_t which,
             std::size_t nbr, std::size_t nbc) {
+  struct BlockCopy {
+    ConstMatrixView src;
+    MatrixView dst;
+  };
   const std::size_t procs = ctx.p * ctx.q;
   std::vector<std::vector<BlockKey>> keys(procs);
   std::vector<std::vector<BlockCopy>> copies(procs);
@@ -648,13 +620,14 @@ void gather(MpContext& ctx, MatrixView m, std::size_t which,
     const std::size_t ilo = block_lo(bi, ctx.block);
     const std::size_t ilen = block_len(bi, ctx.block, m.rows());
     for (std::size_t bj = 0; bj < nbc; ++bj) {
-      const std::size_t jlo = block_lo(bj, ctx.block);
-      const std::size_t jlen = block_len(bj, ctx.block, m.cols());
       const std::size_t id = ctx.location(which, bi, bj);
       const BlockKey key{which * nbr + bi, bj};
+      if (ctx.store[id].bound(key)) continue;  // computed in place
+      const std::size_t jlo = block_lo(bj, ctx.block);
+      const std::size_t jlen = block_len(bj, ctx.block, m.cols());
       keys[id].push_back(key);
       copies[id].push_back(
-          BlockCopy{ctx.store[id].at(key), m.block(ilo, jlo, ilen, jlen)});
+          BlockCopy{ctx.store[id].read(key), m.block(ilo, jlo, ilen, jlen)});
     }
   }
   for (std::size_t id = 0; id < procs; ++id) {
@@ -666,6 +639,19 @@ void gather(MpContext& ctx, MatrixView m, std::size_t which,
                });
   }
   ctx.finish();
+}
+
+// Whether the memory spans of two views, first element to last, intersect.
+bool overlaps(const ConstMatrixView& x, const ConstMatrixView& y) {
+  const auto span = [](const ConstMatrixView& v) {
+    const auto lo = reinterpret_cast<std::uintptr_t>(v.data());
+    const std::size_t len =
+        v.rows() == 0 || v.cols() == 0 ? 0 : (v.cols() - 1) * v.ld() + v.rows();
+    return std::pair{lo, lo + len * sizeof(double)};
+  };
+  const auto [xlo, xhi] = span(x);
+  const auto [ylo, yhi] = span(y);
+  return xlo < yhi && ylo < xhi;
 }
 
 // Element-wise dst += src for the QR W-reduction (runs on the reduction
@@ -711,7 +697,7 @@ void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
     const std::size_t ilen = block_len(bi, block, rows);
     panel.view()
         .block(block_lo(bi, block) - klo, 0, ilen, klen)
-        .copy_from(ctx.store[diag_id].at(BlockKey{kTagA * nbr + bi, k}));
+        .copy_from(ctx.store[diag_id].read(BlockKey{kTagA * nbr + bi, k}));
   }
   factor(panel.view());
   double panel_work = 0.0, panel_units = 0.0;
@@ -843,7 +829,7 @@ void apply_row_swaps(MpContext& ctx, std::size_t k, std::size_t nb,
           reads.push_back(from_key);
         if (std::find(writes.begin(), writes.end(), to_key) == writes.end())
           writes.push_back(to_key);
-        rows.push_back(RowMove{ctx.store[id].at(from_key),
+        rows.push_back(RowMove{ctx.store[id].read(from_key),
                                src[r - klo] % block, ctx.store[id].at(to_key),
                                r % block});
       }
@@ -879,12 +865,17 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   HG_CHECK(a.cols() == n && b.rows() == n && b.cols() == n &&
                c.rows() == n && c.cols() == n,
            "run_mp_mmm needs square same-size A, B, C");
+  // C is computed in place, so its writes must not reach A or B; A and B
+  // may overlap each other, as both are only read.
+  HG_CHECK(!overlaps(c, a) && !overlaps(c, b),
+           "run_mp_mmm computes C in place: C must not overlap A or B");
   const std::size_t nb = block_count(n, block);
   MpContext ctx(machine, dist, block, nb, nb, 3, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  // C's blocks start at zero; the caller's C is never read.
-  scatter(ctx, {{kTagA, a}, {kTagB, b}, {kTagC, c, true}}, nb, nb);
+  scatter(ctx, kTagA, a, nb, nb);
+  scatter(ctx, kTagB, b, nb, nb);
+  scatter(ctx, kTagC, c, nb, nb);
 
   std::vector<double> a_ready(procs), b_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p), col_keys(ctx.q);
@@ -971,14 +962,18 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     // Local updates: C_IJ += A_Ik * B_kJ on owned blocks. Clocks are
     // charged on the host in canonical order; the GEMMs fan out one task
     // lane per processor (each lane reads and writes only its own store).
+    // Step 0 runs with beta = 0: gemm starts each C block from +0.0
+    // without reading it, so the caller's C is never read. No C block has
+    // migrated by then, as the step-0 replan always holds.
     const std::size_t klen = block_len(k, block, n);
+    const double beta = k == 0 ? 0.0 : 1.0;
     for (std::size_t id = 0; id < procs; ++id) {
       Work acc;
       for (std::size_t bi = 0; bi < nb; ++bi) {
         for (std::size_t bj = 0; bj < nb; ++bj) {
           if (ctx.owner_pid(bi, bj) != id) continue;
           ctx.gemm_op(acc, id, kPrioUpdate, Trans::No, Trans::No, 1.0,
-                      {kTagA * nb + bi, k}, {kTagB * nb + k, bj}, 1.0,
+                      {kTagA * nb + bi, k}, {kTagB * nb + k, bj}, beta,
                       {kTagC * nb + bi, bj},
                       costs.update * vol_frac(block_len(bi, block, n),
                                               block_len(bj, block, n), klen,
@@ -1021,7 +1016,7 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, {{kTagA, a}}, nb, nb);
+  scatter(ctx, kTagA, a, nb, nb);
   MpLuReport rep;
   if (pivoted) rep.piv.resize(n);
   bool singular = false;
@@ -1188,7 +1183,7 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, {{kTagA, a}}, nb, nb);
+  scatter(ctx, kTagA, a, nb, nb);
 
   std::vector<double> l_ready(procs), c_ready(procs);
   std::vector<std::vector<BlockKey>> row_keys(ctx.p);
@@ -1277,7 +1272,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
   MpContext ctx(machine, dist, block, nbr, nbc, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
-  scatter(ctx, {{kTagA, a}}, nbr, nbc);
+  scatter(ctx, kTagA, a, nbr, nbc);
   MpQrReport rep;
   rep.tau.reserve(cols);
 
@@ -1364,7 +1359,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       // copy lands and before its pass-1 readers.
       for (std::size_t gj = 0; gj < ctx.q; ++gj) {
         const std::size_t id = ctx.pid(diag.row, gj);
-        const ConstMatrixView dv = ctx.store[id].at(diag_key);
+        const ConstMatrixView dv = ctx.store[id].read(diag_key);
         ctx.put_transient(id, v0_key, ctx.store[id].acquire(dv.rows(), klen));
         const MatrixView v0v = ctx.store[id].at(v0_key);
         ctx.add_op(id, "mp.v0", kPrioSolve, {diag_key}, {v0_key},
@@ -1429,7 +1424,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
               ctx.net.transfer(src, root, 1, ctx.clock[src]);
           ctx.copy_block(src, root, w_key);
           reduce_ready = std::max(reduce_ready, arrival);
-          const ConstMatrixView pv = ctx.store[root].at(w_key);
+          const ConstMatrixView pv = ctx.store[root].read(w_key);
           ctx.add_op(root, "mp.add", kPrioSolve, {w_key}, {w_root_key},
                      [pv, w_root] { add_in_place(pv, w_root); });
         }

@@ -6,13 +6,15 @@
 // touching data:
 //   * every processor has its own BlockStore — data moves only through
 //     VirtualNetwork::transfer, and reading a block that was never sent
-//     throws (catching missing-communication bugs in kernel ports);
+//     throws (catching missing-communication bugs in kernel ports). A
+//     processor's owned blocks are views of the caller's matrices, which
+//     the kernels update in place, as data that starts out distributed;
 //   * there is no global barrier — per-processor clocks advance
 //     independently, ring broadcasts pipeline hop by hop through the
 //     contended network, and later steps' panel broadcasts overlap earlier
 //     steps' updates, exactly as a well-written MPI code behaves;
-//   * numerics are real: the gathered results are verified against the
-//     sequential kernels by the tests.
+//   * numerics are real: the results are verified against the sequential
+//     kernels by the tests.
 //
 // The paper's own MPI experiments live in its companion paper [4]; this
 // runtime is the faithful stand-in (see DESIGN.md's substitution table).
@@ -54,10 +56,18 @@ struct MpLuReport : MpReport {
 };
 
 /// Distributed-memory C = A * B (outer-product algorithm) with square
-/// blocks of `block` elements. A and B are scattered to their owners, the
-/// per-step panels travel by ring broadcasts, and the owned C blocks are
-/// gathered into `c` at the end. C's blocks start at zero on their owners,
-/// so the prior contents of `c` are never read.
+/// blocks of `block` elements. Each processor computes its C blocks in
+/// place in `c` from its blocks of A and B, which it only reads, and the
+/// per-step panels travel by ring broadcasts. The step-0 update overwrites
+/// C, so the prior contents of `c` are never read. C's memory, first
+/// element to last, must not overlap A's or B's (PreconditionError, before
+/// any work); A and B may overlap each other.
+///
+/// Every run_mp_* entry point computes in place: a processor's owned
+/// blocks are views of the caller's matrix, and only blocks that cross
+/// processors are copied (doc/parallel_runtime.md). Bad arguments are
+/// rejected before any work, but a kernel that throws mid-run may leave
+/// its matrix partly updated.
 ///
 /// All run_mp_* entry points execute their real block math through one
 /// util/task_graph keyed by (processor, block): the block-versioned
@@ -65,7 +75,7 @@ struct MpLuReport : MpReport {
 /// steps overlap. `opts.threads` sizes its worker pool (1, the default,
 /// runs every task inline on the caller — the determinism reference),
 /// while every clock, counter, and trace span is computed on the host
-/// thread — the MpReport, the trace, and the gathered matrix are
+/// thread — the MpReport, the trace, and the computed matrix are
 /// bit-identical for any thread count (see doc/parallel_runtime.md).
 MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
                     const ConstMatrixView& a, const ConstMatrixView& b,
@@ -75,8 +85,8 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
                     const RuntimeOptions& opts = {});
 
 /// Distributed-memory right-looking LU without pivoting (diagonally
-/// dominant input required). `a` is scattered, factored, and the packed
-/// L\U factors gathered back into `a`.
+/// dominant input required). `a` is factored in place: on return it holds
+/// the packed L\U factors.
 ///
 /// With `lookahead` enabled, each processor updates the blocks the *next*
 /// panel needs (block column / row k+1) first and defers the rest of its

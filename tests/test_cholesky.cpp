@@ -1,8 +1,12 @@
 // Tests for the Cholesky factorization kernels.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 
+#include "kernel_dispatch.hpp"
 #include "matrix/cholesky.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/norms.hpp"
@@ -125,6 +129,60 @@ TEST(Cholesky, UpperTriangleLeftUntouchedByUnblocked) {
   for (std::size_t j = 1; j < 8; ++j)
     for (std::size_t i = 0; i < j; ++i)
       EXPECT_DOUBLE_EQ(a(i, j), orig(i, j));
+}
+
+// The row-wise loops cholesky_factor_unblocked ran before it moved onto
+// the kernel's column primitives: the bit reference for that move.
+bool cholesky_plain_loops(MatrixView a) {
+  const std::size_t n = a.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    double d = a(k, k);
+    for (std::size_t p = 0; p < k; ++p) d -= a(k, p) * a(k, p);
+    if (d <= 0.0) return false;
+    const double lkk = std::sqrt(d);
+    a(k, k) = lkk;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      double x = a(i, k);
+      for (std::size_t p = 0; p < k; ++p) x -= a(i, p) * a(k, p);
+      a(i, k) = x / lkk;
+    }
+  }
+  return true;
+}
+
+TEST(Cholesky, UnblockedColumnPrimitivesMatchPlainLoopsBitForBit) {
+  // The unblocked factor builds each column with the dispatched kernel's
+  // saxpy and col_div. On every kernel the host accepts it must reproduce
+  // the plain loops bit for bit: on contiguous and strided views (ld = n,
+  // n + 3, and 2048 as for a block of an n = 2048 matrix, the NaN rows
+  // around it untouched), at sizes that reach every vector tail, and on a
+  // non-SPD input, which must fail at the same column with the same
+  // partial bits.
+  KernelGuard guard;
+  const auto same = [](const Matrix& x, const Matrix& y) {
+    return std::memcmp(x.data(), y.data(),
+                       x.rows() * x.cols() * sizeof(double)) == 0;
+  };
+  for (const std::string& name : accepted_kernels()) {
+    ASSERT_TRUE(gemm_force_kernel(name));
+    for (const std::size_t n : {1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 65, 130}) {
+      for (const std::size_t ld : {n, n + 3, std::size_t{2048}}) {
+        for (const bool spd : {true, false}) {
+          SCOPED_TRACE(testing::Message() << name << " n=" << n << " ld="
+                                          << ld << " spd=" << spd);
+          Matrix input = random_spd(n, 300 + n);
+          if (!spd) input(n / 2, n / 2) = -1.0;
+          Matrix want(ld, n, std::nan("")), got = want;
+          want.block(ld - n, 0, n, n).copy_from(input.view());
+          got.block(ld - n, 0, n, n).copy_from(input.view());
+          EXPECT_EQ(cholesky_plain_loops(want.block(ld - n, 0, n, n)), spd);
+          EXPECT_EQ(cholesky_factor_unblocked(got.block(ld - n, 0, n, n)),
+                    spd);
+          EXPECT_TRUE(same(want, got));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

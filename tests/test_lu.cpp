@@ -2,8 +2,12 @@
 // unpivoted) — the sequential reference kernels for the distributed runtime.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
 #include <tuple>
 
+#include "kernel_dispatch.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/lu.hpp"
 #include "matrix/norms.hpp"
@@ -167,6 +171,66 @@ TEST(LuNoPivot, FailsOnZeroLeadingPivot) {
   a(0, 1) = 1.0;
   a(1, 0) = 1.0;
   EXPECT_FALSE(lu_factor_nopivot(a.view()));
+}
+
+// The loops lu_factor_nopivot ran before it moved onto the kernel's
+// column primitives: the bit reference for that move.
+bool lu_nopivot_plain_loops(MatrixView a) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  const std::size_t steps = std::min(m, n);
+  for (std::size_t k = 0; k < steps; ++k) {
+    const double akk = a(k, k);
+    if (akk == 0.0) return false;
+    for (std::size_t i = k + 1; i < m; ++i) a(i, k) /= akk;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      const double akj = a(k, j);
+      if (akj == 0.0) continue;
+      for (std::size_t i = k + 1; i < m; ++i) a(i, j) -= a(i, k) * akj;
+    }
+  }
+  return true;
+}
+
+TEST(LuNoPivot, ColumnPrimitivesMatchPlainLoopsBitForBit) {
+  // lu_factor_nopivot divides the multipliers with the dispatched kernel's
+  // col_div and updates each trailing column with its saxpy. On every
+  // kernel the host accepts it must reproduce the plain loops bit for
+  // bit: on contiguous and strided views (ld = n, n + 3, and 2048 as for
+  // a block of an n = 2048 matrix, the NaN rows around it untouched), at
+  // sizes that reach every vector tail, and on an input whose row n / 2
+  // repeats row 0 up to the diagonal, which must hit its exact zero pivot
+  // at the same step with the same partial bits.
+  KernelGuard guard;
+  const auto same = [](const Matrix& x, const Matrix& y) {
+    return std::memcmp(x.data(), y.data(),
+                       x.rows() * x.cols() * sizeof(double)) == 0;
+  };
+  for (const std::string& name : accepted_kernels()) {
+    ASSERT_TRUE(gemm_force_kernel(name));
+    for (const std::size_t n : {1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 65, 130}) {
+      for (const std::size_t ld : {n, n + 3, std::size_t{2048}}) {
+        for (const bool regular : {true, false}) {
+          SCOPED_TRACE(testing::Message() << name << " n=" << n << " ld="
+                                          << ld << " regular=" << regular);
+          Rng rng(400 + n);
+          Matrix input(n, n);
+          fill_diagonally_dominant(input.view(), rng);
+          if (!regular && n == 1) input(0, 0) = 0.0;
+          if (!regular)
+            for (std::size_t j = 0; j <= n / 2; ++j)
+              input(n / 2, j) = input(0, j);
+          Matrix want(ld, n, std::nan("")), got = want;
+          want.block(ld - n, 0, n, n).copy_from(input.view());
+          got.block(ld - n, 0, n, n).copy_from(input.view());
+          EXPECT_EQ(lu_nopivot_plain_loops(want.block(ld - n, 0, n, n)),
+                    regular);
+          EXPECT_EQ(lu_factor_nopivot(got.block(ld - n, 0, n, n)), regular);
+          EXPECT_TRUE(same(want, got));
+        }
+      }
+    }
+  }
 }
 
 TEST(LuPivots, ApplyPivotsOutOfRangeThrows) {

@@ -3,6 +3,7 @@
 // partial pivoting), Cholesky and QR kernels on top.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <tuple>
 
@@ -231,6 +232,32 @@ TEST(BlockStore, PutGetRoundTrip) {
 TEST(BlockStore, MissingBlockThrows) {
   BlockStore s;
   EXPECT_THROW(s.at({0, 0}), PreconditionError);
+  EXPECT_THROW(s.read({0, 0}), PreconditionError);
+}
+
+TEST(BlockStore, BindingWritesThroughAndIsNeverPooled) {
+  // An owned block is a view of the caller's matrix: writes land there,
+  // and erasing the binding drops it without pooling memory the store
+  // never owned.
+  Matrix caller(4, 4, 1.0);
+  BlockStore s;
+  s.bind({0, 0}, caller.view().block(2, 2, 2, 2));
+  EXPECT_TRUE(s.bound({0, 0}));
+  EXPECT_FALSE(s.read_only({0, 0}));
+  s.at({0, 0})(1, 1) = 5.0;
+  EXPECT_EQ(caller(3, 3), 5.0);
+  s.erase({0, 0});
+  EXPECT_FALSE(s.contains({0, 0}));
+  EXPECT_EQ(s.pooled(), 0u);
+}
+
+TEST(BlockStore, ReadOnlyBindingRefusesWrites) {
+  const Matrix caller(2, 2, 3.0);
+  BlockStore s;
+  s.bind({1, 1}, caller.view());
+  EXPECT_TRUE(s.read_only({1, 1}));
+  EXPECT_EQ(s.read({1, 1})(0, 0), 3.0);
+  EXPECT_THROW(s.at({1, 1}), InternalError);
 }
 
 TEST(BlockStore, EraseRemovesCopy) {
@@ -335,6 +362,47 @@ TEST(MpMmm, RejectsNonSquareInput) {
   const PanelDistribution d = PanelDistribution::block_cyclic(1, 1);
   EXPECT_THROW(run_mp_mmm(m, d, a.view(), b.view(), c.view(), 2),
                PreconditionError);
+}
+
+TEST(MpMmm, RejectsCOverlappingAOrB) {
+  // C is computed in place, so a C whose memory overlaps A or B would
+  // overwrite an operand mid-product. Each case throws before any work
+  // and leaves every input as it was.
+  const std::size_t n = 8;
+  const Machine m{CycleTimeGrid(2, 2, {1, 2, 3, 4}), NetworkModel::free()};
+  const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+  Rng rng(34);
+  Matrix x(n, 2 * n), y(n, n);
+  fill_random(x.view(), rng);
+  fill_random(y.view(), rng);
+  const Matrix x0 = x, y0 = y;
+  const MatrixView left = x.view().block(0, 0, n, n);
+  // C is A itself.
+  EXPECT_THROW(run_mp_mmm(m, d, left, y.view(), left, 4), PreconditionError);
+  // C shares B's last column.
+  EXPECT_THROW(run_mp_mmm(m, d, y.view(), left,
+                          x.view().block(0, n - 1, n, n), 4),
+               PreconditionError);
+  EXPECT_EQ(max_abs_diff(x.view(), x0.view()), 0.0);
+  EXPECT_EQ(max_abs_diff(y.view(), y0.view()), 0.0);
+}
+
+TEST(MpMmm, AAndBMayOverlap) {
+  // A and B are only read, so one matrix may serve as both: A * A
+  // equals the product with a separate copy of A, bit for bit.
+  const std::size_t n = 14;
+  const Machine m{CycleTimeGrid(2, 2, {1, 2, 3, 4}), NetworkModel::free()};
+  const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+  Rng rng(35);
+  Matrix a(n, n);
+  fill_random(a.view(), rng);
+  const Matrix a_copy = a;
+  Matrix squared(n, n), product(n, n);
+  run_mp_mmm(m, d, a.view(), a.view(), squared.view(), 4);
+  run_mp_mmm(m, d, a.view(), a_copy.view(), product.view(), 4);
+  EXPECT_EQ(std::memcmp(squared.data(), product.data(),
+                        n * n * sizeof(double)),
+            0);
 }
 
 TEST(MpMmm, CorrectUnderKalinovLastovetsky) {

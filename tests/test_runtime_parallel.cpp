@@ -1,16 +1,18 @@
 // Tests for the parallel numerics: the message-passing runtime's
 // serial/parallel bit-identity where tests/test_task_graph.cpp does not
-// already pin it (misaligned layouts, threads = 0), the packed GEMM path
-// and its kernel dispatch, and the block-store hash/pool upgrades that ride
-// along with it.
+// already pin it (misaligned layouts, threads = 0, kernels computing in
+// place on sub-views), the packed GEMM path and its kernel dispatch, and
+// the block-store hash/pool upgrades that ride along with it.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 
+#include "core/drift.hpp"
 #include "dist/kalinov_lastovetsky.hpp"
 #include "dist/panel_distribution.hpp"
 #include "kernel_dispatch.hpp"
@@ -240,6 +242,165 @@ TEST(MpParallel, ThreadsZeroMeansAllHardwareThreads) {
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   expect_same_run(run_mmm(machine, dist, 16, 4, 1),
                   run_mmm(machine, dist, 16, 4, 0));
+}
+
+// ----------------------------------------------------- in-place sub-views
+
+// Every kernel computes on the caller's blocks where they lie, so a matrix
+// that is an interior block of a larger one must give the bits of the
+// same run on a contiguous copy, with no write outside it. kPad rows and
+// columns of NaN surround each interior block.
+constexpr std::size_t kPad = 3;
+
+Matrix nan_bordered(const Matrix& m) {
+  Matrix big(m.rows() + 2 * kPad, m.cols() + 2 * kPad, std::nan(""));
+  big.block(kPad, kPad, m.rows(), m.cols()).copy_from(m.view());
+  return big;
+}
+
+MatrixView interior(Matrix& big) {
+  return big.block(kPad, kPad, big.rows() - 2 * kPad, big.cols() - 2 * kPad);
+}
+
+bool border_all_nan(const Matrix& big) {
+  for (std::size_t j = 0; j < big.cols(); ++j) {
+    for (std::size_t i = 0; i < big.rows(); ++i) {
+      const bool inside = i >= kPad && i + kPad < big.rows() && j >= kPad &&
+                          j + kPad < big.cols();
+      if (!inside && !std::isnan(big(i, j))) return false;
+    }
+  }
+  return true;
+}
+
+struct InPlaceRun {
+  MpReport report;
+  std::vector<double> tau;         // QR only
+  std::vector<std::size_t> piv;    // pivoted LU only
+};
+
+// Runs `kernel` in place on `x` (MMM: c = x * y) at block 4 on a uniform
+// 2x2 grid, where a planted straggler alone decides any migration.
+InPlaceRun run_in_place(const std::string& kernel, MatrixView x,
+                        const ConstMatrixView& y, MatrixView c,
+                        const RuntimeOptions& opts) {
+  const Machine machine{CycleTimeGrid(2, 2, std::vector<double>(4, 1.0)),
+                        NetworkModel{Topology::kSwitched, 1.0e-4, 2.0e-4,
+                                     true}};
+  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
+  const std::size_t block = 4;
+  InPlaceRun run;
+  if (kernel == "mmm") {
+    run.report =
+        run_mp_mmm(machine, dist, x, y, c, block, {}, nullptr, opts);
+  } else if (kernel == "lu") {
+    run.report =
+        run_mp_lu(machine, dist, x, block, {}, false, nullptr, opts);
+  } else if (kernel == "lu-pivoted") {
+    const MpLuReport rep =
+        run_mp_lu_pivoted(machine, dist, x, block, {}, nullptr, opts);
+    run.report = rep;
+    run.piv = rep.piv;
+  } else if (kernel == "chol") {
+    run.report = run_mp_cholesky(machine, dist, x, block, {}, nullptr, opts);
+  } else {
+    const MpQrReport rep =
+        run_mp_qr(machine, dist, x, block, {}, nullptr, opts);
+    run.report = rep;
+    run.tau = rep.tau;
+  }
+  return run;
+}
+
+TEST(MpInPlace, SubViewsMatchContiguousRunsAndKeepTheirBorder) {
+  // n = 30 at block 4 leaves a ragged last block. Each kernel runs at
+  // threads {1, 2, 7}, and all but pivoted LU (which rejects
+  // rebalancing) once more under a 4x straggler from step 2 with panel
+  // rebalancing, so that blocks migrate mid-run and the migrated ones are
+  // copied back; MMM's rings then also reach stale read-only views of A
+  // and B blocks that migrated off their first owner. The caller's C
+  // starts all NaN: it is never read.
+  const std::size_t n = 30;
+  for (const std::string kernel :
+       {"mmm", "lu", "lu-pivoted", "chol", "qr"}) {
+    const std::size_t rows = kernel == "qr" ? n + 5 : n;
+    Rng rng(61);
+    Matrix x(rows, n), y(n, n);
+    if (kernel == "lu")
+      fill_diagonally_dominant(x.view(), rng);
+    else if (kernel == "chol")
+      fill_spd(x.view(), rng);
+    else
+      fill_random(x.view(), rng);
+    fill_random(y.view(), rng);
+
+    std::vector<RuntimeOptions> configs;
+    for (unsigned threads : {1u, 2u, 7u}) {
+      configs.emplace_back();
+      configs.back().threads = threads;
+    }
+    if (kernel != "lu-pivoted") {
+      RuntimeOptions straggler;
+      straggler.threads = 2;
+      straggler.rebalance = RuntimeOptions::Rebalance::kPanel;
+      straggler.trace = CycleTimeTrace::straggler({0, 1}, 4.0, 2);
+      straggler.estimator.alpha = 1.0;
+      straggler.estimator.min_samples = 1;
+      configs.push_back(straggler);
+    }
+    Matrix unmoved;  // the static serial result
+    for (const RuntimeOptions& opts : configs) {
+      const bool rebalanced =
+          opts.rebalance == RuntimeOptions::Rebalance::kPanel;
+      SCOPED_TRACE(testing::Message() << kernel << " threads=" << opts.threads
+                                      << " rebalanced=" << rebalanced);
+      Matrix x_flat = x, c_flat(n, n, std::nan(""));
+      RuntimeOptions serial = opts;
+      serial.threads = 1;
+      const InPlaceRun want = run_in_place(kernel, x_flat.view(), y.view(),
+                                           c_flat.view(), serial);
+      const Matrix& flat = kernel == "mmm" ? c_flat : x_flat;
+      if (unmoved.empty()) {
+        unmoved = flat;
+        if (kernel == "mmm") {
+          // Each element's chain runs over k ascending from +0.0, as in
+          // one sequential gemm; a NaN read from C would survive.
+          Matrix product(n, n);
+          gemm(Trans::No, Trans::No, 1.0, x.view(), y.view(), 0.0,
+               product.view());
+          EXPECT_TRUE(same_bits(product.view(), unmoved.view()));
+        }
+      }
+
+      Matrix x_big = nan_bordered(x), y_big = nan_bordered(y);
+      Matrix c_big = nan_bordered(Matrix(n, n, std::nan("")));
+      const InPlaceRun got = run_in_place(kernel, interior(x_big),
+                                          interior(y_big), interior(c_big),
+                                          opts);
+      Matrix& big = kernel == "mmm" ? c_big : x_big;
+      EXPECT_TRUE(same_bits(flat.view(), interior(big)));
+      if (kernel == "mmm") {
+        EXPECT_TRUE(same_bits(x.view(), interior(x_big)));
+        EXPECT_TRUE(same_bits(y.view(), interior(y_big)));
+      }
+      EXPECT_TRUE(border_all_nan(x_big));
+      EXPECT_TRUE(border_all_nan(y_big));
+      EXPECT_TRUE(border_all_nan(c_big));
+      EXPECT_EQ(got.tau, want.tau);
+      EXPECT_EQ(got.piv, want.piv);
+      expect_same_report(want.report, got.report);
+      if (rebalanced) {
+        // Migration only moves blocks, so the copied-back result is the
+        // static run's; QR regroups its W reduction by the new grid rows.
+        EXPECT_GE(got.report.rebalance_blocks, 1u);
+        if (kernel == "qr") {
+          EXPECT_LE(max_abs_diff(unmoved.view(), interior(big)), 1e-8);
+        } else {
+          EXPECT_TRUE(same_bits(unmoved.view(), interior(big)));
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------- gemm paths

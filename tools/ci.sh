@@ -4,8 +4,8 @@
 # smoke run of the runtime-scaling bench (crosses the message-passing
 # runtime's serial/threaded seam and asserts bit-identity), the same bench's
 # four kernels at n = 2048 on 1 and 4 threads (bit-identity at block 128,
-# with scatter and gather on the workers, recursive QR panels and the
-# next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
+# with the owned blocks computed in place inside the caller's 2048-row
+# matrices, recursive QR panels and the next-panel lookahead; untimed), the exact-solver bench's 3x3 and 3x4
 # rows (asserts the arrangement search is identical at every thread count),
 # reruns of the MP and factorization tests with the microkernel pinned to
 # scalar (HETGRID_GEMM_KERNEL=scalar) and, where the dispatch picks avx512,
@@ -39,8 +39,9 @@ build-ci/bench/bench_runtime_scaling --smoke=1 --json=build-ci/BENCH_runtime_smo
 
 # Identity at real size: the smoke's n = 32, block 8 only reaches QR's
 # base-case panels and small blocks, so every kernel runs at n = 2048,
-# block 128 as well (the owners' scatter and gather tasks, recursive QR
-# host panels, next-panel columns split out of the fused trailing update).
+# block 128 as well (owned blocks computed in place at a leading dimension
+# of 2048, recursive QR host panels, next-panel columns split out of the
+# fused trailing update).
 # Its times are not gated; the harness throws unless 4 threads reproduce
 # the serial MpReport, tau and matrix bits and the block-pool counters
 # (the transient lifecycle under the step window).
