@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "matrix/gemm.hpp"
+#include "matrix/gemm_kernel.hpp"
 #include "matrix/trsm.hpp"
 
 namespace hetgrid {
@@ -52,12 +53,15 @@ void dot_rows_n(const double* const* x, std::size_t n, const double* y,
 
 // Applies the reflector H = I - tau * v v^T (v stored in col k of `qr`
 // below the diagonal, v[k] = 1 implicit — the diagonal is never read) to
-// every column of `target`, rows k..m, four columns at a time.
+// every column of `target`, rows k..m, four columns at a time. Each
+// column's rank-1 update below row k is the dispatched kernel's saxpy
+// with the coefficient negated (y + v * (-w) rounds like y - v * w).
 void apply_reflector(const ConstMatrixView& qr, std::size_t k, double tau,
                      MatrixView target) {
   if (tau == 0.0) return;
   const std::size_t m = qr.rows();
   const double* v = qr.data() + k * qr.ld();
+  const detail::GemmKernel& kern = detail::active_kernel();
   for (std::size_t j0 = 0; j0 < target.cols(); j0 += 4) {
     const std::size_t cnt = std::min<std::size_t>(4, target.cols() - j0);
     double* c[4];
@@ -70,7 +74,7 @@ void apply_reflector(const ConstMatrixView& qr, std::size_t k, double tau,
     for (std::size_t q = 0; q < cnt; ++q) {
       w[q] *= tau;
       c[q][k] -= w[q];
-      for (std::size_t r = k + 1; r < m; ++r) c[q][r] -= v[r] * w[q];
+      kern.saxpy(c[q] + k + 1, v + k + 1, -w[q], m - k - 1);
     }
   }
 }
@@ -79,6 +83,7 @@ void apply_reflector(const ConstMatrixView& qr, std::size_t k, double tau,
 void factor_columns(MatrixView a, double* tau) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
+  const detail::GemmKernel& kern = detail::active_kernel();
   for (std::size_t k = 0; k < n; ++k) {
     // Build the Householder vector for column k.
     double norm2 = 0.0;
@@ -92,9 +97,8 @@ void factor_columns(MatrixView a, double* tau) {
     const double beta = (alpha >= 0.0) ? -norm : norm;
     const double v0 = alpha - beta;
     tau[k] = -v0 / beta;  // == (beta - alpha)/beta, in (0, 2]
-    // Normalize so v[k] = 1.
-    double* const col = a.data() + k * a.ld();
-    for (std::size_t i = k + 1; i < m; ++i) col[i] /= v0;
+    // Normalize so v[k] = 1, with the dispatched kernel's divide.
+    kern.col_div(a.data() + (k + 1) + k * a.ld(), v0, m - k - 1);
     a(k, k) = beta;
     if (k + 1 < n)
       apply_reflector(a, k, tau[k], a.block(0, k + 1, m, n - (k + 1)));

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "core/rebalance.hpp"
@@ -80,8 +81,10 @@ struct Work {
 // block serializes in emission order (WAW), so the arithmetic is
 // bit-identical to the graph's serial inline mode (one thread) for any
 // thread count. The host synchronizes only where it does inline math
-// (host_sync), at finish(), and to keep emission within kStepWindow steps
-// of the workers (set_step).
+// (host_sync: the LU and Cholesky diagonal blocks, pivoted LU's gathered
+// panel), at finish(), and to keep emission within kStepWindow steps of
+// the workers (set_step). QR's gathered panel is a task like any other,
+// so a QR run's host never syncs before finish().
 //
 // Clocks, busy times, message counters, and trace spans are computed
 // exclusively on the host thread and never depend on the execution
@@ -173,7 +176,10 @@ struct MpContext {
     if (k < kStepWindow) return;
     // Not an mp.barriers tick: the host takes no key ownership here.
     metric_count("mp.window_waits", 1);
-    graph->wait_below(step_mark[k - kStepWindow + 1]);
+    {
+      ProfScope span("mp.window_wait");
+      graph->wait_below(step_mark[k - kStepWindow + 1]);
+    }
     const std::size_t retired = k - kStepWindow;
     while (!transients.empty() && transients.front().step == retired) {
       const Transient t = transients.front();
@@ -315,6 +321,20 @@ struct MpContext {
              book(acc, id, units), id);
   }
 
+  /// Queues `fn` on processor `id` as a task of its own, writing `writes`
+  /// and weighing `weight` virtual seconds: the open fusion group goes to
+  /// the graph first and nothing fuses into this task, so it waits for no
+  /// op that happens to share its group. QR's panel factorization is one.
+  void add_task(std::size_t id, const char* name, int priority,
+                const std::vector<BlockKey>& writes, std::function<void()> fn,
+                double weight) {
+    flush_fused();
+    std::vector<TaskGraph::Key> w;
+    w.reserve(writes.size());
+    for (const BlockKey& k : writes) w.push_back(key_of(id, k));
+    graph->add(name, {}, std::move(w), std::move(fn), priority, weight, id);
+  }
+
   /// Adds `units` of work on `id` to `acc`; returns its seconds.
   double book(Work& acc, std::size_t id, double units) const {
     const double seconds = cycle_time(id) * units;
@@ -331,6 +351,7 @@ struct MpContext {
   /// these host synchronization points (plus finish()), on the host thread,
   /// so it is deterministic for any thread count.
   void host_sync(std::size_t id, const std::vector<BlockKey>& keys) {
+    ProfScope span("mp.host_sync");
     flush_fused();
     metric_count("mp.barriers", 1);
     std::vector<TaskGraph::Key> w;
@@ -343,6 +364,7 @@ struct MpContext {
   /// once the copy-out tasks are queued; the last steps' transients die
   /// with the stores.
   void finish() {
+    ProfScope span("mp.finish");
     flush_fused();
     metric_count("mp.barriers", 1);
     graph->wait_all();
@@ -498,9 +520,14 @@ struct MpContext {
   /// position `src_pos`) along `line`, starting no earlier than `start`.
   /// `ready[id]` is updated with the time the bundle is fully available at
   /// each processor of the line; copies land in the receivers' stores.
+  /// Each hop is one priced message. Its block copies fuse into one task
+  /// unless `fuse_hop` is false: then each copy is a task of its own, so
+  /// a block goes on as soon as it is written, not once the whole bundle
+  /// is (QR's Y ring, whose next-panel block would otherwise wait for the
+  /// bulk update's).
   void ring_broadcast(GridLine line, std::size_t src_pos,
                       const std::vector<BlockKey>& keys, double start,
-                      std::vector<double>& ready) {
+                      std::vector<double>& ready, bool fuse_hop = true) {
     const std::size_t src = line.at(src_pos);
     ready[src] = std::max(ready[src], start);
     if (line.len == 1 || keys.empty()) return;
@@ -509,7 +536,10 @@ struct MpContext {
       const std::size_t from = line.at((src_pos + hop - 1) % line.len);
       const std::size_t to = line.at((src_pos + hop) % line.len);
       const double arrival = net.transfer(from, to, keys.size(), upstream);
-      for (const BlockKey& k : keys) copy_block(from, to, k);
+      for (const BlockKey& k : keys) {
+        copy_block(from, to, k);
+        if (!fuse_hop) flush_fused();
+      }
       ready[to] = std::max(ready[to], arrival);
       upstream = arrival;
     }
@@ -662,57 +692,72 @@ void add_in_place(const ConstMatrixView& src, MatrixView dst) {
     for (std::size_t i = 0; i < dst.rows(); ++i) dst(i, j) += src(i, j);
 }
 
-// The gathered panel phase shared by QR and pivoted LU. Block column k's
-// panel (block rows [k, nbr) of A, all in grid column diag.col) is gathered
-// to the diagonal owner `diag_id` — off-owner blocks take one feeder hop
-// each — then factored there on the host by `factor`, written back into the
-// owner's copies, and charged `weight` (a KernelCosts entry) per panel
-// block. All panel arithmetic is serial host-side math, so the factors are
-// bit-identical for any thread count. The host waits only for the ops
-// touching the panel blocks at the diagonal owner (the feeder copies and
-// the owner's own previous trailing updates); everything else keeps
-// running. `keys` receives the panel's block keys for the ring back down
-// the grid column, which the caller sends.
-template <class Factor>
-void factor_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
-                  std::size_t rows, std::size_t klen, std::size_t diag_id,
-                  double weight, std::vector<BlockKey>& keys,
-                  Factor&& factor) {
-  const std::size_t block = ctx.block;
-  const std::size_t klo = block_lo(k, block);
-  double gather_ready = ctx.clock[diag_id];
+// The gathered panel shared by QR and pivoted LU. Block column k's panel
+// (block rows [k, nbr) of A, all in grid column diag.col) travels to the
+// diagonal owner `diag_id`, one feeder hop per off-owner block. `keys`
+// receives the panel's block keys, for the factor's dependencies and for
+// the ring back down the grid column, which the caller sends. Returns the
+// virtual time the whole panel is at the owner.
+double gather_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
+                    std::size_t diag_id, std::vector<BlockKey>& keys) {
+  double ready = ctx.clock[diag_id];
   keys.clear();
   for (std::size_t bi = k; bi < nbr; ++bi) {
     const std::size_t from = ctx.owner_pid(bi, k);
-    const double arrival = ctx.feeder(from, diag_id,
-                                      BlockKey{kTagA * nbr + bi, k},
-                                      ctx.clock[from]);
-    gather_ready = std::max(gather_ready, arrival);
-    keys.push_back(BlockKey{kTagA * nbr + bi, k});
+    const BlockKey key{kTagA * nbr + bi, k};
+    ready = std::max(ready, ctx.feeder(from, diag_id, key, ctx.clock[from]));
+    keys.push_back(key);
   }
+  return ready;
+}
 
-  ctx.host_sync(diag_id, keys);
-  Matrix panel = Matrix::uninitialized(rows - klo, klen);
-  for (std::size_t bi = k; bi < nbr; ++bi) {
-    const std::size_t ilen = block_len(bi, block, rows);
-    panel.view()
-        .block(block_lo(bi, block) - klo, 0, ilen, klen)
-        .copy_from(ctx.store[diag_id].read(BlockKey{kTagA * nbr + bi, k}));
+// The gathered panel's blocks at its diagonal owner, resolved on the host
+// and stacked in block-row order as the rows of one contiguous panel.
+struct PanelStack {
+  std::vector<MatrixView> blocks;
+  std::size_t rows = 0, cols = 0;
+
+  PanelStack(MpContext& ctx, std::size_t diag_id,
+             const std::vector<BlockKey>& keys) {
+    for (const BlockKey& key : keys) {
+      blocks.push_back(ctx.store[diag_id].at(key));
+      HG_INTERNAL_CHECK(blocks.size() == 1 || blocks.back().cols() == cols,
+                        "gathered panel blocks differ in width");
+      cols = blocks.back().cols();
+      rows += blocks.back().rows();
+    }
   }
-  factor(panel.view());
-  double panel_work = 0.0, panel_units = 0.0;
-  for (std::size_t bi = k; bi < nbr; ++bi) {
-    const std::size_t ilen = block_len(bi, block, rows);
-    ctx.store[diag_id]
-        .at(BlockKey{kTagA * nbr + bi, k})
-        .copy_from(
-            panel.view().block(block_lo(bi, block) - klo, 0, ilen, klen));
-    panel_units += weight * vol_frac(ilen, klen, klen, block);
-    panel_work +=
-        ctx.cycle_time(diag_id) * weight * vol_frac(ilen, klen, klen, block);
+  /// The blocks, stacked into `panel` (rows x cols).
+  void copy_to(MatrixView panel) const {
+    std::size_t r = 0;
+    for (const MatrixView& b : blocks) {
+      panel.block(r, 0, b.rows(), cols).copy_from(b);
+      r += b.rows();
+    }
   }
-  ctx.host_work(diag_id, gather_ready, keys, panel_work, panel_units, "panel",
-                ObsOp::kPanel);
+  /// `panel` (rows x cols) written back into the blocks.
+  void copy_from(const ConstMatrixView& panel) const {
+    std::size_t r = 0;
+    for (const MatrixView& b : blocks) {
+      b.copy_from(panel.block(r, 0, b.rows(), cols));
+      r += b.rows();
+    }
+  }
+};
+
+// The gathered panel's virtual work at the diagonal owner: `weight` (a
+// KernelCosts entry) per panel block, summed down the block rows.
+Work panel_work(const MpContext& ctx, std::size_t k, std::size_t nbr,
+                std::size_t rows, std::size_t klen, std::size_t diag_id,
+                double weight) {
+  Work w;
+  for (std::size_t bi = k; bi < nbr; ++bi) {
+    const double frac =
+        vol_frac(block_len(bi, ctx.block, rows), klen, klen, ctx.block);
+    w.units += weight * frac;
+    w.seconds += ctx.cycle_time(diag_id) * weight * frac;
+  }
+  return w;
 }
 
 // The diagonal phase shared by LU and Cholesky at step k. The host waits
@@ -734,7 +779,12 @@ bool diagonal_phase(MpContext& ctx, std::size_t k, std::size_t nb,
   const std::size_t diag_id = ctx.pid(diag.row, diag.col);
   const BlockKey diag_key{kTagA * nb + k, k};
   ctx.host_sync(diag_id, {diag_key});
-  if (!factor(ctx.store[diag_id].at(diag_key))) return false;
+  bool factored;
+  {
+    ProfScope span("mp.host_factor");
+    factored = factor(ctx.store[diag_id].at(diag_key));
+  }
+  if (!factored) return false;
   const double units = weight * vol_frac(klen, klen, klen, block);
   ctx.host_work(diag_id, 0.0, {diag_key}, ctx.cycle_time(diag_id) * units,
                 units, "panel", ObsOp::kPanel);
@@ -1041,12 +1091,27 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
     if (pivoted) {
       // --- Pivoted panel phase: the whole panel column is gathered to the
       // diagonal owner, factored there with partial pivoting, and ringed
-      // back down its grid column (run_mp_qr's panel sequence).
+      // back down its grid column (run_mp_qr's gather). The factor is
+      // host math: its pivots decide the row interchanges emitted below.
+      // The host waits only for the ops touching the panel blocks at the
+      // diagonal owner (the feeder copies and the owner's own previous
+      // trailing updates); everything else keeps running.
+      const double gather_ready =
+          gather_panel(ctx, k, nb, diag_id, panel_keys);
+      ctx.host_sync(diag_id, panel_keys);
       LuResult pres;
-      factor_panel(ctx, k, nb, n, klen, diag_id, costs.panel_factor,
-                   panel_keys, [&pres](MatrixView panel) {
-                     pres = lu_factor_unblocked(panel);
-                   });
+      {
+        ProfScope span("mp.host_factor");
+        const PanelStack stack(ctx, diag_id, panel_keys);
+        Matrix panel = Matrix::uninitialized(stack.rows, stack.cols);
+        stack.copy_to(panel.view());
+        pres = lu_factor_unblocked(panel.view());
+        stack.copy_from(panel.view());
+      }
+      const Work pw =
+          panel_work(ctx, k, nb, n, klen, diag_id, costs.panel_factor);
+      ctx.host_work(diag_id, gather_ready, panel_keys, pw.seconds, pw.units,
+                    "panel", ObsOp::kPanel);
       singular = singular || pres.singular;
       const std::size_t klo = block_lo(k, block);
       swap_src.resize(n - klo);
@@ -1269,12 +1334,16 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
            "run_mp_qr requires an aligned (grid-pattern) distribution");
   const std::size_t nbr = block_count(rows, block);
   const std::size_t nbc = block_count(cols, block);
+  // The panel tasks write tau and factor in one contiguous buffer, both
+  // allocated here, once: declared before the context, whose graph drains
+  // before they die on every exit, a throw during emission included.
+  MpQrReport rep;
+  rep.tau.assign(cols, 0.0);
+  Matrix panel_buf = Matrix::uninitialized(rows, std::min(block, cols));
   MpContext ctx(machine, dist, block, nbr, nbc, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
   scatter(ctx, kTagA, a, nbr, nbc);
-  MpQrReport rep;
-  rep.tau.reserve(cols);
 
   std::vector<double> col_ready(procs), v_ready(procs), y_ready(procs);
   std::vector<Work> acc(procs);
@@ -1306,28 +1375,56 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       contrib[ctx.owner(bi, k).row] = 1;
 
     // --- Gather the column panel to the diagonal owner and factor it there
-    // on the host; the factorization also builds the block-reflector factor
-    // T when a trailing update will need it.
+    // in one task on the owner's lane, which also builds the block-
+    // reflector factor T when a trailing update will need it. The task
+    // depends on the feeder copies and the owner's previous updates of
+    // the panel blocks, so it runs while the rest of the previous step's
+    // trailing update keeps the other workers busy. Its record weighs the
+    // panel and t-form charges together.
     const bool has_trailing = k + 1 < nbc;
-    Matrix t;
     std::vector<BlockKey> panel_keys;
-    factor_panel(ctx, k, nbr, rows, klen, diag_id, costs.qr_factor,
-                 panel_keys, [&](MatrixView pv) {
-                   const QrResult pres =
-                       qr_factor(pv, has_trailing ? &t : nullptr);
-                   rep.tau.insert(rep.tau.end(), pres.tau.begin(),
-                                  pres.tau.end());
-                 });
-
+    const double gather_ready = gather_panel(ctx, k, nbr, diag_id, panel_keys);
+    const Work pw =
+        panel_work(ctx, k, nbr, rows, klen, diag_id, costs.qr_factor);
+    ctx.compute(diag_id, gather_ready, pw.seconds, "panel", ObsOp::kPanel,
+                pw.units);
+    Work tw;
+    std::optional<MatrixView> t_view;
+    std::vector<BlockKey> writes = panel_keys;
     if (has_trailing) {
       // T, kept at the diagonal owner and shipped along grid row diag.row
       // with the V panel below.
-      ctx.put_transient(diag_id, t_key, std::move(t));
-      const double t_units =
-          costs.qr_update * vol_frac(klen, klen, klen, block);
-      ctx.host_work(diag_id, 0.0, {t_key}, ctx.cycle_time(diag_id) * t_units,
-                    t_units, "t-form", ObsOp::kAux);
+      ctx.put_transient(diag_id, t_key, ctx.store[diag_id].acquire(klen, klen));
+      t_view = ctx.store[diag_id].at(t_key);
+      writes.push_back(t_key);
+      tw.units = costs.qr_update * vol_frac(klen, klen, klen, block);
+      tw.seconds = ctx.cycle_time(diag_id) * tw.units;
+      ctx.compute(diag_id, 0.0, tw.seconds, "t-form", ObsOp::kAux, tw.units);
     }
+    // Every shape is checked here, so the task cannot throw. Panel k + 1
+    // reads what this step's updates wrote with this panel's T, so the
+    // tasks of consecutive steps never share the buffer at once.
+    const PanelStack stack(ctx, diag_id, panel_keys);
+    HG_INTERNAL_CHECK(stack.rows == rows - block_lo(k, block) &&
+                          stack.cols == klen && stack.rows >= klen &&
+                          stack.rows * klen <= panel_buf.rows() *
+                                                   panel_buf.cols() &&
+                          (!t_view || (t_view->rows() == klen &&
+                                       t_view->cols() == klen)),
+                      "QR panel shapes disagree at step " << k);
+    const MatrixView pv(panel_buf.data(), stack.rows, klen, stack.rows);
+    double* const tau = rep.tau.data() + block_lo(k, block);
+    ctx.add_task(diag_id, "mp.qr_panel", kPrioPanel, writes,
+                 [stack, pv, tau, t_view] {
+                   stack.copy_to(pv);
+                   Matrix t;
+                   const QrResult res =
+                       qr_factor(pv, t_view ? &t : nullptr);
+                   stack.copy_from(pv);
+                   std::copy(res.tau.begin(), res.tau.end(), tau);
+                   if (t_view) t_view->copy_from(t.view());
+                 },
+                 pw.seconds + tw.seconds);
 
     // --- Send the factored panel back down the owner grid column (also
     // restores the owners' blocks, so this runs even at the last step).
@@ -1445,10 +1542,13 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       for (std::size_t bj = k + 1; bj < nbc; ++bj)
         col_keys[ctx.owner(k, bj).col].push_back(
             BlockKey{kTagY * nbr + bj, k});
+      // One copy task per Y block, so column k + 1's Y travels as soon as
+      // it is formed, without the bulk pass 1 of the other columns.
       for (std::size_t gj = 0; gj < ctx.q; ++gj) {
         if (col_keys[gj].empty()) continue;
         ctx.ring_broadcast(ctx.grid_col(gj), diag.row, col_keys[gj],
-                           ctx.clock[ctx.pid(diag.row, gj)], y_ready);
+                           ctx.clock[ctx.pid(diag.row, gj)], y_ready,
+                           /*fuse_hop=*/false);
       }
 
       // --- Pass 2: C -= V * Y on every owned trailing block.

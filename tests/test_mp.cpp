@@ -18,6 +18,7 @@
 #include "mp/block_store.hpp"
 #include "mp/mp_runtime.hpp"
 #include "mp/virtual_network.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -889,6 +890,48 @@ TEST(MpQr, MatchesSequentialFactors) {
   }
 }
 
+TEST(MpQr, PanelRunsWithoutHostSync) {
+  // QR's gathered panel is a worker task, so the host never waits on the
+  // graph before the final drain: "mp.barriers" reads 1 at every thread
+  // count, on an even n and a ragged one (22 = 4 * 5 + 2), and every
+  // thread count reproduces the serial run's matrix and tau bit for bit.
+  const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
+  const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+  const Machine m{g, {Topology::kSwitched, 1e-4, 2e-4, true}};
+  for (const auto& [n, block] : {std::pair<std::size_t, std::size_t>{24, 4},
+                                {22, 5}}) {
+    Rng rng(65 + n);
+    Matrix orig(n, n);
+    fill_random(orig.view(), rng);
+    Matrix serial_out;
+    std::vector<double> serial_tau;
+    for (const unsigned threads : {1u, 2u, 7u}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads);
+      RuntimeOptions opts;
+      opts.threads = threads;
+      Matrix a = orig;
+      MetricsRegistry reg;
+      MetricsRegistry* prev = install_metrics(&reg);
+      const MpQrReport rep =
+          run_mp_qr(m, d, a.view(), block, KernelCosts{}, nullptr, opts);
+      install_metrics(prev);
+      EXPECT_EQ(reg.counter("mp.barriers").value(), 1u);
+      ASSERT_EQ(rep.tau.size(), n);
+      if (threads == 1) {
+        serial_out = a;
+        serial_tau = rep.tau;
+        continue;
+      }
+      EXPECT_EQ(
+          std::memcmp(a.data(), serial_out.data(), n * n * sizeof(double)),
+          0);
+      EXPECT_EQ(std::memcmp(rep.tau.data(), serial_tau.data(),
+                            n * sizeof(double)),
+                0);
+    }
+  }
+}
+
 TEST(MpQr, ChargesMoreThanLuOnSameMachine) {
   const std::size_t n = 24, block = 4;
   Rng rng(14);
@@ -966,6 +1009,70 @@ TEST(MpAccounting, BusyMatchesSimulatorBitForBit) {
   fill_random(b.view(), rng);
   EXPECT_EQ(run_mp_mmm(m2, kl, a.view(), b.view(), c.view(), block).busy,
             simulate_mmm(m2, kl, nb).busy);
+}
+
+TEST(MpModel, MakespanRelationsToTheSimulatorHoldOnRandomMachines) {
+  // The relations between the two backends' virtual makespans, on seeded
+  // random 2x2 to 4x4 machines (nb 6-12, block 4, block-cyclic or
+  // heuristic, free, switched or Ethernet network):
+  // - MMM never exceeds simulate_mmm and, with no network cost, matches
+  //   it within 1e-4 (the runtime's hop-by-hop rings can only save time
+  //   against the simulator's per-step broadcast charge);
+  // - LU and Cholesky stay at or below the simulator plus their diagonal
+  //   factors. The runtime overlaps what the bulk-synchronous model
+  //   serializes, but the simulator charges the panel's grid rows in
+  //   parallel, the diagonal block's with the rest, while the runtime
+  //   solves L21 only once the diagonal block is factored: it alone pays
+  //   that chain, so "at or below the simulator" alone does not hold.
+  // QR is left out: the two backends price different panels (the
+  // runtime factors the gathered panel at the diagonal owner). The
+  // relations pin the virtual model; execution changes must not move it.
+  Rng rng(2026);
+  const KernelCosts costs;
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t p = 2 + rng.below(3), q = 2 + rng.below(3);
+    const std::size_t nb = 6 + rng.below(7), block = 4, n = nb * block;
+    const HeuristicResult h =
+        solve_heuristic(p, q, rng.cycle_times(p * q, 0.1));
+    const PanelDistribution d =
+        rng.below(2) == 0
+            ? PanelDistribution::block_cyclic(p, q)
+            : PanelDistribution::from_allocation(
+                  h.final().grid, h.final().alloc, nb, nb,
+                  PanelOrder::kContiguous, PanelOrder::kInterleaved, "het");
+    const char* const nets[] = {"free", "switched", "ethernet"};
+    const char* const net = nets[rng.below(3)];
+    const Machine m{h.final().grid, NetworkModel::named(net)};
+    SCOPED_TRACE(testing::Message() << "trial " << trial << ": " << p << "x"
+                                    << q << " nb=" << nb << " " << d.name()
+                                    << " " << net);
+    Matrix a(n, n), b(n, n), c(n, n);
+    fill_random(a.view(), rng);
+    fill_random(b.view(), rng);
+    const double mmm =
+        run_mp_mmm(m, d, a.view(), b.view(), c.view(), block).makespan;
+    const double mmm_sim = simulate_mmm(m, d, nb).total_time;
+    EXPECT_LE(mmm, mmm_sim * (1.0 + 1e-12));
+    if (m.net.latency == 0.0 && m.net.block_transfer == 0.0) {
+      EXPECT_NEAR(mmm, mmm_sim, 1e-4 * mmm_sim);
+    }
+
+    // Cycle-times of the diagonal blocks' owners, summed over the steps.
+    double diag = 0.0;
+    for (std::size_t k = 0; k < nb; ++k) {
+      const ProcCoord o = d.owner(k, k);
+      diag += m.grid(o.row, o.col);
+    }
+    fill_diagonally_dominant(a.view(), rng);
+    EXPECT_LE(run_mp_lu(m, d, a.view(), block).makespan,
+              (simulate_lu(m, d, nb).total_time + diag * costs.panel_factor) *
+                  (1.0 + 1e-12));
+    fill_spd(a.view(), rng);
+    EXPECT_LE(run_mp_cholesky(m, d, a.view(), block).makespan,
+              (simulate_cholesky(m, d, nb).total_time +
+               diag * costs.chol_factor) *
+                  (1.0 + 1e-12));
+  }
 }
 
 // ----------------------------------------------------- pipelining

@@ -3,7 +3,9 @@
 // (level-3) path; 16 or fewer run the column loop alone.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -276,6 +278,103 @@ TEST(Qr, RecursivePanelBitIdenticalAcrossGemmKernels) {
     EXPECT_EQ(r_simd.tau, r_scalar.tau);
     EXPECT_TRUE(same_bits(simd.view(), scalar.view()));
     EXPECT_TRUE(same_bits(t_simd.view(), t_scalar.view()));
+  }
+}
+
+// The loops the base case and apply_reflector ran before they moved onto
+// the kernel's column primitives: the bit reference for that move. The
+// dot product w = v^T c keeps its one ascending chain per column.
+void plain_apply_reflector(const ConstMatrixView& qr, std::size_t k,
+                           double tau, MatrixView target) {
+  if (tau == 0.0) return;
+  const std::size_t m = qr.rows();
+  for (std::size_t j = 0; j < target.cols(); ++j) {
+    double w = target(k, j);
+    for (std::size_t r = k + 1; r < m; ++r) w += qr(r, k) * target(r, j);
+    w *= tau;
+    target(k, j) -= w;
+    for (std::size_t r = k + 1; r < m; ++r) target(r, j) -= qr(r, k) * w;
+  }
+}
+
+void plain_factor_columns(MatrixView a, std::vector<double>& tau) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  tau.assign(n, 0.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    double norm2 = 0.0;
+    for (std::size_t i = k; i < m; ++i) norm2 += a(i, k) * a(i, k);
+    const double norm = std::sqrt(norm2);
+    if (norm == 0.0) continue;
+    const double alpha = a(k, k);
+    const double beta = (alpha >= 0.0) ? -norm : norm;
+    const double v0 = alpha - beta;
+    tau[k] = -v0 / beta;
+    for (std::size_t i = k + 1; i < m; ++i) a(i, k) /= v0;
+    a(k, k) = beta;
+    if (k + 1 < n)
+      plain_apply_reflector(a, k, tau[k], a.block(0, k + 1, m, n - (k + 1)));
+  }
+}
+
+TEST(Qr, BaseCaseColumnPrimitivesMatchPlainLoopsBitForBit) {
+  // qr_factor's base case (panels of at most 16 columns) divides each
+  // reflector by v0 with the dispatched kernel's col_div and applies it
+  // with its saxpy, as do qr_apply_qt and qr_form_q. On every kernel the
+  // host accepts they must reproduce the plain loops bit for bit: on
+  // contiguous and strided views (ld = m and m + 3, the NaN rows above
+  // the view untouched), at heights that reach every vector tail and a
+  // 2048-row panel, and on inputs with a zero column (tau = 0), signed
+  // zeros and subnormals.
+  KernelGuard guard;
+  const auto same = [](const double* x, const double* y, std::size_t len) {
+    return std::memcmp(x, y, len * sizeof(double)) == 0;
+  };
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const std::string& name : accepted_kernels()) {
+    ASSERT_TRUE(gemm_force_kernel(name));
+    for (const std::size_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64,
+                                65, 66, 67, 2048}) {
+      for (const std::size_t n : {1, 2, 3, 5, 8, 13, 16}) {
+        if (n > m) continue;
+        for (const std::size_t pad : {0, 3}) {
+          SCOPED_TRACE(testing::Message() << name << " m=" << m << " n=" << n
+                                          << " ld=" << m + pad);
+          Matrix input = random_matrix(m, n, 500 + m * 17 + n);
+          for (std::size_t i = 0; i < m; ++i) input(i, n / 2) = 0.0;
+          input(m - 1, 0) = -0.0;
+          if (n > 1) input(0, n - 1) = tiny;
+          if (m > 2 && n > 2) input(m / 2, 1) = -3.0 * tiny;
+
+          const std::size_t ld = m + pad;
+          Matrix want(ld, n, std::nan("")), got = want;
+          want.block(pad, 0, m, n).copy_from(input.view());
+          got.block(pad, 0, m, n).copy_from(input.view());
+          std::vector<double> want_tau;
+          plain_factor_columns(want.block(pad, 0, m, n), want_tau);
+          const QrResult res = qr_factor(got.block(pad, 0, m, n));
+          EXPECT_EQ(want_tau[n / 2], 0.0);
+          ASSERT_EQ(res.tau.size(), n);
+          EXPECT_TRUE(same(res.tau.data(), want_tau.data(), n));
+          EXPECT_TRUE(same(got.data(), want.data(), ld * n));
+
+          // Q^T applied to a right-hand side, and the explicit thin Q.
+          const ConstMatrixView qr = want.block(pad, 0, m, n);
+          Matrix rhs_want = random_matrix(m, 3, 900 + m), rhs_got = rhs_want;
+          for (std::size_t k = 0; k < n; ++k)
+            plain_apply_reflector(qr, k, want_tau[k], rhs_want.view());
+          qr_apply_qt(qr, want_tau, rhs_got.view());
+          EXPECT_TRUE(same(rhs_got.data(), rhs_want.data(), m * 3));
+
+          Matrix q_want(m, n, 0.0);
+          for (std::size_t i = 0; i < n; ++i) q_want(i, i) = 1.0;
+          for (std::size_t k = n; k > 0; --k)
+            plain_apply_reflector(qr, k - 1, want_tau[k - 1], q_want.view());
+          const Matrix q_got = qr_form_q(qr, want_tau);
+          EXPECT_TRUE(same(q_got.data(), q_want.data(), m * n));
+        }
+      }
+    }
   }
 }
 
