@@ -6,10 +6,11 @@
 // (makespan, per-processor clocks and busy times, message and block
 // counters), the QR tau vector, and every gathered matrix entry must match
 // the serial run (the graph's inline mode) exactly — only the ms column may
-// move. The host-synchronization count ("mp.barriers": one per host_sync
-// and finish) is a property of the kernel, so it must match too, and so
-// must the block-pool counters: the host alone acquires and erases block
-// buffers, at points the step window fixes in emission order.
+// move. The host-synchronization count ("mp.barriers": one per host_wait
+// on a factor task and one per finish) is a property of the kernel, so it
+// must match too, and so must the block-pool counters: the host alone
+// acquires and erases block buffers, at points the step window fixes in
+// emission order.
 //
 // --smoke shrinks the problem to a CI-sized instance (seconds, not
 // minutes) while still crossing the serial/parallel seam at threads

@@ -80,11 +80,12 @@ struct Work {
 // overlaps step k's trailing updates. Every read-modify-write chain on one
 // block serializes in emission order (WAW), so the arithmetic is
 // bit-identical to the graph's serial inline mode (one thread) for any
-// thread count. The host synchronizes only where it does inline math
-// (host_sync: the LU and Cholesky diagonal blocks, pivoted LU's gathered
-// panel), at finish(), and to keep emission within kStepWindow steps of
-// the workers (set_step). QR's gathered panel is a task like any other,
-// so a QR run's host never syncs before finish().
+// thread count. The host runs no block math: every factorization is a task
+// on its diagonal owner's lane. The host emits, and waits only where a
+// factor's outcome steers what it emits next (host_wait: a failed LU or
+// Cholesky diagonal factor ends the run, pivoted LU's pivots pick its row
+// swaps), at finish(), and to keep emission within kStepWindow steps of
+// the workers (set_step). A QR run's host never waits before finish().
 //
 // Clocks, busy times, message counters, and trace spans are computed
 // exclusively on the host thread and never depend on the execution
@@ -110,10 +111,10 @@ struct MpContext {
   // reduction roots rely on, and a rebalance rewrites only the trailing
   // ones, so finished panels keep their owners.
   OnlineRebalancer reb;
-  // Physical location of every persistent block, per matrix tag (A/B/C),
-  // kept only while rebalancing — what gather() and the migration source
-  // lookup use. owner() covers only live trailing blocks; loc also
-  // remembers where finished blocks stayed.
+  // Physical location of every persistent block, per matrix tag (A/B/C):
+  // what gather(), the row swaps and the migration source lookup use.
+  // owner() covers only live trailing blocks; loc also remembers where
+  // finished blocks stayed. Without rebalancing it is owner_pid throughout.
   std::vector<std::vector<std::size_t>> loc;
   std::size_t loc_rows, loc_cols;
   std::size_t reb_applied = 0, reb_blocks = 0;
@@ -147,12 +148,12 @@ struct MpContext {
       : block(blk), p(d.grid_rows()), q(d.grid_cols()),
         net(p * q, m.net, s), store(p * q), clock(p * q, 0.0),
         busy(p * q, 0.0), sink(s), obs(installed_observation()),
-        reb(m, d, opts, nbr, nbc, obs), loc_rows(nbr), loc_cols(nbc) {
+        reb(m, d, opts, nbr, nbc, obs),
+        loc(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX)),
+        loc_rows(nbr), loc_cols(nbc) {
     HG_CHECK(p * q <= kMaxProcs, "mp runtime supports at most "
                                      << kMaxProcs << " processors, got "
                                      << p << "x" << q);
-    if (reb.on())
-      loc.assign(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX));
     // Each store holds its owned blocks of every matrix plus one row and
     // one column panel of transient copies per step of the window.
     std::vector<std::size_t> owned(p * q, 0);
@@ -215,8 +216,9 @@ struct MpContext {
   // update is one task per processor instead of one per block, which
   // keeps a worker inside one store's blocks (cache locality) and pays
   // the scheduler's lock once per processor-step instead of once per
-  // block. Any host-side wait must flush first — host_sync and finish do,
-  // and set_step does before the window waits on a step's tasks.
+  // block. Any host-side wait must flush first — add_task does before the
+  // task host_wait waits on, finish does, and set_step does before the
+  // window waits on a step's tasks.
   static constexpr std::uint64_t kGroupProc = std::uint64_t{1} << 62;
   static constexpr std::uint64_t kGroupCopy = std::uint64_t{1} << 61;
   struct FusedOps {
@@ -321,18 +323,21 @@ struct MpContext {
              book(acc, id, units), id);
   }
 
-  /// Queues `fn` on processor `id` as a task of its own, writing `writes`
-  /// and weighing `weight` virtual seconds: the open fusion group goes to
+  /// Queues the factorization `fn` on processor `id` as an mp.panel task
+  /// of its own at panel priority, writing `writes` and weighing `weight`
+  /// virtual seconds, and returns its id: the open fusion group goes to
   /// the graph first and nothing fuses into this task, so it waits for no
-  /// op that happens to share its group. QR's panel factorization is one.
-  void add_task(std::size_t id, const char* name, int priority,
-                const std::vector<BlockKey>& writes, std::function<void()> fn,
-                double weight) {
+  /// op that happens to share its group. Every factorization is one
+  /// (diagonal_phase, panel_task).
+  TaskGraph::TaskId add_task(std::size_t id,
+                             const std::vector<BlockKey>& writes,
+                             std::function<void()> fn, double weight) {
     flush_fused();
     std::vector<TaskGraph::Key> w;
     w.reserve(writes.size());
     for (const BlockKey& k : writes) w.push_back(key_of(id, k));
-    graph->add(name, {}, std::move(w), std::move(fn), priority, weight, id);
+    return graph->add("mp.panel", {}, std::move(w), std::move(fn), kPrioPanel,
+                      weight, id);
   }
 
   /// Adds `units` of work on `id` to `acc`; returns its seconds.
@@ -343,21 +348,17 @@ struct MpContext {
     return seconds;
   }
 
-  /// Blocks the host until every queued op touching `keys` on processor
-  /// `id` has finished, and takes synchronous ownership of them — the
-  /// partial sync guarding inline host math (panel factorizations).
-  /// Unrelated tasks keep running: this is what lets the panel of step k+1
-  /// overlap step k's trailing updates. The "mp.barriers" counter counts
-  /// these host synchronization points (plus finish()), on the host thread,
-  /// so it is deterministic for any thread count.
-  void host_sync(std::size_t id, const std::vector<BlockKey>& keys) {
+  /// Blocks the host until task `t` (one add_task queued) has finished, so
+  /// that the host can read what it computed. Every other task keeps
+  /// running: a factor task waits only for the ops on its own blocks, so
+  /// the panel of step k+1 still overlaps step k's trailing updates. The
+  /// "mp.barriers" counter counts these host synchronization points (plus
+  /// finish()), on the host thread, so it is deterministic for any thread
+  /// count.
+  void host_wait(TaskGraph::TaskId t) {
     ProfScope span("mp.host_sync");
-    flush_fused();
     metric_count("mp.barriers", 1);
-    std::vector<TaskGraph::Key> w;
-    w.reserve(keys.size());
-    for (const BlockKey& k : keys) w.push_back(key_of(id, k));
-    graph->host_acquire(w);
+    graph->wait(t);
   }
 
   /// Final synchronization: every queued op completes. gather() calls it
@@ -405,7 +406,6 @@ struct MpContext {
   /// its blocks (and this entry) in place.
   std::size_t location(std::size_t which, std::size_t bi,
                        std::size_t bj) const {
-    if (!reb.on()) return owner_pid(bi, bj);
     return loc[which][bi * loc_cols + bj];
   }
   double cycle_time(std::size_t id) const { return reb.cycle_time(id, step); }
@@ -565,21 +565,6 @@ struct MpContext {
     acc = Work{};
   }
 
-  /// Charges inline host math on `id` (a panel or T factorization the
-  /// host just ran on `keys`) as a compute span, and, when observing,
-  /// records it on `keys` so the weighted critical path stays connected
-  /// across the host_sync that cut their history.
-  void host_work(std::size_t id, double ready,
-                 const std::vector<BlockKey>& keys, double seconds,
-                 double units, const char* name, ObsOp op) {
-    compute(id, ready, seconds, name, op, units);
-    if (obs == nullptr) return;
-    std::vector<TaskGraph::Key> w;
-    w.reserve(keys.size());
-    for (const BlockKey& k : keys) w.push_back(key_of(id, k));
-    graph->note_host_work(w, seconds, name, id);
-  }
-
   /// Runs `seconds` of compute on `id` that may not start before `ready`.
   /// `op` / `units` tag the charge for the cycle-time estimator: `units`
   /// is the cycle-time-free flop measure (costs.X * vol_frac sums), so
@@ -624,8 +609,7 @@ void scatter(MpContext& ctx, std::size_t which, const View& m,
       const std::size_t jlo = block_lo(bj, ctx.block);
       const std::size_t jlen = block_len(bj, ctx.block, m.cols());
       const std::size_t id = ctx.owner_pid(bi, bj);
-      if (which < ctx.loc.size())
-        ctx.loc[which][bi * ctx.loc_cols + bj] = id;
+      ctx.loc[which][bi * ctx.loc_cols + bj] = id;
       ctx.store[id].bind(BlockKey{which * nbr + bi, bj},
                          m.block(ilo, jlo, ilen, jlen));
     }
@@ -711,39 +695,51 @@ double gather_panel(MpContext& ctx, std::size_t k, std::size_t nbr,
   return ready;
 }
 
-// The gathered panel's blocks at its diagonal owner, resolved on the host
-// and stacked in block-row order as the rows of one contiguous panel.
-struct PanelStack {
+// Queues the factorization of a gathered panel — the blocks `keys`, at the
+// diagonal owner `diag_id` (gather_panel), each `cols` wide — as one
+// add_task weighing `weight` virtual seconds, and returns its id. The task
+// stacks the blocks in block-row order as the rows of one contiguous panel
+// in `buf`, runs `factor` on that panel, and writes it back; it writes the
+// panel blocks plus `extra`, what `factor` writes besides the panel (QR's
+// T). The blocks are resolved and every shape checked here, on the host,
+// so the task cannot throw. Panel k + 1 reads what step k's updates wrote
+// with panel k's factors, so the tasks of consecutive steps never share
+// `buf`.
+template <class Factor>
+TaskGraph::TaskId panel_task(MpContext& ctx, std::size_t diag_id,
+                             const std::vector<BlockKey>& keys,
+                             std::vector<BlockKey> extra, std::size_t cols,
+                             Matrix& buf, double weight, Factor factor) {
   std::vector<MatrixView> blocks;
-  std::size_t rows = 0, cols = 0;
-
-  PanelStack(MpContext& ctx, std::size_t diag_id,
-             const std::vector<BlockKey>& keys) {
-    for (const BlockKey& key : keys) {
-      blocks.push_back(ctx.store[diag_id].at(key));
-      HG_INTERNAL_CHECK(blocks.size() == 1 || blocks.back().cols() == cols,
-                        "gathered panel blocks differ in width");
-      cols = blocks.back().cols();
-      rows += blocks.back().rows();
-    }
+  std::size_t rows = 0;
+  for (const BlockKey& key : keys) {
+    blocks.push_back(ctx.store[diag_id].at(key));
+    HG_INTERNAL_CHECK(blocks.back().cols() == cols,
+                      "gathered panel block of the wrong width");
+    rows += blocks.back().rows();
   }
-  /// The blocks, stacked into `panel` (rows x cols).
-  void copy_to(MatrixView panel) const {
-    std::size_t r = 0;
-    for (const MatrixView& b : blocks) {
-      panel.block(r, 0, b.rows(), cols).copy_from(b);
-      r += b.rows();
-    }
-  }
-  /// `panel` (rows x cols) written back into the blocks.
-  void copy_from(const ConstMatrixView& panel) const {
-    std::size_t r = 0;
-    for (const MatrixView& b : blocks) {
-      b.copy_from(panel.block(r, 0, b.rows(), cols));
-      r += b.rows();
-    }
-  }
-};
+  HG_INTERNAL_CHECK(rows >= cols && rows * cols <= buf.rows() * buf.cols(),
+                    "gathered panel of " << rows << "x" << cols
+                                         << " does not fit its buffer");
+  const MatrixView panel(buf.data(), rows, cols, rows);
+  extra.insert(extra.begin(), keys.begin(), keys.end());
+  return ctx.add_task(
+      diag_id, extra,
+      [blocks = std::move(blocks), panel, factor] {
+        std::size_t r = 0;
+        for (const MatrixView& b : blocks) {
+          panel.block(r, 0, b.rows(), b.cols()).copy_from(b);
+          r += b.rows();
+        }
+        factor(panel);
+        r = 0;
+        for (const MatrixView& b : blocks) {
+          b.copy_from(panel.block(r, 0, b.rows(), b.cols()));
+          r += b.rows();
+        }
+      },
+      weight);
+}
 
 // The gathered panel's virtual work at the diagonal owner: `weight` (a
 // KernelCosts entry) per panel block, summed down the block rows.
@@ -760,15 +756,17 @@ Work panel_work(const MpContext& ctx, std::size_t k, std::size_t nbr,
   return w;
 }
 
-// The diagonal phase shared by LU and Cholesky at step k. The host waits
-// only for the ops touching the diagonal block — the rest of the previous
-// step's trailing update keeps running underneath, the wall-clock
-// lookahead overlap — factors it at its owner with `factor`, charges and
-// records that at `weight` per block, and ring-broadcasts it down its grid
-// column. Then every owner of a block (I, k), I > k, solves it against its
-// diagonal copy with `solve` on its own task lane, charged at `weight`
-// too. Returns false, with nothing broadcast or queued, when `factor`
-// fails.
+// The diagonal phase shared by LU and Cholesky at step k. The diagonal
+// block's owner factors it with `factor` in one add_task, weighing
+// `weight` per block. The task waits only for the ops touching the
+// diagonal block — the rest of the previous step's trailing update keeps
+// running underneath, the wall-clock lookahead overlap — and the host
+// waits for that task alone, since a failed factor ends the run: then this
+// returns false, with nothing broadcast, queued after the factor, or
+// charged. Otherwise the host charges the factor and ring-broadcasts the
+// block down its grid column, and every owner of a block (I, k), I > k,
+// solves it against its diagonal copy with `solve` on its own task lane,
+// charged at `weight` too.
 bool diagonal_phase(MpContext& ctx, std::size_t k, std::size_t nb,
                     std::size_t n, bool (*factor)(MatrixView),
                     void (*solve)(const ConstMatrixView&, MatrixView),
@@ -778,16 +776,20 @@ bool diagonal_phase(MpContext& ctx, std::size_t k, std::size_t nb,
   const ProcCoord diag = ctx.owner(k, k);
   const std::size_t diag_id = ctx.pid(diag.row, diag.col);
   const BlockKey diag_key{kTagA * nb + k, k};
-  ctx.host_sync(diag_id, {diag_key});
-  bool factored;
-  {
-    ProfScope span("mp.host_factor");
-    factored = factor(ctx.store[diag_id].at(diag_key));
-  }
-  if (!factored) return false;
+  const MatrixView dv = ctx.store[diag_id].at(diag_key);
+  // cholesky_factor_unblocked's one check, made here so the task cannot
+  // throw.
+  HG_INTERNAL_CHECK(dv.rows() == klen && dv.cols() == klen,
+                    "diagonal block is not square at step " << k);
   const double units = weight * vol_frac(klen, klen, klen, block);
-  ctx.host_work(diag_id, 0.0, {diag_key}, ctx.cycle_time(diag_id) * units,
-                units, "panel", ObsOp::kPanel);
+  const double seconds = ctx.cycle_time(diag_id) * units;
+  // The task owns the outcome, so it outlives an unwinding host.
+  const auto factored = std::make_shared<bool>(false);
+  ctx.host_wait(ctx.add_task(diag_id, {diag_key},
+                             [factor, dv, factored] { *factored = factor(dv); },
+                             seconds));
+  if (!*factored) return false;
+  ctx.compute(diag_id, 0.0, seconds, "panel", ObsOp::kPanel, units);
 
   std::vector<double> ready(ctx.p * ctx.q, 0.0);
   ctx.ring_broadcast(ctx.grid_col(diag.col), diag.row, {diag_key},
@@ -1063,6 +1065,12 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
   HG_CHECK(!pivoted || opts.rebalance == RuntimeOptions::Rebalance::kOff,
            fn << " does not support rebalance=panel");
   const std::size_t nb = block_count(n, block);
+  // Pivoted LU's panel tasks factor in one contiguous buffer and leave
+  // their pivots in `pres`, both declared before the context, whose graph
+  // drains before they die on every exit, a throw during emission included.
+  Matrix panel_buf =
+      pivoted ? Matrix::uninitialized(n, std::min(block, n)) : Matrix();
+  LuResult pres;
   MpContext ctx(machine, dist, block, nb, nb, 1, sink, opts);
   const std::size_t procs = ctx.p * ctx.q;
 
@@ -1090,28 +1098,24 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
     std::vector<std::size_t> swap_src;
     if (pivoted) {
       // --- Pivoted panel phase: the whole panel column is gathered to the
-      // diagonal owner, factored there with partial pivoting, and ringed
-      // back down its grid column (run_mp_qr's gather). The factor is
-      // host math: its pivots decide the row interchanges emitted below.
-      // The host waits only for the ops touching the panel blocks at the
+      // diagonal owner, factored there with partial pivoting in one task
+      // (run_mp_qr's panel), and ringed back down its grid column. The
+      // task waits only for the ops touching the panel blocks at the
       // diagonal owner (the feeder copies and the owner's own previous
-      // trailing updates); everything else keeps running.
+      // trailing updates); everything else keeps running. The host waits
+      // for the task, as its pivots pick the row interchanges emitted
+      // below.
       const double gather_ready =
           gather_panel(ctx, k, nb, diag_id, panel_keys);
-      ctx.host_sync(diag_id, panel_keys);
-      LuResult pres;
-      {
-        ProfScope span("mp.host_factor");
-        const PanelStack stack(ctx, diag_id, panel_keys);
-        Matrix panel = Matrix::uninitialized(stack.rows, stack.cols);
-        stack.copy_to(panel.view());
-        pres = lu_factor_unblocked(panel.view());
-        stack.copy_from(panel.view());
-      }
       const Work pw =
           panel_work(ctx, k, nb, n, klen, diag_id, costs.panel_factor);
-      ctx.host_work(diag_id, gather_ready, panel_keys, pw.seconds, pw.units,
-                    "panel", ObsOp::kPanel);
+      ctx.host_wait(panel_task(
+          ctx, diag_id, panel_keys, {}, klen, panel_buf, pw.seconds,
+          [res = &pres](MatrixView panel) {
+            *res = lu_factor_unblocked(panel);
+          }));
+      ctx.compute(diag_id, gather_ready, pw.seconds, "panel", ObsOp::kPanel,
+                  pw.units);
       singular = singular || pres.singular;
       const std::size_t klo = block_lo(k, block);
       swap_src.resize(n - klo);
@@ -1375,7 +1379,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       contrib[ctx.owner(bi, k).row] = 1;
 
     // --- Gather the column panel to the diagonal owner and factor it there
-    // in one task on the owner's lane, which also builds the block-
+    // in one panel_task on the owner's lane, which also builds the block-
     // reflector factor T when a trailing update will need it. The task
     // depends on the feeder copies and the owner's previous updates of
     // the panel blocks, so it runs while the rest of the previous step's
@@ -1390,41 +1394,26 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
                 pw.units);
     Work tw;
     std::optional<MatrixView> t_view;
-    std::vector<BlockKey> writes = panel_keys;
+    std::vector<BlockKey> t_keys;
     if (has_trailing) {
       // T, kept at the diagonal owner and shipped along grid row diag.row
-      // with the V panel below.
+      // with the V panel below; klen x klen, as wide as the panel
+      // panel_task checks.
       ctx.put_transient(diag_id, t_key, ctx.store[diag_id].acquire(klen, klen));
       t_view = ctx.store[diag_id].at(t_key);
-      writes.push_back(t_key);
+      t_keys.push_back(t_key);
       tw.units = costs.qr_update * vol_frac(klen, klen, klen, block);
       tw.seconds = ctx.cycle_time(diag_id) * tw.units;
       ctx.compute(diag_id, 0.0, tw.seconds, "t-form", ObsOp::kAux, tw.units);
     }
-    // Every shape is checked here, so the task cannot throw. Panel k + 1
-    // reads what this step's updates wrote with this panel's T, so the
-    // tasks of consecutive steps never share the buffer at once.
-    const PanelStack stack(ctx, diag_id, panel_keys);
-    HG_INTERNAL_CHECK(stack.rows == rows - block_lo(k, block) &&
-                          stack.cols == klen && stack.rows >= klen &&
-                          stack.rows * klen <= panel_buf.rows() *
-                                                   panel_buf.cols() &&
-                          (!t_view || (t_view->rows() == klen &&
-                                       t_view->cols() == klen)),
-                      "QR panel shapes disagree at step " << k);
-    const MatrixView pv(panel_buf.data(), stack.rows, klen, stack.rows);
     double* const tau = rep.tau.data() + block_lo(k, block);
-    ctx.add_task(diag_id, "mp.qr_panel", kPrioPanel, writes,
-                 [stack, pv, tau, t_view] {
-                   stack.copy_to(pv);
-                   Matrix t;
-                   const QrResult res =
-                       qr_factor(pv, t_view ? &t : nullptr);
-                   stack.copy_from(pv);
-                   std::copy(res.tau.begin(), res.tau.end(), tau);
-                   if (t_view) t_view->copy_from(t.view());
-                 },
-                 pw.seconds + tw.seconds);
+    panel_task(ctx, diag_id, panel_keys, t_keys, klen, panel_buf,
+               pw.seconds + tw.seconds, [tau, t_view](MatrixView panel) {
+                 Matrix t;
+                 const QrResult res = qr_factor(panel, t_view ? &t : nullptr);
+                 std::copy(res.tau.begin(), res.tau.end(), tau);
+                 if (t_view) t_view->copy_from(t.view());
+               });
 
     // --- Send the factored panel back down the owner grid column (also
     // restores the owners' blocks, so this runs even at the last step).

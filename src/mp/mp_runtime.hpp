@@ -95,8 +95,9 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
 /// factorization off the critical path. Numerical results are identical;
 /// only the virtual schedule changes. The same overlap always happens for
 /// real on the wall clock (next-panel updates run at elevated priority and
-/// the host only waits on the diagonal block's dependency chain); the flag
-/// controls the virtual-time model only.
+/// the host only waits for the diagonal factor task, which waits only for
+/// the diagonal block's dependency chain); the flag controls the
+/// virtual-time model only.
 MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                    MatrixView a, std::size_t block,
                    const KernelCosts& costs = {}, bool lookahead = false,

@@ -23,72 +23,28 @@ TaskGraph::~TaskGraph() {
   pool_.reset();
 }
 
-void TaskGraph::collect_deps(const std::vector<Key>& reads,
-                             const std::vector<Key>& writes, TaskId self,
-                             std::vector<TaskId>& deps) const {
+void TaskGraph::set_observe(bool on) {
+  HG_CHECK(tasks_.empty(), "TaskGraph::set_observe after the first add()");
+  observe_ = on;
+}
+
+std::vector<TaskGraph::TaskId> TaskGraph::collect_deps(
+    const std::vector<Key>& reads, const std::vector<Key>& writes) const {
+  std::vector<TaskId> deps;
   for (const Key k : reads) {
     const auto w = last_writer_.find(k);
-    if (w != last_writer_.end() && w->second != self)
-      deps.push_back(w->second);
+    if (w != last_writer_.end()) deps.push_back(w->second);
   }
   for (const Key k : writes) {
     const auto w = last_writer_.find(k);
-    if (w != last_writer_.end() && w->second != self)
-      deps.push_back(w->second);
+    if (w != last_writer_.end()) deps.push_back(w->second);
     const auto r = readers_.find(k);
     if (r != readers_.end())
-      for (const TaskId t : r->second)
-        if (t != self) deps.push_back(t);
+      deps.insert(deps.end(), r->second.begin(), r->second.end());
   }
   std::sort(deps.begin(), deps.end());
   deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-}
-
-std::size_t TaskGraph::append_record(const char* name, std::uint64_t tag,
-                                     double weight,
-                                     const std::vector<TaskId>& deps,
-                                     const std::vector<Key>& reads,
-                                     const std::vector<Key>& writes,
-                                     bool host) {
-  // Heaviest-chain base: task dependencies first (deps are sorted, so ties
-  // resolve to the lowest record deterministically), then any host-chain
-  // entry on a touched key — that is how a chain crosses a host_acquire,
-  // whose key-history erasure would otherwise sever it.
-  double base = 0.0;
-  std::ptrdiff_t pred = -1;
-  for (const TaskId d : deps) {
-    const std::size_t r = tasks_[d].rec;
-    if (r != SIZE_MAX && records_[r].chain_cost > base) {
-      base = records_[r].chain_cost;
-      pred = static_cast<std::ptrdiff_t>(r);
-    }
-  }
-  auto fold_key = [&](Key k) {
-    const auto it = host_chain_.find(k);
-    if (it != host_chain_.end() && records_[it->second].chain_cost > base) {
-      base = records_[it->second].chain_cost;
-      pred = static_cast<std::ptrdiff_t>(it->second);
-    }
-  };
-  for (const Key k : reads) fold_key(k);
-  for (const Key k : writes) fold_key(k);
-  TaskRecord rec;
-  rec.name = name;
-  rec.tag = tag;
-  rec.weight = weight;
-  rec.chain_cost = base + weight;
-  rec.chain_pred = pred;
-  rec.host = host;
-  records_.push_back(rec);
-  return records_.size() - 1;
-}
-
-void TaskGraph::note_host_work(const std::vector<Key>& writes, double weight,
-                               const char* name, std::uint64_t tag) {
-  if (!observe_) return;
-  const std::size_t rec =
-      append_record(name, tag, weight, {}, {}, writes, /*host=*/true);
-  for (const Key k : writes) host_chain_[k] = rec;
+  return deps;
 }
 
 TaskGraph::TaskId TaskGraph::add(const char* name, std::vector<Key> reads,
@@ -96,13 +52,21 @@ TaskGraph::TaskId TaskGraph::add(const char* name, std::vector<Key> reads,
                                  std::function<void()> fn, int priority,
                                  double weight, std::uint64_t tag) {
   const TaskId id = tasks_.size();
-  std::vector<TaskId> deps;
-  collect_deps(reads, writes, id, deps);
+  const std::vector<TaskId> deps = collect_deps(reads, writes);
 
-  const std::size_t rec =
-      observe_ ? append_record(name, tag, weight, deps, reads, writes,
-                               /*host=*/false)
-               : SIZE_MAX;
+  if (observe_) {
+    // The heaviest chain among the dependencies extends through this task
+    // (deps are sorted, so ties resolve to the lowest id deterministically).
+    double base = 0.0;
+    std::ptrdiff_t pred = -1;
+    for (const TaskId d : deps) {
+      if (records_[d].chain_cost > base) {
+        base = records_[d].chain_cost;
+        pred = static_cast<std::ptrdiff_t>(d);
+      }
+    }
+    records_.push_back(TaskRecord{name, tag, weight, base + weight, pred});
+  }
 
   // Advance the key history: this task is now the reader-of-record for its
   // read keys and the writer-of-record for its write keys.
@@ -134,7 +98,6 @@ TaskGraph::TaskId TaskGraph::add(const char* name, std::vector<Key> reads,
     t.name = name;
     t.priority = priority;
     t.depth = depth;
-    t.rec = rec;
     stats_.critical_path = std::max(stats_.critical_path, depth);
     stats_.ready_at_submit += 1;
     if (metrics != nullptr) metrics->counter("dag.ready_at_submit").add(1);
@@ -153,7 +116,6 @@ TaskGraph::TaskId TaskGraph::add(const char* name, std::vector<Key> reads,
     t.fn = std::move(fn);
     t.name = name;
     t.priority = priority;
-    t.rec = rec;
     std::size_t depth = 1;
     for (const TaskId d : deps) {
       depth = std::max(depth, tasks_[d].depth + 1);
@@ -265,37 +227,14 @@ void TaskGraph::sleep_until_marked_done(std::unique_lock<std::mutex>& lock) {
   cv_done_.wait(lock, [this] { return host_wait_remaining_ == 0; });
 }
 
-void TaskGraph::host_acquire(const std::vector<Key>& writes) {
-  std::vector<TaskId> waits;
-  collect_deps({}, writes, tasks_.size(), waits);
-  if (pool_ != nullptr && !waits.empty()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (const TaskId t : waits) mark_host_wait(t);
-    sleep_until_marked_done(lock);
-  }
-  // The host now owns the write keys synchronously: whatever it writes is
-  // complete before any later add(), so later readers need no dependency.
-  // Observation: the erased tasks' chains are stashed per key first, so a
-  // later note_host_work / add() on the key still extends them.
-  for (const Key k : writes) {
-    if (observe_) {
-      auto stash = [&](TaskId t) {
-        const std::size_t r = tasks_[t].rec;
-        if (r == SIZE_MAX) return;
-        const auto it = host_chain_.find(k);
-        if (it == host_chain_.end() ||
-            records_[r].chain_cost > records_[it->second].chain_cost)
-          host_chain_[k] = r;
-      };
-      const auto w = last_writer_.find(k);
-      if (w != last_writer_.end()) stash(w->second);
-      const auto r = readers_.find(k);
-      if (r != readers_.end())
-        for (const TaskId t : r->second) stash(t);
-    }
-    last_writer_.erase(k);
-    readers_.erase(k);
-  }
+void TaskGraph::wait(TaskId t) {
+  HG_CHECK(t < tasks_.size(), "TaskGraph::wait: task " << t << " beyond "
+                                                         << tasks_.size()
+                                                         << " tasks");
+  if (pool_ == nullptr) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  mark_host_wait(t);
+  sleep_until_marked_done(lock);
 }
 
 void TaskGraph::wait_below(TaskId mark) {

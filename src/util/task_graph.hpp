@@ -21,6 +21,11 @@
 // bookkeeping still records the same dependency statistics, so dag.tasks /
 // dag.edges / the critical path are identical for every thread count.
 //
+// The host thread emits tasks and waits on task ids — one task (wait), a
+// submission prefix (wait_below) or everything (wait_all) — and never takes
+// a key for itself: work on a key is a task, so every key's history, and
+// every observation chain, runs through tasks alone.
+//
 // Observability (obs/metrics, obs/profiler): counters dag.tasks, dag.edges,
 // dag.ready_at_submit, dag.blocked_at_submit; gauges dag.ready_depth
 // (threaded only — wall-clock scheduling state) and dag.critical_path
@@ -44,20 +49,17 @@
 
 namespace hetgrid {
 
-/// Per-task observation record (set_observe). `chain_cost` is the weight of
-/// the heaviest dependency chain ending at this record (its own weight
-/// included), computed on the host at submission time from the declared
-/// weights — deterministic for any thread count. `chain_pred` indexes the
-/// predecessor record on that chain (-1 for a chain head). Host-side work
-/// noted via note_host_work() appears as records too, so critical paths
-/// that pass through host panel factorizations stay connected.
+/// Per-task observation record (set_observe), one per task, indexed by task
+/// id. `chain_cost` is the weight of the heaviest dependency chain ending at
+/// this task (its own weight included), computed on the host at submission
+/// time from the declared weights — deterministic for any thread count.
+/// `chain_pred` is the predecessor task on that chain (-1 for a chain head).
 struct TaskRecord {
   const char* name = "";
   std::uint64_t tag = 0;  // caller-defined lane tag (the MP runtime: proc id)
   double weight = 0.0;
   double chain_cost = 0.0;
   std::ptrdiff_t chain_pred = -1;
-  bool host = false;  // true for note_host_work records
 };
 
 class TaskGraph {
@@ -103,35 +105,24 @@ class TaskGraph {
              std::uint64_t tag = kNoTag);
 
   /// Enables per-task observation records (weighted critical-path chains).
-  /// Must be called before the first add(); off by default, in which case
-  /// add() skips all record bookkeeping.
-  void set_observe(bool on) { observe_ = on; }
+  /// Must be called before the first add() (PreconditionError otherwise);
+  /// off by default, in which case add() skips all record bookkeeping.
+  void set_observe(bool on);
   bool observing() const { return observe_; }
-
-  /// Records host-side inline work (a panel factorization the host ran
-  /// between host_acquire and the next add) as an observation record:
-  /// its chain extends the heaviest chain seen on `writes`, and later
-  /// tasks touching those keys chain through it. No task is created and
-  /// scheduling is unaffected. No-op unless observing.
-  void note_host_work(const std::vector<Key>& writes, double weight,
-                      const char* name, std::uint64_t tag = kNoTag);
 
   /// The observation records in submission order. Host-thread only, after
   /// wait_all(). Empty unless observing.
   const std::vector<TaskRecord>& records() const { return records_; }
 
-  /// Blocks the host thread until every task touching `writes` (last
-  /// writer + readers since) has finished, then records the host as the
-  /// new synchronous owner of those keys — subsequent tasks reading them
-  /// need no dependency. This is the partial synchronization the host uses
-  /// for inline work (panel factorizations): unrelated tasks keep running.
-  void host_acquire(const std::vector<Key>& writes);
+  /// Blocks the host thread until task `t` has finished, while unrelated
+  /// tasks keep running: how the host reads what a task computed (the MP
+  /// runtime's factor outcomes). A no-op in serial mode, where every task
+  /// finishes inside add(). PreconditionError if `t` was never submitted.
+  void wait(TaskId t);
 
   /// Blocks the host thread until every task with an id below `mark` has
-  /// finished. Touches no key history (later tasks still depend on those
-  /// tasks' keys as usual) and is a no-op in serial mode, where every task
-  /// finishes inside add(). The MP runtime's step window uses it to bound
-  /// how far emission runs ahead of the workers.
+  /// finished; a no-op in serial mode. The MP runtime's step window uses it
+  /// to bound how far emission runs ahead of the workers.
   void wait_below(TaskId mark);
 
   /// Blocks until every submitted task has finished: wait_below(the
@@ -152,7 +143,6 @@ class TaskGraph {
     std::size_t depth = 1;           // longest chain ending here
     bool done = false;
     bool host_waited = false;        // the host is blocked on this task
-    std::size_t rec = SIZE_MAX;      // observation record index (observe_)
   };
 
   struct ReadyEntry {
@@ -167,27 +157,23 @@ class TaskGraph {
   };
 
   void pump();  // runs on a pool worker: pop one ready task, execute it
-  // The host's one wait path (host_acquire, wait_below, wait_all), with
+  // The host's one wait path (wait, wait_below, wait_all), with
   // mu_ held: mark_host_wait flags `t` if it is unfinished, so that only
   // the flagged tasks' completions signal cv_done_ and everything else
   // drains without waking the host; sleep_until_marked_done then blocks
   // until every flagged task has finished.
   void mark_host_wait(TaskId t);
   void sleep_until_marked_done(std::unique_lock<std::mutex>& lock);
-  void collect_deps(const std::vector<Key>& reads,
-                    const std::vector<Key>& writes, TaskId self,
-                    std::vector<TaskId>& deps) const;
-  // Appends an observation record chained through `deps` (task records)
-  // and the host-chain entries of the touched keys. Host-thread only.
-  std::size_t append_record(const char* name, std::uint64_t tag,
-                            double weight, const std::vector<TaskId>& deps,
-                            const std::vector<Key>& reads,
-                            const std::vector<Key>& writes, bool host);
+  // The dependencies of a task about to be added: the last writer of every
+  // key in `reads` and `writes`, and the readers since of every key in
+  // `writes`. Sorted ascending, without duplicates.
+  std::vector<TaskId> collect_deps(const std::vector<Key>& reads,
+                                   const std::vector<Key>& writes) const;
 
   unsigned threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when serial
 
-  // Key history, host-thread only (add / host_acquire).
+  // Key history, host-thread only (add).
   std::unordered_map<Key, TaskId> last_writer_;
   std::unordered_map<Key, std::vector<TaskId>> readers_;  // since last write
 
@@ -195,13 +181,8 @@ class TaskGraph {
   TaskId finished_below_ = 0;  // host-only: wait_below's finished prefix
 
   // Observation state (set_observe), touched only by the host thread.
-  // host_chain_ maps a key to the record index of the heaviest chain the
-  // host absorbed for it (host_acquire stashes the erased writers' chains
-  // there, note_host_work extends them), so chains survive the key-history
-  // erasure at host syncs.
   bool observe_ = false;
-  std::vector<TaskRecord> records_;
-  std::unordered_map<Key, std::size_t> host_chain_;  // key -> record index
+  std::vector<TaskRecord> records_;  // records_[id] is task id's record
 
   // Task state shared with workers. cv_done_ is only signalled when the
   // single host thread is actually blocked on the completing task

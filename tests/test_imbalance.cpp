@@ -291,9 +291,9 @@ void expect_same_run(const MpRun& a, const MpRun& b) {
   }
 }
 
-// Every weighted task record and host-work record is one charge to its
-// processor's clock, so per processor the record weights sum to the busy
-// time (up to rounding: fused tasks group the seconds differently).
+// Every weighted task record is one charge to its processor's clock, so
+// per processor the record weights sum to the busy time (up to rounding:
+// fused tasks group the seconds differently).
 void expect_weights_sum_to_busy(const RunObservation& obs,
                                 const MpReport& rep) {
   std::vector<double> sum(rep.busy.size(), 0.0);

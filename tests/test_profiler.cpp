@@ -8,12 +8,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/arrangement.hpp"
 #include "dist/panel_distribution.hpp"
+#include "matrix/cholesky.hpp"
 #include "matrix/lu.hpp"
 #include "matrix/matrix.hpp"
 #include "mp/mp_runtime.hpp"
@@ -308,6 +310,64 @@ TEST(ProfilerTest, AttachingInstrumentationDoesNotChangeMpLu) {
   for (const std::string& lane : threaded.lane_names())
     has_worker = has_worker || lane.rfind("worker-", 0) == 0;
   EXPECT_TRUE(has_worker);
+}
+
+TEST(ProfilerTest, MpHostLaneRunsNoBlockMath) {
+  // Every factorization is a graph task: with a pool, the "main" lane
+  // holds only the kernel's own span and the host's waits, for every
+  // factoring kernel, and the factor tasks (mp.panel) run on worker lanes.
+  const CycleTimeGrid grid =
+      CycleTimeGrid::sorted_row_major(2, 3, {1, 2, 3, 4, 5, 6});
+  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
+  const Machine machine{grid, {Topology::kSwitched, 1e-4, 2e-4, true}};
+  struct Kernel {
+    const char* name;
+    const char* span;  // the kernel's own span on the main lane
+  };
+  for (const Kernel& kernel : {Kernel{"lu", "mp.lu"}, Kernel{"lu-la", "mp.lu"},
+                               Kernel{"lu-piv", "mp.lu_pivoted"},
+                               Kernel{"chol", "mp.cholesky"},
+                               Kernel{"qr", "mp.qr"}}) {
+    for (const unsigned threads : {2u, 7u}) {
+      SCOPED_TRACE(std::string(kernel.name) + " at " +
+                   std::to_string(threads) + " threads");
+      RuntimeOptions opts;
+      opts.threads = threads;
+      Rng rng(7);
+      Matrix a(48, 48);
+      const std::string name = kernel.name;
+      Profiler prof;
+      prof.start();
+      if (name == "chol") {
+        fill_spd(a.view(), rng);
+        run_mp_cholesky(machine, dist, a.view(), 8, KernelCosts{}, nullptr,
+                        opts);
+      } else if (name == "lu-piv") {
+        fill_random(a.view(), rng);
+        run_mp_lu_pivoted(machine, dist, a.view(), 8, KernelCosts{}, nullptr,
+                          opts);
+      } else if (name == "qr") {
+        fill_random(a.view(), rng);
+        run_mp_qr(machine, dist, a.view(), 8, KernelCosts{}, nullptr, opts);
+      } else {
+        fill_diagonally_dominant(a.view(), rng);
+        run_mp_lu(machine, dist, a.view(), 8, KernelCosts{}, name == "lu-la",
+                  nullptr, opts);
+      }
+      prof.stop();
+      ASSERT_EQ(prof.lane_names().front(), "main");
+      const std::set<std::string> host_spans = {
+          kernel.span, "mp.host_sync", "mp.window_wait", "mp.finish"};
+      std::size_t worker_panels = 0;
+      for (const TraceEvent& e : prof.events()) {
+        if (e.proc == 0)
+          EXPECT_EQ(host_spans.count(e.name), 1u) << e.name << " on main";
+        else if (e.name == "mp.panel")
+          ++worker_panels;
+      }
+      EXPECT_EQ(worker_panels, 6u);  // one factor per step
+    }
+  }
 }
 
 TEST(ProfilerTest, SerialMetricsSnapshotIsByteStableAcrossRuns) {

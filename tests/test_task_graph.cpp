@@ -176,23 +176,33 @@ TEST(TaskGraph, WaitBelowWaitsForTasksBelowTheMarkOnly) {
   EXPECT_TRUE(above_done.load());
 }
 
-TEST(TaskGraph, HostAcquireWaitsForWritersAndReaders) {
+TEST(TaskGraph, WaitReturnsOnceItsTaskFinishes) {
+  // The host reads what a task wrote as soon as that task is done, while
+  // an unrelated task still runs on the other worker.
   TaskGraph g(2);
-  std::atomic<bool> release{false};
-  int value = 0;
-  g.add("w", {}, {9}, [&] {
+  std::atomic<bool> release{false}, unrelated_done{false};
+  g.add("unrelated", {}, {1}, [&] {
     while (!release.load()) {
     }
-    value = 42;
+    unrelated_done.store(true);
   });
-  release.store(true);
-  g.host_acquire({9});  // write ownership: waits for the writer
+  int value = 0;
+  const TaskGraph::TaskId t = g.add("w", {}, {9}, [&] { value = 42; });
+  g.wait(t);
   EXPECT_EQ(value, 42);
-  // After host_acquire the host owns the key: a new reader needs no edge.
-  const std::size_t edges = g.stats().edges;
-  g.add("r", {9}, {}, [] {});
+  EXPECT_FALSE(unrelated_done.load());
+  release.store(true);
   g.wait_all();
-  EXPECT_EQ(g.stats().edges, edges);
+  EXPECT_TRUE(unrelated_done.load());
+  EXPECT_THROW(g.wait(g.stats().tasks), PreconditionError);
+
+  // Serially the task ran inside add(), so the wait has nothing to do.
+  TaskGraph serial(1);
+  bool ran = false;
+  const TaskGraph::TaskId s = serial.add("s", {}, {1}, [&] { ran = true; });
+  EXPECT_TRUE(ran);
+  serial.wait(s);
+  EXPECT_THROW(serial.wait(s + 1), PreconditionError);
 }
 
 TEST(TaskGraph, StatsDeterministicAcrossThreadCounts) {
@@ -509,6 +519,8 @@ TEST(TaskGraphRecords, OffByDefaultAndFreeOfBookkeeping) {
   g.wait_all();
   EXPECT_FALSE(g.observing());
   EXPECT_TRUE(g.records().empty());
+  // Records are indexed by task id, so observation cannot start mid-graph.
+  EXPECT_THROW(g.set_observe(true), PreconditionError);
 }
 
 TEST(TaskGraphRecords, ChainCostTracksTheHeaviestDependencyChain) {
@@ -531,24 +543,20 @@ TEST(TaskGraphRecords, ChainCostTracksTheHeaviestDependencyChain) {
   EXPECT_STREQ(recs[2].name, "c");
   EXPECT_EQ(recs[0].tag, 0u);
   EXPECT_EQ(recs[1].tag, 1u);
-  EXPECT_FALSE(recs[2].host);
 }
 
-TEST(TaskGraphRecords, NoteHostWorkBridgesAHostAcquire) {
-  // The MP runtime's panel pattern: a task writes the diagonal block, the
-  // host acquires it (erasing the key history), factors the panel inline,
-  // notes that work, and later tasks that read the block must chain
-  // through the host record back to the original writer.
+TEST(TaskGraphRecords, AFactorTaskChainsItsWriterToItsReaders) {
+  // The MP runtime's factor pattern: an update writes the diagonal block,
+  // a factor task on the block's owner rewrites it in place, and a solve
+  // that reads the block chains through the factor back to the update.
   TaskGraph g(1);
   g.set_observe(true);
   g.add("update", {}, {42}, [] {}, 0, 3.0, 0);
-  g.host_acquire({42});
-  g.note_host_work({42}, 2.0, "panel", 9);
+  g.add("panel", {}, {42}, [] {}, 0, 2.0, 9);
   g.add("solve", {42}, {43}, [] {}, 0, 4.0, 1);
   g.wait_all();
   const std::vector<TaskRecord> recs = g.records();
   ASSERT_EQ(recs.size(), 3u);
-  EXPECT_TRUE(recs[1].host);
   EXPECT_EQ(recs[1].tag, 9u);
   EXPECT_DOUBLE_EQ(recs[1].chain_cost, 5.0);  // writer (3) + panel (2)
   EXPECT_EQ(recs[1].chain_pred, 0);

@@ -5,7 +5,8 @@
 # runtime's serial/threaded seam and asserts bit-identity), the same bench's
 # four kernels at n = 2048 on 1 and 4 threads (bit-identity at block 128,
 # with the owned blocks computed in place inside the caller's 2048-row
-# matrices, recursive QR panels as worker tasks and the next-panel
+# matrices, every factorization (LU's and Cholesky's diagonal blocks,
+# QR's recursive panels) as a worker task and the next-panel
 # lookahead; untimed), the exact-solver bench's 3x3 and 3x4
 # rows (asserts the arrangement search is identical at every thread count),
 # reruns of the MP and factorization tests with the microkernel pinned to
@@ -16,8 +17,9 @@
 # simulator), a ThreadSanitizer pass over the concurrent pieces (the exact
 # solver's thread pool, the message-passing runtime's task graph, and the
 # placement server) in build-tsan/, with the thread pool and task graph
-# tests and the MP runtime's QR tests (whose panel task writes tau and T
-# from a worker) repeated 20 times, and finally an AddressSanitizer + UBSan pass
+# tests and the MP runtime's QR, LU and Cholesky tests (whose factor tasks
+# hand tau and T, pivots or a success flag from a worker to the host)
+# repeated 20 times, and finally an AddressSanitizer + UBSan pass
 # over the MP runtime tests, the observed MP kernels of test_imbalance
 # among them, in build-asan/. The CLI's transcripts are a ctest entry
 # (cli_golden).
@@ -42,8 +44,8 @@ build-ci/bench/bench_runtime_scaling --smoke=1 --json=build-ci/BENCH_runtime_smo
 # Identity at real size: the smoke's n = 32, block 8 only reaches QR's
 # base-case panels and small blocks, so every kernel runs at n = 2048,
 # block 128 as well (owned blocks computed in place at a leading dimension
-# of 2048, recursive QR panels factored by worker tasks, next-panel columns
-# split out of the fused trailing update).
+# of 2048, every factorization as a worker task, recursive QR panels
+# among them, next-panel columns split out of the fused trailing update).
 # Its times are not gated; the harness throws unless 4 threads reproduce
 # the serial MpReport, tau and matrix bits and the block-pool counters
 # (the transient lifecycle under the step window).
@@ -234,17 +236,20 @@ ctest --test-dir build-tsan --output-on-failure -j "$NPROC" \
 
 # The pool's wake/idle protocol and the task graph's pumps on it, 20 times
 # over, so a lost wakeup or an idle-signal race that a single run hits
-# only rarely still fails CI; likewise QR's panel task, which fills tau,
-# T and the shared panel buffer from a worker while the host emits.
+# only rarely still fails CI; likewise the factor tasks, which fill QR's
+# tau, T and shared panel buffer from a worker while the host emits, and
+# hand LU's and Cholesky's success flags and pivoted LU's pivots and panel
+# buffer to the host waiting on them.
 build-tsan/tests/test_thread_pool --gtest_repeat=20
 build-tsan/tests/test_task_graph --gtest_repeat=20
-build-tsan/tests/test_mp --gtest_filter='MpQr.*' --gtest_repeat=20
+build-tsan/tests/test_mp --gtest_filter='MpQr.*:MpLu*:MpCholesky.*' \
+      --gtest_repeat=20
 
 # ASan + UBSan pass: a transient buffer freed or recycled while a task
 # still reads it is a use-after-free, which only AddressSanitizer reports
 # reliably (mirrors the "asan" preset in CMakePresets.json). test_imbalance
 # is the one suite that runs the MP kernels with an observation installed,
-# the path that records host work.
+# the path that keeps the task graph's per-task records.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
