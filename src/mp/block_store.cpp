@@ -47,15 +47,15 @@ ConstMatrixView BlockStore::read(BlockKey key) const {
   return std::get<ConstMatrixView>(it->second);
 }
 
-bool BlockStore::bound(BlockKey key) const {
+void BlockStore::hand_over(BlockKey key, BlockStore& to) {
   auto it = blocks_.find(key);
-  return it != blocks_.end() && !std::holds_alternative<Matrix>(it->second);
-}
-
-bool BlockStore::read_only(BlockKey key) const {
-  auto it = blocks_.find(key);
-  return it != blocks_.end() &&
-         std::holds_alternative<ConstMatrixView>(it->second);
+  HG_INTERNAL_CHECK(
+      it != blocks_.end() && !std::holds_alternative<Matrix>(it->second),
+      "block (" << key.row << "," << key.col << ") is not a binding here");
+  const bool fresh = to.blocks_.try_emplace(key, it->second).second;
+  HG_INTERNAL_CHECK(fresh, "block (" << key.row << "," << key.col
+                                     << ") is already held by the receiver");
+  blocks_.erase(it);
 }
 
 void BlockStore::erase(BlockKey key) {

@@ -42,13 +42,13 @@ struct BlockKeyHash {
 
 /// One processor's local memory: a map from global block coordinates to
 /// the blocks it holds. A processor's owned blocks are views bound to the
-/// caller's matrices, so the kernels compute on them in place; only
-/// blocks that cross processors own a buffer here: received copies, the
-/// blocks a kernel creates (QR's T, V0, W and Y) and migrated blocks.
-/// Freed buffers (transient copies erased at step boundaries) are pooled
-/// per shape, up to kPoolCapPerShape each, for acquire(); a step that
-/// needs more buffers of a shape than the pool holds allocates
-/// (block_store.pool_misses).
+/// caller's matrices, so the kernels compute on them in place, and a
+/// migration hands the binding itself to the new owner (hand_over); only
+/// transients own a buffer here: received copies and the blocks a kernel
+/// creates (QR's T, V0, W and Y). Freed buffers (transient copies erased
+/// at step boundaries) are pooled per shape, up to kPoolCapPerShape each,
+/// for acquire(); a step that needs more buffers of a shape than the pool
+/// holds allocates (block_store.pool_misses).
 class BlockStore {
  public:
   /// Inserts (or overwrites) a block buffer; the payload is moved in.
@@ -67,10 +67,12 @@ class BlockStore {
   ConstMatrixView read(BlockKey key) const;
 
   bool contains(BlockKey key) const { return blocks_.count(key) > 0; }
-  /// Whether `key` is a binding rather than a buffer of the store's own.
-  bool bound(BlockKey key) const;
-  /// Whether `key` is bound read-only.
-  bool read_only(BlockKey key) const;
+
+  /// Moves the binding of `key`, read-only or not, from this store to
+  /// `to`, with no copy: `to` then reaches the same caller block. Fails an
+  /// internal check unless this store binds `key` and `to` holds no entry
+  /// for it, so no two stores ever bind one caller block.
+  void hand_over(BlockKey key, BlockStore& to);
 
   /// Removes a block. A buffer is retained in the shape pool for
   /// acquire(); a binding is just dropped, as its memory is the caller's.

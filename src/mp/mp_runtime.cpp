@@ -87,6 +87,11 @@ struct Work {
 // swaps), at finish(), and to keep emission within kStepWindow steps of
 // the workers (set_step). A QR run's host never waits before finish().
 //
+// Every persistent block stays in the caller's matrix for the whole run:
+// scatter binds it in its owner's store, a migration hands that binding to
+// the new owner's store (maybe_rebalance), and only transients own
+// buffers, so nothing is copied back at the end.
+//
 // Clocks, busy times, message counters, and trace spans are computed
 // exclusively on the host thread and never depend on the execution
 // schedule — the MpReport and the trace stream are bitwise equal across
@@ -111,19 +116,16 @@ struct MpContext {
   // reduction roots rely on, and a rebalance rewrites only the trailing
   // ones, so finished panels keep their owners.
   OnlineRebalancer reb;
-  // Physical location of every persistent block, per matrix tag (A/B/C):
-  // what gather(), the row swaps and the migration source lookup use.
-  // owner() covers only live trailing blocks; loc also remembers where
-  // finished blocks stayed. Without rebalancing it is owner_pid throughout.
-  std::vector<std::vector<std::size_t>> loc;
-  std::size_t loc_rows, loc_cols;
+  // Block rows and columns per matrix; a block of matrix tag `which`
+  // (A/B/C) is keyed {which * nbr + bi, bj}.
+  std::size_t nbr, nbc;
   std::size_t reb_applied = 0, reb_blocks = 0;
   // The step window: when step k starts, the host waits for every task
   // emitted before step k - kStepWindow + 1 and erases the transients step
   // k - kStepWindow landed, so at most kStepWindow steps of copies are
   // live at any thread count. A transient is a block a step lands or
   // creates outside the persistent layout (panel copies, feeder and
-  // row-swap copies, QR's T/V0/W/Y, a migrated block's stale source).
+  // row-swap copies, QR's T/V0/W/Y).
   static constexpr std::size_t kStepWindow = 2;
   struct Transient {
     std::size_t step, id;
@@ -139,18 +141,15 @@ struct MpContext {
   // with the host's emission state (`fused` below).
   std::unique_ptr<TaskGraph> graph;
 
-  /// One run over an nbr x nbc block grid (`blk` elements per block side)
-  /// whose `tags` persistent matrices (A, or A/B/C for MMM) migrate when
-  /// a rebalance acts.
+  /// One run over a `rows` x `cols` block grid (`blk` elements per block
+  /// side) of `tags` persistent matrices (A, or A/B/C for MMM).
   MpContext(const Machine& m, const Distribution2D& d, std::size_t blk,
-            std::size_t nbr, std::size_t nbc, std::size_t tags, TraceSink* s,
-            const RuntimeOptions& opts)
+            std::size_t rows, std::size_t cols, std::size_t tags,
+            TraceSink* s, const RuntimeOptions& opts)
       : block(blk), p(d.grid_rows()), q(d.grid_cols()),
         net(p * q, m.net, s), store(p * q), clock(p * q, 0.0),
         busy(p * q, 0.0), sink(s), obs(installed_observation()),
-        reb(m, d, opts, nbr, nbc, obs),
-        loc(tags, std::vector<std::size_t>(nbr * nbc, SIZE_MAX)),
-        loc_rows(nbr), loc_cols(nbc) {
+        reb(m, d, opts, rows, cols, obs), nbr(rows), nbc(cols) {
     HG_CHECK(p * q <= kMaxProcs, "mp runtime supports at most "
                                      << kMaxProcs << " processors, got "
                                      << p << "x" << q);
@@ -186,7 +185,7 @@ struct MpContext {
       const Transient t = transients.front();
       transients.pop_front();
       const auto it = live.find(key_of(t.id, t.key));
-      // Landed again by a later step, or made persistent by a migration.
+      // Landed again by a later step.
       if (it == live.end() || it->second != retired) continue;
       live.erase(it);
       store[t.id].erase(t.key);
@@ -271,8 +270,8 @@ struct MpContext {
     fused.ops.push_back(std::move(op));
   }
 
-  /// Queues one zero-weight data op on processor `id` (gather, row swaps,
-  /// QR's V0 build and W adds), declaring the blocks it reads and writes
+  /// Queues one zero-weight data op on processor `id` (row swaps, QR's V0
+  /// build and W adds), declaring the blocks it reads and writes
   /// (a block that is read-modify-written belongs in `writes` —
   /// the write dependency already serializes it against both the prior
   /// writer and prior readers). Views must be resolved by the caller (on
@@ -361,9 +360,9 @@ struct MpContext {
     graph->wait(t);
   }
 
-  /// Final synchronization: every queued op completes. gather() calls it
-  /// once the copy-out tasks are queued; the last steps' transients die
-  /// with the stores.
+  /// Final synchronization: every queued op completes. Every kernel ends
+  /// with it, so every write to the caller's matrices lands before the run
+  /// returns; the last steps' transients die with the stores.
   void finish() {
     ProfScope span("mp.finish");
     flush_fused();
@@ -392,21 +391,14 @@ struct MpContext {
   }
   /// Live owner of block (bi, bj). Kernels only consult this for blocks
   /// at or beyond the current step, where the live lines are always
-  /// current (finished panels are reached through loc, not owner()).
+  /// current: a finished block whose line a rebalance rewrites stays bound
+  /// where it was, and nothing reads it there again.
   ProcCoord owner(std::size_t bi, std::size_t bj) const {
     return reb.owner(bi, bj);
   }
   std::size_t owner_pid(std::size_t bi, std::size_t bj) const {
     const ProcCoord o = owner(bi, bj);
     return pid(o.row, o.col);
-  }
-  /// Physical location of a persistent block of matrix tag `which` — where
-  /// gather() reads it and migrations pick it up. Equals owner_pid until a
-  /// block's line migrates out from under a *finished* panel, which keeps
-  /// its blocks (and this entry) in place.
-  std::size_t location(std::size_t which, std::size_t bi,
-                       std::size_t bj) const {
-    return loc[which][bi * loc_cols + bj];
   }
   double cycle_time(std::size_t id) const { return reb.cycle_time(id, step); }
 
@@ -418,37 +410,46 @@ struct MpContext {
   };
 
   /// The panel-boundary rebalance hook: when the rebalancer's re-solve
-  /// acts, migrates every block of `sets` whose owner changed. Migrations
-  /// are ordinary block copies — kPrioComm tasks that overlap the previous
-  /// step's trailing updates; in virtual time the destination clock waits
-  /// for the transfer. Everything here runs on the host thread as a pure
-  /// function of the boundary snapshot, so the migration schedule is
-  /// bit-identical across thread counts.
+  /// acts, migrates every block of `sets` whose owner changed. A migration
+  /// hands the block's binding to the new owner's store, with no copy, and
+  /// queues one zero-weight mp.move task at kPrioComm that writes the
+  /// block at both processors: the graph then orders the new owner's ops
+  /// on that caller memory after the old owner's pending reads and writes.
+  /// In virtual time the transfer is priced as a message, and the
+  /// destination clock waits for it. Everything here runs on the host
+  /// thread as a pure function of the boundary snapshot, so the migration
+  /// schedule is bit-identical across thread counts.
   void maybe_rebalance(std::size_t k, const RebalanceRegion& region,
                        const std::vector<MigrateSet>& sets) {
+    if (!reb.on()) return;
+    // Every block of `sets` is bound at its owner under the lines as they
+    // stand before this re-solve: each earlier re-solve's sets covered
+    // this one's, so the block moved with every owner change.
+    std::vector<std::size_t> row_was(nbr), col_was(nbc);
+    for (std::size_t bi = 0; bi < nbr; ++bi) row_was[bi] = owner(bi, 0).row;
+    for (std::size_t bj = 0; bj < nbc; ++bj) col_was[bj] = owner(0, bj).col;
     const std::optional<RebalanceDecision> d = reb.replan(k, region);
     if (!d) return;
     metric_count("rebalance.resolves", 1);
     if (!d->act) return;
 
-    // Read at the old owner, write at the new one, erase the stale copy.
     std::vector<double> arrive(p * q, 0.0);
     std::size_t moved = 0;
     for (const MigrateSet& s : sets) {
       for (std::size_t bi = s.row_lo; bi < s.row_hi; ++bi) {
         for (std::size_t bj = s.col_lo; bj < s.col_hi; ++bj) {
           if (s.lower_only && bj > bi) continue;
-          std::size_t& cur = loc[s.which][bi * loc_cols + bj];
+          const std::size_t cur = pid(row_was[bi], col_was[bj]);
           const std::size_t dst = owner_pid(bi, bj);
           if (cur == dst) continue;
-          const BlockKey key{s.which * loc_rows + bi, bj};
+          const BlockKey key{s.which * nbr + bi, bj};
           const double arrival = net.transfer(cur, dst, 1, clock[cur]);
-          copy_block(cur, dst, key, /*persistent=*/true);
-          land(cur, key);  // the stale source
-          // One task per migrated block, so a large migration spreads over
-          // the workers instead of queueing on one copy lane.
+          // Flush first: the old owner's last ops on the block may still
+          // sit in the open fusion group, and the move must depend on them.
           flush_fused();
-          cur = dst;
+          store[cur].hand_over(key, store[dst]);
+          graph->add("mp.move", {}, {key_of(cur, key), key_of(dst, key)},
+                     [] {}, kPrioComm, 0.0, dst);
           arrive[dst] = std::max(arrive[dst], arrival);
           ++moved;
         }
@@ -481,24 +482,16 @@ struct MpContext {
   /// a pooled buffer when one matches the shape: the copy is queued as a
   /// task reading (from, key) and writing (to, key). When the destination
   /// already holds the block (a broadcast restoring an owner's bound
-  /// blocks, a block migrating back home, a copy onto a live transient),
-  /// the existing block is written in place — a put would free a buffer
-  /// that pending readers may still be using, and the write dependency
-  /// already orders the copy after them. A copy that lands the block
-  /// afresh or on a live transient makes it a transient of the current
-  /// step, or persistent (a migration).
-  void copy_block(std::size_t from, std::size_t to, BlockKey key,
-                  bool persistent = false) {
+  /// blocks, a copy onto a live transient), the existing block is written
+  /// in place — a put would free a buffer that pending readers may still
+  /// be using, and the write dependency already orders the copy after
+  /// them. A copy that lands the block afresh or on a live transient makes
+  /// it a transient of the current step.
+  void copy_block(std::size_t from, std::size_t to, BlockKey key) {
     const ConstMatrixView src = store[from].read(key);
     const bool absent = !store[to].contains(key);
     if (absent) store[to].put(key, store[to].acquire(src.rows(), src.cols()));
-    if (persistent)
-      live.erase(key_of(to, key));
-    else if (absent || live.count(key_of(to, key)) > 0)
-      land(to, key);
-    // A read-only binding is MMM's own A or B block, which nothing writes:
-    // it already holds the values the copy would bring.
-    if (store[to].read_only(key)) return;
+    if (absent || live.count(key_of(to, key)) > 0) land(to, key);
     const MatrixView dst = store[to].at(key);
     HG_INTERNAL_CHECK(dst.rows() == src.rows() && dst.cols() == src.cols(),
                       "copy_block into a block of different shape");
@@ -608,51 +601,10 @@ void scatter(MpContext& ctx, std::size_t which, const View& m,
     for (std::size_t bj = 0; bj < nbc; ++bj) {
       const std::size_t jlo = block_lo(bj, ctx.block);
       const std::size_t jlen = block_len(bj, ctx.block, m.cols());
-      const std::size_t id = ctx.owner_pid(bi, bj);
-      ctx.loc[which][bi * ctx.loc_cols + bj] = id;
-      ctx.store[id].bind(BlockKey{which * nbr + bi, bj},
-                         m.block(ilo, jlo, ilen, jlen));
+      ctx.store[ctx.owner_pid(bi, bj)].bind(BlockKey{which * nbr + bi, bj},
+                                            m.block(ilo, jlo, ilen, jlen));
     }
   }
-}
-
-// Copies back into `m` the blocks of matrix `which` whose final holder is
-// a buffer rather than `m` itself — the blocks a migration moved off
-// their scatter owner — in one mp.gather task per holder at communication
-// priority. Then finish(), so every write to `m` lands before the run
-// returns: the in-place blocks' last writers included.
-void gather(MpContext& ctx, MatrixView m, std::size_t which,
-            std::size_t nbr, std::size_t nbc) {
-  struct BlockCopy {
-    ConstMatrixView src;
-    MatrixView dst;
-  };
-  const std::size_t procs = ctx.p * ctx.q;
-  std::vector<std::vector<BlockKey>> keys(procs);
-  std::vector<std::vector<BlockCopy>> copies(procs);
-  for (std::size_t bi = 0; bi < nbr; ++bi) {
-    const std::size_t ilo = block_lo(bi, ctx.block);
-    const std::size_t ilen = block_len(bi, ctx.block, m.rows());
-    for (std::size_t bj = 0; bj < nbc; ++bj) {
-      const std::size_t id = ctx.location(which, bi, bj);
-      const BlockKey key{which * nbr + bi, bj};
-      if (ctx.store[id].bound(key)) continue;  // computed in place
-      const std::size_t jlo = block_lo(bj, ctx.block);
-      const std::size_t jlen = block_len(bj, ctx.block, m.cols());
-      keys[id].push_back(key);
-      copies[id].push_back(
-          BlockCopy{ctx.store[id].read(key), m.block(ilo, jlo, ilen, jlen)});
-    }
-  }
-  for (std::size_t id = 0; id < procs; ++id) {
-    if (copies[id].empty()) continue;
-    ctx.add_op(id, "mp.gather", kPrioComm, keys[id],
-               std::initializer_list<BlockKey>{},
-               [copies = std::move(copies[id])] {
-                 for (const BlockCopy& c : copies) c.dst.copy_from(c.src);
-               });
-  }
-  ctx.finish();
 }
 
 // Whether the memory spans of two views, first element to last, intersect.
@@ -826,7 +778,7 @@ void apply_row_swaps(MpContext& ctx, std::size_t k, std::size_t nb,
     if (src[r - klo] != r) moved.push_back(r);
   if (moved.empty()) return;
   const auto where = [&](std::size_t row, std::size_t bj) {
-    return ctx.location(kTagA, row / block, bj);
+    return ctx.owner_pid(row / block, bj);
   };
 
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> elems;
@@ -1015,8 +967,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     // charged on the host in canonical order; the GEMMs fan out one task
     // lane per processor (each lane reads and writes only its own store).
     // Step 0 runs with beta = 0: gemm starts each C block from +0.0
-    // without reading it, so the caller's C is never read. No C block has
-    // migrated by then, as the step-0 replan always holds.
+    // without reading it, so the caller's C is never read.
     const std::size_t klen = block_len(k, block, n);
     const double beta = k == 0 ? 0.0 : 1.0;
     for (std::size_t id = 0; id < procs; ++id) {
@@ -1037,7 +988,7 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
     }
   }
 
-  gather(ctx, c, kTagC, nb, nb);
+  ctx.finish();
   return ctx.report();
 }
 
@@ -1216,7 +1167,7 @@ MpLuReport run_lu(const Machine& machine, const Distribution2D& dist,
   for (std::size_t id = 0; id < procs; ++id)
     ctx.charge(id, deferred_ready[id], deferred[id], "update-deferred",
                ObsOp::kUpdate);
-  gather(ctx, a, kTagA, nb, nb);
+  ctx.finish();
   static_cast<MpReport&>(rep) = ctx.report();
   rep.factorized = !singular;
   return rep;
@@ -1320,7 +1271,7 @@ MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,
     }
   }
 
-  gather(ctx, a, kTagA, nb, nb);
+  ctx.finish();
   MpReport rep = ctx.report();
   rep.factorized = factorized;
   return rep;
@@ -1562,7 +1513,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     }
   }
 
-  gather(ctx, a, kTagA, nbr, nbc);
+  ctx.finish();
   static_cast<MpReport&>(rep) = ctx.report();
   return rep;
 }

@@ -64,10 +64,10 @@ struct MpLuReport : MpReport {
 /// any work); A and B may overlap each other.
 ///
 /// Every run_mp_* entry point computes in place: a processor's owned
-/// blocks are views of the caller's matrix, and only blocks that cross
-/// processors are copied (doc/parallel_runtime.md). Bad arguments are
-/// rejected before any work, but a kernel that throws mid-run may leave
-/// its matrix partly updated.
+/// blocks, migrated ones included, are views of the caller's matrix, and
+/// only transients (received copies, QR's T, V0, W and Y) are buffers
+/// (doc/parallel_runtime.md). Bad arguments are rejected before any work,
+/// but a kernel that throws mid-run may leave its matrix partly updated.
 ///
 /// All run_mp_* entry points execute their real block math through one
 /// util/task_graph keyed by (processor, block): the block-versioned

@@ -243,8 +243,6 @@ TEST(BlockStore, BindingWritesThroughAndIsNeverPooled) {
   Matrix caller(4, 4, 1.0);
   BlockStore s;
   s.bind({0, 0}, caller.view().block(2, 2, 2, 2));
-  EXPECT_TRUE(s.bound({0, 0}));
-  EXPECT_FALSE(s.read_only({0, 0}));
   s.at({0, 0})(1, 1) = 5.0;
   EXPECT_EQ(caller(3, 3), 5.0);
   s.erase({0, 0});
@@ -256,9 +254,45 @@ TEST(BlockStore, ReadOnlyBindingRefusesWrites) {
   const Matrix caller(2, 2, 3.0);
   BlockStore s;
   s.bind({1, 1}, caller.view());
-  EXPECT_TRUE(s.read_only({1, 1}));
   EXPECT_EQ(s.read({1, 1})(0, 0), 3.0);
   EXPECT_THROW(s.at({1, 1}), InternalError);
+}
+
+TEST(BlockStore, HandOverMovesABindingWithoutACopy) {
+  // A migration hands the binding itself to the new owner: the receiver
+  // reaches the same caller block, the sender no longer holds it, and
+  // erasing it pools nothing on either side.
+  Matrix caller(4, 4, 1.0);
+  const Matrix frozen(2, 2, 3.0);
+  BlockStore from, to;
+  from.bind({0, 0}, caller.view().block(2, 2, 2, 2));
+  from.bind({1, 1}, frozen.view());
+  from.hand_over({0, 0}, to);
+  from.hand_over({1, 1}, to);
+  EXPECT_FALSE(from.contains({0, 0}));
+  EXPECT_FALSE(from.contains({1, 1}));
+  to.at({0, 0})(1, 1) = 5.0;
+  EXPECT_EQ(caller(3, 3), 5.0);
+  EXPECT_EQ(to.read({0, 0}).data(), caller.view().block(2, 2, 2, 2).data());
+  // A read-only binding stays read-only at the receiver.
+  EXPECT_EQ(to.read({1, 1})(0, 0), 3.0);
+  EXPECT_THROW(to.at({1, 1}), InternalError);
+  to.erase({0, 0});
+  to.erase({1, 1});
+  EXPECT_EQ(from.pooled() + to.pooled(), 0u);
+
+  // Only a binding moves, and only to a store that holds no entry for it.
+  BlockStore other;
+  other.put({2, 2}, Matrix(2, 2, 0.0));
+  EXPECT_THROW(other.hand_over({2, 2}, to), InternalError);
+  EXPECT_THROW(other.hand_over({3, 3}, to), InternalError);
+  from.bind({0, 0}, caller.view().block(0, 0, 2, 2));
+  to.bind({0, 0}, caller.view().block(2, 2, 2, 2));
+  EXPECT_THROW(from.hand_over({0, 0}, to), InternalError);
+  // A refused hand-over changes neither store.
+  EXPECT_TRUE(other.contains({2, 2}));
+  EXPECT_EQ(from.read({0, 0}).data(), caller.data());
+  EXPECT_EQ(to.read({0, 0}).data(), caller.view().block(2, 2, 2, 2).data());
 }
 
 TEST(BlockStore, EraseRemovesCopy) {

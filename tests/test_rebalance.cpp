@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -420,7 +421,7 @@ TEST(DynamicSim, FactorizationsRebalanceUnderStraggler) {
 
 // One MP kernel run on fresh deterministic inputs (MMM: random A and B,
 // LU: diagonally dominant, Cholesky: SPD, QR: random square), returning
-// the report and the gathered result.
+// the report and the result.
 struct KernelRun {
   MpReport rep;
   Matrix out;
@@ -458,8 +459,8 @@ const char* const kKernels[] = {"mmm", "lu", "chol", "qr"};
 
 TEST(MpRebalance, OffIsBitIdenticalAcrossThreads) {
   // With the rebalancer off, a drift trace only reshapes virtual time: for
-  // every kernel the gathered result must stay bit-identical to the
-  // trace-free run, and the makespan must agree across thread counts.
+  // every kernel the result must stay bit-identical to the trace-free run,
+  // and the makespan must agree across thread counts.
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 32, block = 4;
@@ -487,7 +488,7 @@ TEST(MpRebalance, StragglerMakespanDropsAndResultIsUnchanged) {
   // nb = 20 block steps of 2x2 blocks; grid row 0 slows 4x at step 0.
   // Rebalancing must cut the makespan >= 25%, land within 15% of the
   // imbalance report's balanced lower bound, and not move a single bit of
-  // the gathered product (MMM migration is pure data movement).
+  // the product (MMM migration is pure data movement).
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 40, block = 2;
@@ -528,13 +529,12 @@ TEST(MpRebalance, StragglerMakespanDropsAndResultIsUnchanged) {
 TEST(MpRebalance, MigrationScheduleIsThreadInvariant) {
   // Migration decisions are pure functions of the boundary snapshot, so
   // the applied schedule — and every downstream bit, and the host's
-  // block-pool and step-window counters, which see every migrated block's
-  // stale source erased — must be identical across thread counts. Every
-  // kernel acts at least once here. Migration only relocates blocks, so
-  // MMM, LU and Cholesky must also reproduce the static run's bits; QR
-  // regroups its W reduction by the new grid rows and is held to 1e-8
-  // instead. MMM, whose whole matrix rebalances, must also beat the static
-  // makespan.
+  // block-pool and step-window counters — must be identical across thread
+  // counts. Every kernel acts at least once here. Migration only relocates
+  // blocks, so MMM, LU and Cholesky must also reproduce the static run's
+  // bits; QR regroups its W reduction by the new grid rows and is held to
+  // 1e-8 instead. MMM, whose whole matrix rebalances, must also beat the
+  // static makespan.
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 32, block = 4;
@@ -575,6 +575,40 @@ TEST(MpRebalance, MigrationScheduleIsThreadInvariant) {
 }
 
 // ------------------------------------------- migration
+
+TEST(MpRebalance, MigrationAcquiresNoBuffer) {
+  // A migration hands the block's binding to its new owner, so every
+  // persistent block stays in the caller's matrix and a run acquires
+  // buffers only for the transient copies its rings land. On a 2x2 grid
+  // each ring reaches the one other processor of its line whoever owns
+  // the block, so a run that migrates must acquire exactly as many
+  // buffers as the static run. QR is left out: its gathered panel's feeder
+  // copies depend on who owns each panel block.
+  const Machine machine = uniform_machine(2, 2);
+  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
+  const std::size_t n = 32, block = 4;
+  const auto acquires = [&](const std::string& kernel, unsigned threads,
+                            Rebalance rebalance, KernelRun& run) {
+    RuntimeOptions opts = straggler_options(rebalance);
+    opts.threads = threads;
+    const HostCounters c = count_host_work(
+        [&] { run = run_kernel(kernel, machine, dist, n, block, opts); });
+    return c.at("block_store.pool_hits") + c.at("block_store.pool_misses");
+  };
+  for (const std::string kernel : {"mmm", "lu", "chol"}) {
+    for (unsigned threads : {1u, 7u}) {
+      SCOPED_TRACE(testing::Message() << kernel << " threads=" << threads);
+      KernelRun stat, moved;
+      const std::uint64_t stat_acquires =
+          acquires(kernel, threads, Rebalance::kOff, stat);
+      const std::uint64_t moved_acquires =
+          acquires(kernel, threads, Rebalance::kPanel, moved);
+      EXPECT_EQ(stat.rep.rebalance_blocks, 0u);
+      EXPECT_GE(moved.rep.rebalance_blocks, 1u);
+      EXPECT_EQ(moved_acquires, stat_acquires);
+    }
+  }
+}
 
 TEST(MpRebalance, RebalancedLuBitIdenticalToStatic) {
   // An LU run that actually migrates mid-factorization, with blocks wider

@@ -315,11 +315,12 @@ InPlaceRun run_in_place(const std::string& kernel, MatrixView x,
 TEST(MpInPlace, SubViewsMatchContiguousRunsAndKeepTheirBorder) {
   // n = 30 at block 4 leaves a ragged last block. Each kernel runs at
   // threads {1, 2, 7}, and all but pivoted LU (which rejects
-  // rebalancing) once more under a 4x straggler from step 2 with panel
-  // rebalancing, so that blocks migrate mid-run and the migrated ones are
-  // copied back; MMM's rings then also reach stale read-only views of A
-  // and B blocks that migrated off their first owner. The caller's C
-  // starts all NaN: it is never read.
+  // rebalancing) again at threads {1, 2, 7} under a 4x straggler from
+  // step 2 with panel rebalancing, so that blocks migrate mid-run. A
+  // migration hands the binding over, with no copy and no copy-back: a
+  // migrated block is computed at its new owner directly in the
+  // NaN-bordered sub-view, so the border check pins that it writes only
+  // its own elements. The caller's C starts all NaN: it is never read.
   const std::size_t n = 30;
   for (const std::string kernel :
        {"mmm", "lu", "lu-pivoted", "chol", "qr"}) {
@@ -340,13 +341,15 @@ TEST(MpInPlace, SubViewsMatchContiguousRunsAndKeepTheirBorder) {
       configs.back().threads = threads;
     }
     if (kernel != "lu-pivoted") {
-      RuntimeOptions straggler;
-      straggler.threads = 2;
-      straggler.rebalance = RuntimeOptions::Rebalance::kPanel;
-      straggler.trace = CycleTimeTrace::straggler({0, 1}, 4.0, 2);
-      straggler.estimator.alpha = 1.0;
-      straggler.estimator.min_samples = 1;
-      configs.push_back(straggler);
+      for (unsigned threads : {1u, 2u, 7u}) {
+        RuntimeOptions straggler;
+        straggler.threads = threads;
+        straggler.rebalance = RuntimeOptions::Rebalance::kPanel;
+        straggler.trace = CycleTimeTrace::straggler({0, 1}, 4.0, 2);
+        straggler.estimator.alpha = 1.0;
+        straggler.estimator.min_samples = 1;
+        configs.push_back(straggler);
+      }
     }
     Matrix unmoved;  // the static serial result
     for (const RuntimeOptions& opts : configs) {
@@ -390,8 +393,8 @@ TEST(MpInPlace, SubViewsMatchContiguousRunsAndKeepTheirBorder) {
       EXPECT_EQ(got.piv, want.piv);
       expect_same_report(want.report, got.report);
       if (rebalanced) {
-        // Migration only moves blocks, so the copied-back result is the
-        // static run's; QR regroups its W reduction by the new grid rows.
+        // Migration only moves blocks, so the result is the static run's;
+        // QR regroups its W reduction by the new grid rows.
         EXPECT_GE(got.report.rebalance_blocks, 1u);
         if (kernel == "qr") {
           EXPECT_LE(max_abs_diff(unmoved.view(), interior(big)), 1e-8);

@@ -417,7 +417,7 @@ TEST(MpDag, LuBitIdenticalAcrossThreads) {
   for (unsigned t : kThreadCounts)
     expect_same_run(serial, run_lu(machine, dist, false, t));
 
-  // A zero pivot returns early, gathering while earlier steps' updates may
+  // A zero pivot returns early, draining while earlier steps' updates may
   // still be in flight. Row 18, the first of block step 3, repeats row 0
   // through column 18: the leading 19 x 19 minor is singular, and
   // elimination leaves an exact zero pivot at (18, 18).

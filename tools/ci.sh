@@ -17,9 +17,11 @@
 # simulator), a ThreadSanitizer pass over the concurrent pieces (the exact
 # solver's thread pool, the message-passing runtime's task graph, and the
 # placement server) in build-tsan/, with the thread pool and task graph
-# tests and the MP runtime's QR, LU and Cholesky tests (whose factor tasks
-# hand tau and T, pivots or a success flag from a worker to the host)
-# repeated 20 times, and finally an AddressSanitizer + UBSan pass
+# tests, the MP runtime's QR, LU and Cholesky tests (whose factor tasks
+# hand tau and T, pivots or a success flag from a worker to the host) and
+# its migration tests (whose move tasks hand a block of the caller's
+# matrix from one processor's lane to another's) repeated 20 times, and
+# finally an AddressSanitizer + UBSan pass
 # over the MP runtime tests, the observed MP kernels of test_imbalance
 # among them, in build-asan/. The CLI's transcripts are a ctest entry
 # (cli_golden).
@@ -239,10 +241,16 @@ ctest --test-dir build-tsan --output-on-failure -j "$NPROC" \
 # only rarely still fails CI; likewise the factor tasks, which fill QR's
 # tau, T and shared panel buffer from a worker while the host emits, and
 # hand LU's and Cholesky's success flags and pivoted LU's pivots and panel
-# buffer to the host waiting on them.
+# buffer to the host waiting on them; and the migrations, where a block of
+# the caller's matrix changes hands between two processors' lanes with no
+# copy, ordered only by its mp.move task.
 build-tsan/tests/test_thread_pool --gtest_repeat=20
 build-tsan/tests/test_task_graph --gtest_repeat=20
 build-tsan/tests/test_mp --gtest_filter='MpQr.*:MpLu*:MpCholesky.*' \
+      --gtest_repeat=20
+build-tsan/tests/test_rebalance --gtest_filter='MpRebalance.*' \
+      --gtest_repeat=20
+build-tsan/tests/test_runtime_parallel --gtest_filter='MpInPlace.*' \
       --gtest_repeat=20
 
 # ASan + UBSan pass: a transient buffer freed or recycled while a task
